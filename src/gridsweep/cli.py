@@ -24,6 +24,7 @@ from pathlib import Path
 from . import gridsim, hosts, scenario as scenario_mod, sweep as sweep_mod
 from .errors import GridsweepError, ScenarioParseError
 from .md import MDParams
+from .outputs import staged_outputs
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -33,13 +34,10 @@ SUMMARY_CSV_HEADER = ["attribute", "mean", "sd", "min", "max", "count"]
 
 
 def _atomic_write_csv(path, header, rows) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with staged_outputs() as stage, open(stage(path), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _cmd_hosts_sample(args) -> int:
@@ -54,9 +52,8 @@ def _cmd_hosts_sample(args) -> int:
     if args.seed is not None:
         params = hosts.with_seed(params, args.seed)
     pop = hosts.sample_hosts(params)
-    tmp = Path(args.out).with_suffix(".tmp")
-    hosts.write_population_csv(pop, tmp)
-    os.replace(tmp, args.out)
+    with staged_outputs() as stage:
+        hosts.write_population_csv(pop, stage(args.out))
     return EXIT_OK
 
 
@@ -80,15 +77,11 @@ def _cmd_sim_run(args) -> int:
                                  policy=scn.policy, ref=scn.ref)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pending = []
-    for name, write in (("trace.csv", gridsim.write_trace_csv),
-                        ("speedup.csv", gridsim.write_speedup_csv),
-                        ("regimes.csv", gridsim.write_regimes_csv)):
-        tmp = out / (name + ".tmp")
-        write(trace, tmp)
-        pending.append((tmp, out / name))
-    for tmp, path in pending:
-        os.replace(tmp, path)
+    with staged_outputs() as stage:
+        for name, write in (("trace.csv", gridsim.write_trace_csv),
+                            ("speedup.csv", gridsim.write_speedup_csv),
+                            ("regimes.csv", gridsim.write_regimes_csv)):
+            write(trace, stage(out / name))
     return EXIT_OK
 
 

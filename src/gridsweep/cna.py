@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
+from .md import neighbor_pairs
 
 FCC = 0
 HCP = 1
@@ -26,100 +27,51 @@ UNK = 2
 
 LABEL_NAMES = {FCC: "FCC", HCP: "HCP", UNK: "UNK"}
 
-_FCC_SIG = (4, 2, 1)
-_HCP_SIG = (4, 2, 2)
-
-
-def neighbor_table(positions: np.ndarray, box, periodic, cutoff: float) -> np.ndarray:
-    """Boolean adjacency matrix of atoms within cutoff (min-image on periodic axes)."""
-    positions = np.asarray(positions, dtype=float)
-    box = np.asarray(box, dtype=float)
-    delta = positions[:, None, :] - positions[None, :, :]
-    for ax in range(3):
-        if periodic[ax]:
-            delta[:, :, ax] -= box[ax] * np.rint(delta[:, :, ax] / box[ax])
-    r2 = np.einsum("ijk,ijk->ij", delta, delta)
-    np.fill_diagonal(r2, np.inf)
-    return r2 < cutoff * cutoff
-
-
-def _longest_chain(nodes: list[int], adj: np.ndarray) -> int:
-    """Longest path (in bonds) in the common-neighbor subgraph; brute force,
-    fine for the handful of common neighbors a bond ever has."""
-    index = {a: i for i, a in enumerate(nodes)}
-    edges = [[] for _ in nodes]
-    n_edges = 0
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            if adj[a, b]:
-                edges[i].append(index[b])
-                edges[index[b]].append(i)
-                n_edges += 1
-    if n_edges == 0:
-        return 0
-    best = 1
-
-    def dfs(v, visited_edges, length):
-        nonlocal best
-        best = max(best, length)
-        for w in edges[v]:
-            key = (min(v, w), max(v, w))
-            if key not in visited_edges:
-                visited_edges.add(key)
-                dfs(w, visited_edges, length + 1)
-                visited_edges.remove(key)
-
-    for start in range(len(nodes)):
-        if edges[start]:
-            dfs(start, set(), 0)
-    return best
-
-
-def bond_signature(i: int, j: int, adj: np.ndarray, neighbors: list[np.ndarray]) -> tuple:
-    """(ncn, nb, lcb) signature of the bond i-j."""
-    common = [a for a in neighbors[i] if adj[j, a]]
-    nb = 0
-    for x in range(len(common)):
-        for y in range(x + 1, len(common)):
-            if adj[common[x], common[y]]:
-                nb += 1
-    return (len(common), nb, _longest_chain(common, adj))
-
 
 def cna_labels(positions, box, periodic, cutoff: float) -> np.ndarray:
-    """Per-atom labels FCC/HCP/UNK via bond signatures within the cutoff."""
+    """Per-atom labels FCC/HCP/UNK via bond signatures within the cutoff.
+
+    Only 12-coordinated atoms can be FCC or HCP, and only the signatures
+    (4,2,1) and (4,2,2) count, so each such atom is classified from the
+    adjacency of its 12-atom shell: the common neighbours of the bond to
+    shell atom p are the shell atoms bonded to p, and with 4 common
+    neighbours and 2 bonds among them the longest chain is 2 exactly when
+    the two bonds share an atom.
+    """
     if cutoff <= 0:
         raise ParameterError("cutoff must be > 0")
-    adj = neighbor_table(positions, box, periodic, cutoff)
-    n = adj.shape[0]
-    neighbors = [np.flatnonzero(adj[i]) for i in range(n)]
+    n = len(positions)
+    i, j = neighbor_pairs(positions, box, periodic, cutoff)
     labels = np.full(n, UNK, dtype=int)
-    sig_cache: dict[tuple[int, int], tuple] = {}
-    for i in range(n):
-        if len(neighbors[i]) != 12:
-            continue
-        n_fcc = 0
-        n_hcp = 0
-        ok = True
-        for j in neighbors[i]:
-            key = (i, int(j)) if i < j else (int(j), i)
-            sig = sig_cache.get(key)
-            if sig is None:
-                sig = bond_signature(i, int(j), adj, neighbors)
-                sig_cache[key] = sig
-            if sig == _FCC_SIG:
-                n_fcc += 1
-            elif sig == _HCP_SIG:
-                n_hcp += 1
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        if n_fcc == 12:
-            labels[i] = FCC
-        elif n_fcc == 6 and n_hcp == 6:
-            labels[i] = HCP
+    degree = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    centre = np.flatnonzero(degree == 12)
+    if centre.size == 0:
+        return labels
+
+    # 12 neighbours of each centre atom, from the pair list in both orientations
+    owner, other = np.concatenate([i, j]), np.concatenate([j, i])
+    by_owner = np.argsort(owner, kind="stable")
+    first = np.cumsum(degree) - degree
+    shell = other[by_owner][first[centre, None] + np.arange(12)]  # (m, 12)
+
+    # shell adjacency, looked up in the sorted pair keys i*n + j
+    keys = i * n + j
+    a, b = shell[:, :, None], shell[:, None, :]
+    probe = np.minimum(a, b) * n + np.maximum(a, b)
+    adj = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe  # (m, 12, 12)
+
+    common = adj.sum(axis=2)  # ncn of the bond to each shell atom p
+    adj_i = adj.astype(np.int64)
+    # inner[p, q]: shell atoms bonded to both p and q, which for a common
+    # neighbour q of bond p counts q's bonds among p's common neighbours
+    inner = adj_i @ adj_i
+    n_bonds = (adj_i * inner).sum(axis=2) // 2
+    max_degree = np.where(adj, inner, 0).max(axis=2)  # of two bonds: 2 iff they share an atom
+    is_42 = (common == 4) & (n_bonds == 2)
+    n_fcc = (is_42 & (max_degree == 1)).sum(axis=1)
+    n_hcp = (is_42 & (max_degree == 2)).sum(axis=1)
+    labels[centre[n_fcc == 12]] = FCC
+    labels[centre[(n_fcc == 6) & (n_hcp == 6)]] = HCP
     return labels
 
 

@@ -85,12 +85,6 @@ class SimTrace:
     tasks: list[TaskSpec]
     ref: ReferenceHost
 
-    def task_names(self) -> list[str]:
-        return [t.name for t in self.tasks]
-
-    def events_for(self, task_name: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.task == task_name]
-
 
 @dataclass(frozen=True)
 class RegimeSegmentation:

@@ -17,6 +17,7 @@ unstrained gripped slab also transmit zero stress to its grips.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -89,7 +90,6 @@ class DefectRecord:
     c_unk: float
     sigma_top: float
     energy: float
-    momentum: float
 
 
 _FCC_BASIS = np.array([[0.0, 0.0, 0.0],
@@ -147,20 +147,6 @@ def build_crystal(nx: int, ny: int, nz: int, a: float = A0_DEFAULT,
     return Crystal(pos, vel, box, periodic, a, grip_mask)
 
 
-def _pair_geometry(crystal: Crystal):
-    """Min-image displacements delta[i, j] = r_i - r_j and squared distances
-    (diagonal set to inf)."""
-    pos = crystal.positions
-    delta = pos[:, None, :] - pos[None, :, :]
-    for ax in range(3):
-        if crystal.periodic[ax]:
-            L = crystal.box[ax]
-            delta[:, :, ax] -= L * np.rint(delta[:, :, ax] / L)
-    r2 = np.einsum("ijk,ijk->ij", delta, delta)
-    np.fill_diagonal(r2, np.inf)
-    return delta, r2
-
-
 def _min_image(vec: np.ndarray, box, periodic) -> np.ndarray:
     for ax in range(3):
         if periodic[ax]:
@@ -169,12 +155,77 @@ def _min_image(vec: np.ndarray, box, periodic) -> np.ndarray:
     return vec
 
 
-def _build_pairs(crystal: Crystal, rmax: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle (i, j) index arrays of pairs within rmax (min-image)."""
-    _, r2 = _pair_geometry(crystal)
-    iu, ju = np.triu_indices(crystal.n_atoms, k=1)
-    mask = r2[iu, ju] < rmax * rmax
-    return iu[mask], ju[mask]
+#: cells are made this much wider than rmax so that rounding in the binning
+#: can never put a pair closer than rmax two cells apart
+_CELL_SLACK = 1.0 + 1e-9
+
+#: the 27 cell shifts of a 3 x 3 x 3 block of cells
+_STENCIL = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+
+
+def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j in row-major order, of the pairs whose
+    min-image distance is below rmax.
+
+    Cell list: atoms are binned into cells at least rmax wide (periodic axes
+    span the box, open axes the extent of the atoms), and only atoms in
+    neighbouring cells are candidates.  The candidates pass the same exact
+    distance test as a dense all-pairs scan, so the result equals the dense
+    upper-triangle pair list element for element.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = pos.shape[0]
+    if n < 2:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    box = np.asarray(box, dtype=float)
+    per = np.asarray(periodic, dtype=bool)
+    x = np.where(per, np.mod(pos, np.where(per, box, 1.0)), pos - pos.min(axis=0))
+    extent = np.where(per, box, x.max(axis=0))
+    m = np.maximum(extent // (rmax * _CELL_SLACK), 1).astype(np.intp)  # cells per axis
+    c = np.minimum((x * (m / np.where(m > 1, extent, np.inf))).astype(np.intp), m - 1)
+    cell = (c[:, 0] * m[1] + c[:, 1]) * m[2] + c[:, 2]
+
+    # On a periodic axis shift s reaches the same cell as s + m: keep one
+    # shift per distinct cell (m = 1: 0; m = 2: 0, 1) so no cell is listed twice.
+    distinct = ~per | ((_STENCIL < m) & ((_STENCIL >= 0) | (m > 2)))
+    nb = c[:, None, :] + _STENCIL[distinct.all(axis=1)]
+    nb = np.where(per, nb % m, nb)
+    near = (nb[:, :, 0] * m[1] + nb[:, :, 1]) * m[2] + nb[:, :, 2]
+    # open axes end at the outermost cells; a pair of distinct cells is
+    # visited once, from the lower cell id
+    visit = ((nb >= 0) & (nb < m)).all(axis=2) & (near >= cell[:, None])
+    owner, near = np.nonzero(visit)[0], near[visit]
+
+    # every atom of every visited cell, in one pass
+    order = np.argsort(cell, kind="stable")
+    count = np.bincount(cell, minlength=int(m.prod()))
+    k = count[near]
+    a = np.repeat(owner, k)
+    b = order[np.arange(a.size) + np.repeat(np.cumsum(count)[near] - np.cumsum(k), k)]
+    keep = (cell[a] != cell[b]) | (a < b)  # within one cell, each pair once
+    a, b = a[keep], b[keep]
+
+    # r_a - r_b is exactly -(r_b - r_a), so the test matches the i < j scan
+    delta = np.take(pos, a, axis=0)
+    delta -= np.take(pos, b, axis=0)
+    _min_image(delta, box, periodic)
+    close = np.einsum("ij,ij->i", delta, delta) < rmax * rmax
+    a, b = a[close], b[close]
+    return np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+
+
+def _lj_terms(params: MDParams, r2: np.ndarray):
+    """Per-pair truncated-shifted LJ terms, zero beyond the cutoff:
+    the pair coefficient dU/dr * (1/r) and the shifted pair energy."""
+    eps, sig, rc = params.lj_epsilon, params.lj_sigma, params.cutoff
+    within = r2 < rc * rc
+    r2_in = np.where(within, r2, 1.0)
+    inv_r6 = np.where(within, sig * sig / r2_in, 0.0) ** 3
+    inv_r12 = inv_r6**2
+    coeff = np.where(within, 24.0 * eps * (2.0 * inv_r12 - inv_r6) / r2_in, 0.0)
+    shift = 4.0 * eps * ((sig / rc) ** 12 - (sig / rc) ** 6)
+    energy = np.where(within, 4.0 * eps * (inv_r12 - inv_r6) - shift, 0.0)
+    return coeff, energy
 
 
 def _pair_forces(crystal: Crystal, params: MDParams,
@@ -184,7 +235,7 @@ def _pair_forces(crystal: Crystal, params: MDParams,
     Each pair contributes +f to i and -f to j, so antisymmetry is exact in
     floating point and total momentum is conserved to round-off.
     """
-    eps, sig, rc = params.lj_epsilon, params.lj_sigma, params.cutoff
+    sig = params.lj_sigma
     pos = crystal.positions
     delta = _min_image(pos[i] - pos[j], crystal.box, crystal.periodic)
     r2 = np.einsum("ij,ij->i", delta, delta)
@@ -193,26 +244,19 @@ def _pair_forces(crystal: Crystal, params: MDParams,
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2_min):.3g} < 0.5 sigma; dt too large?")
 
-    within = r2 < rc * rc
-    inv_r2 = np.where(within, sig * sig / np.where(within, r2, 1.0), 0.0)
-    inv_r6 = inv_r2**3
-    inv_r12 = inv_r6**2
-    # dU/dr * (1/r) pair coefficient
-    coeff = np.where(within, 24.0 * eps * (2.0 * inv_r12 - inv_r6) / np.where(within, r2, 1.0), 0.0)
+    coeff, energy = _lj_terms(params, r2)
     n = crystal.n_atoms
     fpair = coeff[:, None] * delta
     forces = np.empty((n, 3))
     for ax in range(3):
         forces[:, ax] = (np.bincount(i, weights=fpair[:, ax], minlength=n)
                          - np.bincount(j, weights=fpair[:, ax], minlength=n))
-    shift = 4.0 * eps * ((sig / rc) ** 12 - (sig / rc) ** 6)
-    pe = float(np.sum(np.where(within, 4.0 * eps * (inv_r12 - inv_r6) - shift, 0.0)))
-    return forces, pe, r2_min
+    return forces, float(np.sum(energy)), r2_min
 
 
 def compute_forces(crystal: Crystal, params: MDParams):
     """Truncated-shifted LJ forces; returns (forces, potential_energy, r2_min)."""
-    i, j = _build_pairs(crystal, params.cutoff)
+    i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, params.cutoff)
     return _pair_forces(crystal, params, i, j)
 
 
@@ -259,7 +303,8 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     # more than skin/2 since the last build, which guarantees the same
     # forces as a full O(n^2) evaluation.
     skin = 0.4 * params.lj_sigma
-    pair_i, pair_j = _build_pairs(crystal, params.cutoff + skin)
+    pair_i, pair_j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
+                                    params.cutoff + skin)
     ref_pos = crystal.positions.copy()
     if forces is None:
         forces, _, _ = _pair_forces(crystal, params, pair_i, pair_j)
@@ -269,7 +314,8 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
         _wrap(crystal)
         disp = _min_image(crystal.positions - ref_pos, crystal.box, crystal.periodic)
         if np.max(np.einsum("ij,ij->i", disp, disp)) > (0.5 * skin) ** 2:
-            pair_i, pair_j = _build_pairs(crystal, params.cutoff + skin)
+            pair_i, pair_j = neighbor_pairs(crystal.positions, crystal.box,
+                                            crystal.periodic, params.cutoff + skin)
             ref_pos = crystal.positions.copy()
         forces, _, _ = _pair_forces(crystal, params, pair_i, pair_j)
         crystal.velocities[free] += 0.5 * dt * forces[free]
@@ -325,18 +371,16 @@ def grip_stress(crystal: Crystal, params: MDParams) -> float:
     grips = crystal.grip_mask
     if not grips.any():
         raise ParameterError("crystal has no grip layers")
-    eps, sig, rc = params.lj_epsilon, params.lj_sigma, params.cutoff
-    y = crystal.positions[:, 1]
-    top = grips & (y > y[grips].mean())
+    pos = crystal.positions
+    top = grips & (pos[:, 1] > pos[grips, 1].mean())
     free = crystal.free_mask
 
-    delta, r2 = _pair_geometry(crystal)
-    within = r2 < rc * rc
-    pair = within & free[None, :] & top[:, None]  # force of free j on top-grip i
-    inv_r2 = np.where(pair, sig * sig / r2, 0.0)
-    inv_r6 = inv_r2**3
-    coeff = np.where(pair, 24.0 * eps * (2.0 * inv_r6**2 - inv_r6) / np.where(pair, r2, 1.0), 0.0)
-    f_y = float(np.sum(coeff * delta[:, :, 1]))  # force on i from j is coeff * delta[i, j]
+    i, j = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
+    i, j = np.concatenate([i, j]), np.concatenate([j, i])  # both orientations
+    pair = top[i] & free[j]  # force of free j on top-grip i
+    delta = _min_image(pos[i[pair]] - pos[j[pair]], crystal.box, crystal.periodic)
+    coeff, _ = _lj_terms(params, np.einsum("ij,ij->i", delta, delta))
+    f_y = float(np.sum(coeff * delta[:, 1]))
     area = float(crystal.box[0] * crystal.box[2])
     return -f_y / area
 
@@ -349,7 +393,7 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     Strain is the relative change of grip separation; records land on the
     exact checkpoint grid 0, d, 2d, ... target (nearest integration step).
     """
-    from .cna import cna_labels, defect_concentrations  # local import; cna needs md types
+    from .cna import cna_labels, defect_concentrations  # local import: cna imports md
 
     if seed is None:
         seed = params.seed
@@ -368,7 +412,6 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
             c_fcc=c_fcc, c_hcp=c_hcp, c_unk=c_unk,
             sigma_top=grip_stress(crystal, params),
             energy=total_energy(crystal, params),
-            momentum=float(np.linalg.norm(total_momentum(crystal))),
         )
 
     records = [record(0.0)]

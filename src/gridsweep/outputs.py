@@ -1,0 +1,34 @@
+"""Atomic output: files staged next to their targets and committed together."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def staged_outputs():
+    """Stage output files, then commit them all or none.
+
+    Yields ``stage(path) -> Path``, the temporary path to write ``path`` to.
+    When the block completes, every staged file is renamed onto its target;
+    when it raises, every temporary file is removed, so a failing command
+    leaves neither partial outputs nor stray temporary files.
+    """
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(path) -> Path:
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        staged.append((tmp, path))
+        return tmp
+
+    try:
+        yield stage
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)

@@ -26,6 +26,7 @@ import numpy as np
 from . import stats as st
 from .errors import DegenerateSampleError, GridsweepError, ParameterError
 from .md import DefectRecord, MDParams, run_tensile
+from .outputs import staged_outputs
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
 LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s"]
@@ -90,15 +91,12 @@ def job_csv_path(output_dir, job_id: int) -> Path:
 
 
 def write_records_csv(records: list[DefectRecord], path) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with staged_outputs() as stage, open(stage(path), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(JOB_CSV_HEADER)
         for r in records:
             w.writerow([repr(float(x)) for x in
                         (r.strain, r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy)])
-    os.replace(tmp, path)
 
 
 def read_records_csv(path) -> list[dict[str, float]]:
@@ -145,23 +143,18 @@ def sweep_run(spec: SweepSpec) -> SweepLedger:
 
 def write_ledger(ledger: SweepLedger, output_dir) -> None:
     out = Path(output_dir)
-    path = out / "ledger.csv"
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEDGER_CSV_HEADER)
-        for r in ledger.jobs:
-            w.writerow([r.job_id, r.seed, r.status, repr(r.wall_time_s)])
-    os.replace(tmp, path)
-    path = out / "ledger_summary.csv"
-    tmp = path.with_suffix(".tmp")
     n_ok = sum(1 for r in ledger.jobs if r.status == "ok")
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEDGER_SUMMARY_HEADER)
-        w.writerow([len(ledger.jobs), n_ok, len(ledger.jobs) - n_ok,
-                    repr(ledger.t_seq_est_s), repr(ledger.t_wall_s), repr(ledger.speedup)])
-    os.replace(tmp, path)
+    with staged_outputs() as stage:
+        with open(stage(out / "ledger.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(LEDGER_CSV_HEADER)
+            for r in ledger.jobs:
+                w.writerow([r.job_id, r.seed, r.status, repr(r.wall_time_s)])
+        with open(stage(out / "ledger_summary.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(LEDGER_SUMMARY_HEADER)
+            w.writerow([len(ledger.jobs), n_ok, len(ledger.jobs) - n_ok,
+                        repr(ledger.t_seq_est_s), repr(ledger.t_wall_s), repr(ledger.speedup)])
 
 
 # --- ensemble analysis ---------------------------------------------------
@@ -268,15 +261,10 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tmp_files: list[tuple[Path, Path]] = []
+    with staged_outputs() as stage:
+        def writer(name):
+            return open(stage(out / name), "w", newline="")
 
-    def writer(name):
-        path = out / name
-        tmp = path.with_suffix(".tmp")
-        tmp_files.append((tmp, path))
-        return open(tmp, "w", newline="")
-
-    try:
         with writer("report.csv") as fh:
             w = csv.writer(fh)
             w.writerow(REPORT_CSV_HEADER)
@@ -310,10 +298,4 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
             w.writerow([repr(strain), observable, sample.values.size, res.verdict,
                         repr(kn.p_value) if kn else "", repr(kw.p_value) if kw else "",
                         "parametric_bootstrap"])
-    except BaseException:
-        for tmp, _ in tmp_files:
-            tmp.unlink(missing_ok=True)
-        raise
-    for tmp, path in tmp_files:
-        os.replace(tmp, path)
     return res

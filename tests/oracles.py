@@ -1,0 +1,92 @@
+"""Dense reference implementations that the fast code is checked against.
+
+``dense_pairs`` is the all-pairs min-image scan that ``md.neighbor_pairs``
+must reproduce element for element.  ``bond_signature`` and
+``oracle_cna_labels`` are the general common-neighbour analysis: the full
+(ncn, nb, lcb) signature of every bond, with the longest bond chain found
+by exhaustive search.  The search is exponential in the number of bonds
+among the common neighbours, so keep oracle inputs close to a lattice.
+"""
+
+import numpy as np
+
+from gridsweep.cna import FCC, HCP, UNK
+
+
+def dense_table(positions, box, periodic, cutoff):
+    """Boolean adjacency matrix of atoms within cutoff (min-image on periodic axes)."""
+    positions = np.asarray(positions, dtype=float)
+    box = np.asarray(box, dtype=float)
+    delta = positions[:, None, :] - positions[None, :, :]
+    for ax in range(3):
+        if periodic[ax]:
+            delta[:, :, ax] -= box[ax] * np.rint(delta[:, :, ax] / box[ax])
+    r2 = np.einsum("ijk,ijk->ij", delta, delta)
+    np.fill_diagonal(r2, np.inf)
+    return r2 < cutoff * cutoff
+
+
+def dense_pairs(positions, box, periodic, rmax):
+    """Upper-triangle (i, j) index arrays of pairs within rmax, row-major."""
+    iu, ju = np.triu_indices(len(positions), k=1)
+    close = dense_table(positions, box, periodic, rmax)[iu, ju]
+    return iu[close], ju[close]
+
+
+def _longest_chain(nodes, adj):
+    """Longest path (in bonds) in the common-neighbour subgraph, brute force."""
+    index = {a: i for i, a in enumerate(nodes)}
+    edges = [[] for _ in nodes]
+    n_edges = 0
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if adj[a, b]:
+                edges[i].append(index[b])
+                edges[index[b]].append(i)
+                n_edges += 1
+    if n_edges == 0:
+        return 0
+    best = 1
+
+    def dfs(v, visited_edges, length):
+        nonlocal best
+        best = max(best, length)
+        for w in edges[v]:
+            key = (min(v, w), max(v, w))
+            if key not in visited_edges:
+                visited_edges.add(key)
+                dfs(w, visited_edges, length + 1)
+                visited_edges.remove(key)
+
+    for start in range(len(nodes)):
+        if edges[start]:
+            dfs(start, set(), 0)
+    return best
+
+
+def bond_signature(i, j, adj, neighbors):
+    """(ncn, nb, lcb) signature of the bond i-j."""
+    common = [a for a in neighbors[i] if adj[j, a]]
+    nb = 0
+    for x in range(len(common)):
+        for y in range(x + 1, len(common)):
+            if adj[common[x], common[y]]:
+                nb += 1
+    return (len(common), nb, _longest_chain(common, adj))
+
+
+def oracle_cna_labels(positions, box, periodic, cutoff):
+    """FCC/HCP/UNK from the full signature of every bond of each atom."""
+    adj = dense_table(positions, box, periodic, cutoff)
+    n = adj.shape[0]
+    neighbors = [np.flatnonzero(adj[i]) for i in range(n)]
+    labels = np.full(n, UNK, dtype=int)
+    for i in range(n):
+        if len(neighbors[i]) != 12:
+            continue
+        sigs = [bond_signature(i, int(j), adj, neighbors) for j in neighbors[i]]
+        if sigs.count((4, 2, 1)) == 12:
+            labels[i] = FCC
+        elif sigs.count((4, 2, 1)) == 6 and sigs.count((4, 2, 2)) == 6:
+            labels[i] = HCP
+    return labels

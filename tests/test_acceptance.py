@@ -202,8 +202,8 @@ def test_criterion_7_statistics():
 def inject_ensemble(path, values):
     path.mkdir(parents=True, exist_ok=True)
     for i, v in enumerate(values):
-        records = [DefectRecord(0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0),
-                   DefectRecord(0.02, 1.0 - v, 0.0, float(v), 0.0, -1.0, 0.0)]
+        records = [DefectRecord(0.0, 1.0, 0.0, 0.0, 0.0, -1.0),
+                   DefectRecord(0.02, 1.0 - v, 0.0, float(v), 0.0, -1.0)]
         write_records_csv(records, job_csv_path(path, i))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridsweep import gridsim
 from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gridsweep.hosts import HostPopulation, HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
@@ -93,6 +94,22 @@ def test_sim_rerun_is_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_sim_failing_writer_leaves_no_files(tmp_path, monkeypatch):
+    pop_csv = tmp_path / "pop.csv"
+    ideal_pop_csv(pop_csv)
+    scn = tmp_path / "one.scenario"
+    one_task_scenario(scn, pop_csv)
+
+    def disk_full(trace, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gridsim, "write_speedup_csv", disk_full)
+    out = tmp_path / "sim"
+    assert main(["sim", "run", "--scenario", str(scn),
+                 "--out-dir", str(out)]) == EXIT_RUNTIME
+    assert list(out.iterdir()) == []
+
+
 def test_sim_malformed_scenario_exits_2_without_outputs(tmp_path):
     scn = tmp_path / "bad.scenario"
     scn.write_text("[hosts]\nwat = 1\n")
@@ -126,7 +143,7 @@ def test_sweep_and_analyze_pipeline(tmp_path, capsys):
 
 def test_analyze_missing_checkpoint_exits_1(tmp_path):
     for i in range(3):
-        records = [DefectRecord(0.0, 1.0, 0.0, 0.0, 0.1 * i, -1.0, 0.0)]
+        records = [DefectRecord(0.0, 1.0, 0.0, 0.0, 0.1 * i, -1.0)]
         write_records_csv(records, job_csv_path(tmp_path, i))
     out = tmp_path / "analysis"
     code = main(["analyze", "--input-dir", str(tmp_path), "--strain", "0.5",

@@ -4,22 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from oracles import bond_signature, dense_table, oracle_cna_labels
 from scipy.spatial.transform import Rotation
 
 from gridsweep.cna import (
     FCC,
     HCP,
     UNK,
-    bond_signature,
     cna_labels,
     defect_concentrations,
     defect_counts,
     hcp_positions,
     label_crystal,
-    neighbor_table,
 )
 from gridsweep.errors import ParameterError
-from gridsweep.md import build_crystal, fcc_positions
+from gridsweep.md import build_crystal, fcc_positions, neighbor_pairs
 
 FCC_CUTOFF = 0.854  # between the first (0.707a) and second (a) FCC shells
 HCP_CUTOFF = 0.854 * math.sqrt(2.0)  # same ratio for nn distance 1
@@ -31,37 +32,21 @@ def periodic_fcc(n=4, a=1.0):
     return pos, box
 
 
-# --- neighbor table ------------------------------------------------------
-
-
-def test_neighbor_table_two_atoms():
-    pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    box = np.array([10.0] * 3)
-    near = neighbor_table(pos, box, (True, True, True), 1.5)
-    far = neighbor_table(pos, box, (True, True, True), 0.5)
-    assert near[0, 1] and near[1, 0] and not near[0, 0]
-    assert not far[0, 1]
-
-
-def test_neighbor_table_wraps_periodic_axes():
-    pos = np.array([[0.2, 5.0, 5.0], [9.8, 5.0, 5.0]])
-    box = np.array([10.0] * 3)
-    assert neighbor_table(pos, box, (True, True, True), 1.0)[0, 1]
-    assert not neighbor_table(pos, box, (False, True, True), 1.0)[0, 1]
+# --- coordination --------------------------------------------------------
 
 
 def test_fcc_coordination_is_twelve():
     pos, box = periodic_fcc()
-    adj = neighbor_table(pos, box, (True, True, True), FCC_CUTOFF)
-    assert (adj.sum(axis=1) == 12).all()
+    i, j = neighbor_pairs(pos, box, (True, True, True), FCC_CUTOFF)
+    assert (np.bincount(i, minlength=len(pos)) + np.bincount(j, minlength=len(pos)) == 12).all()
 
 
-# --- signatures ----------------------------------------------------------
+# --- signatures (of the general reference CNA) ---------------------------
 
 
 def test_every_fcc_bond_is_4_2_1():
     pos, box = periodic_fcc()
-    adj = neighbor_table(pos, box, (True, True, True), FCC_CUTOFF)
+    adj = dense_table(pos, box, (True, True, True), FCC_CUTOFF)
     neighbors = [np.flatnonzero(adj[i]) for i in range(adj.shape[0])]
     for j in neighbors[0]:
         assert bond_signature(0, int(j), adj, neighbors) == (4, 2, 1)
@@ -69,7 +54,7 @@ def test_every_fcc_bond_is_4_2_1():
 
 def test_hcp_bonds_split_six_six():
     pos, box = hcp_positions(4, 3, 3)
-    adj = neighbor_table(pos, box, (True, True, True), HCP_CUTOFF)
+    adj = dense_table(pos, box, (True, True, True), HCP_CUTOFF)
     neighbors = [np.flatnonzero(adj[i]) for i in range(adj.shape[0])]
     sigs = [bond_signature(0, int(j), adj, neighbors) for j in neighbors[0]]
     assert sorted(sigs).count((4, 2, 1)) == 6
@@ -120,6 +105,38 @@ def test_label_crystal_default_cutoff_sees_perfect_lattice():
     crystal = build_crystal(4, 4, 4, temperature=0.0)
     conc = defect_concentrations(label_crystal(crystal), crystal.grip_mask)
     assert conc == (1.0, 0.0, 0.0)
+
+
+def _lattice(kind):
+    """(positions, box, periodic, a) of a small perfect lattice; a is the
+    FCC lattice constant with the same nearest-neighbour distance."""
+    if kind == "fcc":
+        pos, box = periodic_fcc(3)
+        return pos, box, (True,) * 3, 1.0
+    if kind == "hcp":
+        pos, box = hcp_positions(4, 3, 3)
+        return pos, box, (True,) * 3, math.sqrt(2.0)
+    crystal = build_crystal(3, 4, 3)  # gripped slab, open along y
+    return crystal.positions, crystal.box, crystal.periodic, crystal.lattice_constant
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=hs.sampled_from(["fcc", "hcp", "slab"]),
+       axis=hs.integers(0, 2),
+       strain=hs.floats(-0.05, 0.12),
+       jitter=hs.floats(0.0, 0.03),
+       seed=hs.integers(0, 2**32 - 1))
+def test_labels_match_full_signature_oracle(kind, axis, strain, jitter, seed):
+    # jitter stays within 0.03 a: the oracle's longest-chain search is
+    # exponential in the disorder of a neighbour shell
+    pos, box, periodic, a = _lattice(kind)
+    pos = pos + jitter * a * np.random.default_rng(seed).uniform(-1.0, 1.0, pos.shape)
+    pos[:, axis] *= 1.0 + strain
+    box = box.copy()
+    box[axis] *= 1.0 + strain
+    cutoff = 0.854 * a
+    assert np.array_equal(cna_labels(pos, box, periodic, cutoff),
+                          oracle_cna_labels(pos, box, periodic, cutoff))
 
 
 # --- defect bookkeeping --------------------------------------------------

@@ -1,9 +1,11 @@
 """MD payload: lattice construction, integration, tensile runs, stress."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import dense_pairs
 
 from gridsweep.errors import BlowUpError, ParameterError
 from gridsweep.md import (
@@ -19,6 +21,7 @@ from gridsweep.md import (
     integrate,
     integrate_step,
     kinetic_energy,
+    neighbor_pairs,
     run_tensile,
     total_energy,
     total_momentum,
@@ -65,6 +68,58 @@ def test_grip_layers_marked_and_velocity_free():
     # 3 planes of the 8 (010) planes per end
     assert crystal.grip_mask.sum() == 3 * crystal.n_atoms // 4
     assert np.all(crystal.velocities[crystal.grip_mask] == 0)
+
+
+# --- neighbour search ----------------------------------------------------
+
+
+def test_neighbor_pairs_two_atoms():
+    pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    box = np.array([10.0] * 3)
+    i, j = neighbor_pairs(pos, box, (True, True, True), 1.5)
+    assert list(i) == [0] and list(j) == [1]
+    i, j = neighbor_pairs(pos, box, (True, True, True), 0.5)
+    assert i.size == 0 and j.size == 0
+
+
+def test_neighbor_pairs_wraps_periodic_axes():
+    pos = np.array([[0.2, 5.0, 5.0], [9.8, 5.0, 5.0]])
+    box = np.array([10.0] * 3)
+    assert neighbor_pairs(pos, box, (True, True, True), 1.0)[0].size == 1
+    assert neighbor_pairs(pos, box, (False, True, True), 1.0)[0].size == 0
+
+
+def test_neighbor_pairs_empty_result():
+    box = np.array([10.0] * 3)
+    for pos in (np.zeros((0, 3)), np.zeros((1, 3)), np.array([[0.0] * 3, [4.0] * 3])):
+        i, j = neighbor_pairs(pos, box, (True, False, True), 1.0)
+        assert i.size == 0 and j.size == 0
+
+
+def assert_same_pairs(pos, box, periodic, rmax):
+    i, j = neighbor_pairs(pos, box, periodic, rmax)
+    di, dj = dense_pairs(pos, box, periodic, rmax)
+    assert np.array_equal(i, di) and np.array_equal(j, dj)
+
+
+# periodic axes of 1, 1, 1, 2, 3 and 7 cells (the first narrower than rmax)
+@pytest.mark.parametrize("box_over_rmax", [0.6, 1.2, 1.5, 2.5, 3.5, 7.5])
+def test_neighbor_pairs_match_dense_scan(box_over_rmax):
+    rng = np.random.default_rng(int(10 * box_over_rmax))
+    rmax = 1.3
+    box = rmax * box_over_rmax * np.array([1.0, 1.05, 0.95])
+    for periodic in itertools.product((False, True), repeat=3):
+        # coordinates spread over three box widths: negative and out-of-box too
+        pos = rng.uniform(-1.0, 2.0, size=(60, 3)) * box
+        assert_same_pairs(pos, box, periodic, rmax)
+
+
+@pytest.mark.parametrize("rmax", [0.854 * A0_DEFAULT, 2.5, 2.9])
+def test_neighbor_pairs_match_dense_scan_on_lattices(rmax):
+    slab = build_crystal(4, 6, 4, temperature=0.05, seed=2)
+    assert_same_pairs(slab.positions, slab.box, slab.periodic, rmax)
+    bulk = build_crystal(3, 3, 3, grip_planes=0)
+    assert_same_pairs(bulk.positions, bulk.box, bulk.periodic, rmax)
 
 
 # --- integration ---------------------------------------------------------

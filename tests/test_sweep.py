@@ -1,10 +1,13 @@
 """Sweep runner ledger/accounting and ensemble analysis outputs."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gridsweep.errors import ParameterError
-from gridsweep.md import DefectRecord, MDParams
+from gridsweep.md import DefectRecord, MDParams, run_tensile
 from gridsweep.stats import Sample
 from gridsweep.sweep import (
     JOB_CSV_HEADER,
@@ -32,7 +35,7 @@ def tiny_spec(out_dir, n=3, **kw):
 def fake_job(path, strains, values):
     """Write a synthetic job file with c_unk = values at the given strains."""
     records = [DefectRecord(strain=s, c_fcc=1.0 - v, c_hcp=0.0, c_unk=v,
-                            sigma_top=2.0 * v, energy=-1.0, momentum=0.0)
+                            sigma_top=2.0 * v, energy=-1.0)
                for s, v in zip(strains, values)]
     write_records_csv(records, path)
 
@@ -70,6 +73,29 @@ def test_blown_up_jobs_are_recorded_not_fatal(tmp_path):
     assert all(j.error for j in ledger.jobs)
     assert not job_csv_path(tmp_path, 0).exists()
     assert (tmp_path / "ledger.csv").exists()
+
+
+def test_default_spec_matches_golden_output(tmp_path):
+    """Seed 0 at the default spec to strain 0.03 against a recorded job CSV.
+
+    The reference was written with a dense all-pairs neighbour search.  A
+    numerically neutral change keeps strain, c_* and energy byte-identical;
+    sigma_top may move in the last place, because the order of its force
+    sum is free.
+    """
+    spec = SweepSpec(target_strain=0.03)
+    path = tmp_path / "job.csv"
+    write_records_csv(run_tensile(spec.md_params(), (spec.nx, spec.ny, spec.nz),
+                                  seed=spec.job_seed(0)), path)
+    with open(Path(__file__).parent / "data" / "golden_job_seed0_eps0.03.csv") as fh:
+        golden = list(csv.DictReader(fh))
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(golden) == 4
+    for row, ref in zip(rows, golden):
+        for col in ("strain", "c_fcc", "c_hcp", "c_unk", "energy"):
+            assert row[col] == ref[col]
+        assert float(row["sigma_top"]) == pytest.approx(float(ref["sigma_top"]), rel=1e-12)
 
 
 def test_spec_validation():
