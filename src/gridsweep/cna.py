@@ -28,7 +28,7 @@ UNK = 2
 LABEL_NAMES = {FCC: "FCC", HCP: "HCP", UNK: "UNK"}
 
 
-def cna_labels(positions, box, periodic, cutoff: float) -> np.ndarray:
+def cna_labels(positions, box, periodic, cutoff: float, pairs=None) -> np.ndarray:
     """Per-atom labels FCC/HCP/UNK via bond signatures within the cutoff.
 
     Only 12-coordinated atoms can be FCC or HCP, and only the signatures
@@ -36,12 +36,13 @@ def cna_labels(positions, box, periodic, cutoff: float) -> np.ndarray:
     adjacency of its 12-atom shell: the common neighbours of the bond to
     shell atom p are the shell atoms bonded to p, and with 4 common
     neighbours and 2 bonds among them the longest chain is 2 exactly when
-    the two bonds share an atom.
+    the two bonds share an atom.  ``pairs`` is the sorted (i, j) bond list
+    as `neighbor_pairs` returns it; without it the bonds are searched here.
     """
     if cutoff <= 0:
         raise ParameterError("cutoff must be > 0")
     n = len(positions)
-    i, j = neighbor_pairs(positions, box, periodic, cutoff)
+    i, j = neighbor_pairs(positions, box, periodic, cutoff) if pairs is None else pairs
     labels = np.full(n, UNK, dtype=int)
     degree = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     centre = np.flatnonzero(degree == 12)

@@ -5,7 +5,9 @@ crystal is FCC, periodic laterally (x, z); along the tensile axis y the
 outermost atomic planes form rigid grips that move apart at a prescribed
 rate.  The pair potential is LJ truncated and shifted at the cutoff --
 cheap enough for desk-scale ensembles while leaving the whole statistics
-chain potential-agnostic.
+chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
+whole realization: `integrate` hands it, with the last forces, to the next
+call, and the checkpoint observables take their pairs from it.
 
 The default lattice constant is the 0 K equilibrium spacing of the
 truncated-shifted potential (a ~ 1.5496, slightly tighter than the
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,50 +217,58 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     return np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
 
 
-def _lj_terms(params: MDParams, r2: np.ndarray):
-    """Per-pair truncated-shifted LJ terms, zero beyond the cutoff:
-    the pair coefficient dU/dr * (1/r) and the shifted pair energy."""
-    eps, sig, rc = params.lj_epsilon, params.lj_sigma, params.cutoff
-    within = r2 < rc * rc
-    r2_in = np.where(within, r2, 1.0)
-    inv_r6 = np.where(within, sig * sig / r2_in, 0.0) ** 3
-    inv_r12 = inv_r6**2
-    coeff = np.where(within, 24.0 * eps * (2.0 * inv_r12 - inv_r6) / r2_in, 0.0)
-    shift = 4.0 * eps * ((sig / rc) ** 12 - (sig / rc) ** 6)
-    energy = np.where(within, 4.0 * eps * (inv_r12 - inv_r6) - shift, 0.0)
-    return coeff, energy
-
-
-def _pair_forces(crystal: Crystal, params: MDParams,
-                 i: np.ndarray, j: np.ndarray):
-    """Truncated-shifted LJ over an explicit pair list.
-
-    Each pair contributes +f to i and -f to j, so antisymmetry is exact in
-    floating point and total momentum is conserved to round-off.
-    """
-    sig = params.lj_sigma
+def _cutoff_pairs(crystal: Crystal, params: MDParams, pairs=None):
+    """(i, j, delta = r_i - r_j min-imaged, r2) of the pairs of the sorted list
+    ``pairs``, or of a fresh search, inside the cutoff; BlowUpError if a listed
+    pair is closer than 0.5 sigma.  On a skin list this gives exactly the
+    arrays of a fresh search: the distance test is the same, and a subset of a
+    list sorted by i*n + j keeps its order, so sums over it add the same terms
+    in the same order.  The dropped pairs only add exact +-0.0 to force sums."""
     pos = crystal.positions
-    delta = _min_image(pos[i] - pos[j], crystal.box, crystal.periodic)
+    if pairs is None:
+        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
+    i, j = pairs
+    delta = np.take(pos, i, axis=0)
+    delta -= np.take(pos, j, axis=0)
+    _min_image(delta, crystal.box, crystal.periodic)
     r2 = np.einsum("ij,ij->i", delta, delta)
-    r2_min = float(r2.min()) if r2.size else math.inf
-    if r2_min < (0.5 * sig) ** 2:
+    if r2.size and r2.min() < (0.5 * params.lj_sigma) ** 2:
         raise BlowUpError(
-            f"atom pair at r = {math.sqrt(r2_min):.3g} < 0.5 sigma; dt too large?")
+            f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
+    inside = np.flatnonzero(r2 < params.cutoff * params.cutoff)
+    return i.take(inside), j.take(inside), delta.take(inside, axis=0), r2.take(inside)
 
-    coeff, energy = _lj_terms(params, r2)
-    n = crystal.n_atoms
-    fpair = coeff[:, None] * delta
+
+def _lj_coeff(params: MDParams, r2: np.ndarray) -> np.ndarray:
+    """Truncated-shifted LJ dU/dr * (1/r) per pair inside the cutoff."""
+    inv_r6 = (params.lj_sigma * params.lj_sigma / r2) ** 3
+    return 24.0 * params.lj_epsilon * (2.0 * inv_r6**2 - inv_r6) / r2
+
+
+def _potential_energy(params: MDParams, r2: np.ndarray) -> float:
+    """Truncated-shifted LJ energy summed over pairs inside the cutoff."""
+    eps, sig, rc = params.lj_epsilon, params.lj_sigma, params.cutoff
+    inv_r6 = (sig * sig / r2) ** 3
+    shift = 4.0 * eps * ((sig / rc) ** 12 - (sig / rc) ** 6)
+    return float(np.sum(4.0 * eps * (inv_r6**2 - inv_r6) - shift))
+
+
+def _pair_forces(params: MDParams, n: int, i, j, delta, r2) -> np.ndarray:
+    """Forces from cutoff pairs.  Each pair contributes +f to i and -f to j,
+    so antisymmetry is exact and total momentum is conserved to round-off."""
+    fpair = _lj_coeff(params, r2)[:, None] * delta
     forces = np.empty((n, 3))
     for ax in range(3):
         forces[:, ax] = (np.bincount(i, weights=fpair[:, ax], minlength=n)
                          - np.bincount(j, weights=fpair[:, ax], minlength=n))
-    return forces, float(np.sum(energy)), r2_min
+    return forces
 
 
 def compute_forces(crystal: Crystal, params: MDParams):
     """Truncated-shifted LJ forces; returns (forces, potential_energy, r2_min)."""
-    i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, params.cutoff)
-    return _pair_forces(crystal, params, i, j)
+    i, j, delta, r2 = _cutoff_pairs(crystal, params)
+    forces = _pair_forces(params, crystal.n_atoms, i, j, delta, r2)
+    return forces, _potential_energy(params, r2), float(r2.min()) if r2.size else math.inf
 
 
 def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
@@ -266,60 +277,66 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
 
 
 def total_energy(crystal: Crystal, params: MDParams) -> float:
-    _, pe, _ = compute_forces(crystal, params)
-    return pe + kinetic_energy(crystal)
+    return _potential_energy(params, _cutoff_pairs(crystal, params)[3]) + kinetic_energy(crystal)
 
 
 def total_momentum(crystal: Crystal) -> np.ndarray:
     return crystal.velocities.sum(axis=0)
 
 
-def _wrap(crystal: Crystal) -> None:
-    for ax in range(3):
-        if crystal.periodic[ax]:
-            crystal.positions[:, ax] %= crystal.box[ax]
+#: what one `integrate` call hands the next: the skin pair list (i, j), the
+#: positions it was built at, and the current forces and potential energy
+PairState = namedtuple("PairState", "i j ref_pos forces potential")
 
 
 def integrate(crystal: Crystal, params: MDParams, n_steps: int,
-              grip_speed: float = 0.0,
-              forces: np.ndarray | None = None) -> np.ndarray:
-    """Velocity-Verlet in place; returns the final forces for reuse.
+              grip_speed: float = 0.0, state: PairState | None = None) -> PairState:
+    """Velocity-Verlet in place, one force evaluation per step; returns the
+    state to pass to the next call on this crystal.
 
-    Grip atoms (if any) translate rigidly at +-grip_speed along y and
-    ignore forces; ``grip_speed`` is the speed of each grip, so the
-    separation grows at twice that.
+    Grip atoms (if any) translate rigidly at +-grip_speed along y and ignore
+    forces; the grip separation grows at twice ``grip_speed``.  The Verlet
+    pair list holds the pairs within cutoff + skin until an atom has moved
+    skin/2; given the last call's ``state`` (positions untouched since), list
+    and forces carry over, so a run split into many calls rebuilds only when
+    the skin test fires.  Raises BlowUpError once positions stop being finite.
     """
     dt = params.dt
-    free = crystal.free_mask
+    skin = 0.4 * params.lj_sigma
+    rmax = params.cutoff + skin
     grips = crystal.grip_mask
-    has_grips = bool(grips.any())
-    if has_grips:
+    if grips.any():
         top = grips & (crystal.positions[:, 1] > crystal.positions[:, 1].mean())
         bottom = grips & ~top
         crystal.velocities[top] = [0.0, grip_speed, 0.0]
         crystal.velocities[bottom] = [0.0, -grip_speed, 0.0]
+    kick = np.where(grips, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
+    per = np.asarray(crystal.periodic)
 
-    # Verlet neighbor list with a skin: rebuilt once any atom has moved
-    # more than skin/2 since the last build, which guarantees the same
-    # forces as a full O(n^2) evaluation.
-    skin = 0.4 * params.lj_sigma
-    pair_i, pair_j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
-                                    params.cutoff + skin)
-    ref_pos = crystal.positions.copy()
-    if forces is None:
-        forces, _, _ = _pair_forces(crystal, params, pair_i, pair_j)
-    for _ in range(n_steps):
-        crystal.velocities[free] += 0.5 * dt * forces[free]
+    if state is None:
+        i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)
+        pairs = _cutoff_pairs(crystal, params, (i, j))
+        state = PairState(i, j, crystal.positions.copy(),
+                          _pair_forces(params, crystal.n_atoms, *pairs),
+                          _potential_energy(params, pairs[3]))
+    i, j, ref_pos, forces, potential = state
+    for step in range(n_steps):
+        crystal.velocities += kick * forces
         crystal.positions += dt * crystal.velocities
-        _wrap(crystal)
+        crystal.positions[:, per] %= crystal.box[per]
         disp = _min_image(crystal.positions - ref_pos, crystal.box, crystal.periodic)
-        if np.max(np.einsum("ij,ij->i", disp, disp)) > (0.5 * skin) ** 2:
-            pair_i, pair_j = neighbor_pairs(crystal.positions, crystal.box,
-                                            crystal.periodic, params.cutoff + skin)
+        moved = np.max(np.einsum("ij,ij->i", disp, disp))
+        if not moved <= (0.5 * skin) ** 2:
+            if not math.isfinite(moved):
+                raise BlowUpError("positions are no longer finite; dt too large?")
+            i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)
             ref_pos = crystal.positions.copy()
-        forces, _, _ = _pair_forces(crystal, params, pair_i, pair_j)
-        crystal.velocities[free] += 0.5 * dt * forces[free]
-    return forces
+        pairs = _cutoff_pairs(crystal, params, (i, j))
+        forces = _pair_forces(params, crystal.n_atoms, *pairs)
+        crystal.velocities += kick * forces
+        if step == n_steps - 1:  # the energy sum only once per call
+            potential = _potential_energy(params, pairs[3])
+    return PairState(i, j, ref_pos, forces, potential)
 
 
 def integrate_step(crystal: Crystal, params: MDParams,
@@ -330,23 +347,31 @@ def integrate_step(crystal: Crystal, params: MDParams,
     return out
 
 
-def equilibrate(crystal: Crystal, params: MDParams) -> None:
-    """Equilibration with periodic velocity rescaling to the target temperature."""
-    steps = params.equilibration_steps
-    interval = max(1, params.rescale_interval)
-    done = 0
-    while done < steps:
+#: total-energy drift per atom over one equilibration chunk (NVE: no rescale
+#: inside it) that marks an unstable run; default spec ~6e-5, dt 0.02 ~7e-3
+MAX_CHUNK_DRIFT = 0.1
+
+
+def equilibrate(crystal: Crystal, params: MDParams) -> PairState:
+    """Equilibration with periodic velocity rescaling to the target temperature;
+    raises BlowUpError when a chunk between rescales drifts by more than
+    MAX_CHUNK_DRIFT per atom.  Returns the state for the next `integrate`."""
+    steps, interval = params.equilibration_steps, max(1, params.rescale_interval)
+    state = integrate(crystal, params, 0)
+    for done in range(0, steps, interval):
         chunk = min(interval, steps - done)
-        integrate(crystal, params, chunk)
-        done += chunk
+        e0 = state.potential + kinetic_energy(crystal)
+        state = integrate(crystal, params, chunk, state=state)
+        drift = (state.potential + kinetic_energy(crystal) - e0) / crystal.n_atoms
+        if not abs(drift) <= MAX_CHUNK_DRIFT:
+            raise BlowUpError(f"energy drifted by {drift:.3g} per atom in {chunk} steps; "
+                              "dt too large?")
         if params.temperature > 0:
             free = crystal.free_mask
-            v = crystal.velocities[free]
-            ke = 0.5 * float(np.sum(v * v))
-            n_dof = 3 * int(free.sum())
-            t_now = 2.0 * ke / n_dof
+            t_now = 2.0 * kinetic_energy(crystal, free_only=True) / (3 * int(free.sum()))
             if t_now > 0:
                 crystal.velocities[free] *= math.sqrt(params.temperature / t_now)
+    return state
 
 
 def grip_separation(crystal: Crystal) -> float:
@@ -361,28 +386,26 @@ def grip_separation(crystal: Crystal) -> float:
     return float(y[top].mean() - y[bottom].mean())
 
 
-def grip_stress(crystal: Crystal, params: MDParams) -> float:
+def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
     """Normal stress at the top grip, tension positive.
 
     Sum of y-forces exerted by free atoms on top-grip atoms, divided by the
     x-z cross-section; under tension the free bulk pulls the top grip
-    inward (-y), so the sign is flipped to make tension positive.
+    inward (-y), so the sign is flipped to make tension positive.  ``pairs``
+    is a sorted (i, j) list holding every pair inside the cutoff, such as the
+    integrator's skin list; without it the pairs are searched here.
     """
     grips = crystal.grip_mask
     if not grips.any():
         raise ParameterError("crystal has no grip layers")
-    pos = crystal.positions
-    top = grips & (pos[:, 1] > pos[grips, 1].mean())
+    y = crystal.positions[:, 1]
+    top = grips & (y > y[grips].mean())
     free = crystal.free_mask
-
-    i, j = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
-    i, j = np.concatenate([i, j]), np.concatenate([j, i])  # both orientations
-    pair = top[i] & free[j]  # force of free j on top-grip i
-    delta = _min_image(pos[i[pair]] - pos[j[pair]], crystal.box, crystal.periodic)
-    coeff, _ = _lj_terms(params, np.einsum("ij,ij->i", delta, delta))
-    f_y = float(np.sum(coeff * delta[:, 1]))
-    area = float(crystal.box[0] * crystal.box[2])
-    return -f_y / area
+    i, j, delta, r2 = _cutoff_pairs(crystal, params, pairs)
+    f_y = _lj_coeff(params, r2) * delta[:, 1]  # y-force of j on i
+    # force of free j on top-grip i, then of free i on top-grip j
+    f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
+    return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 
 
 def run_tensile(params: MDParams, geometry: tuple[int, int, int],
@@ -400,19 +423,19 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     nx, ny, nz = geometry
     crystal = build_crystal(nx, ny, nz, a=a, temperature=params.temperature,
                             seed=seed, grip_planes=grip_planes)
-    equilibrate(crystal, params)
+    state = equilibrate(crystal, params)
     l0 = grip_separation(crystal)
     cna_cutoff = 0.854 * a
 
     def record(strain: float) -> DefectRecord:
-        labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, cna_cutoff)
-        c_fcc, c_hcp, c_unk = defect_concentrations(labels, crystal.grip_mask)
-        return DefectRecord(
-            strain=strain,
-            c_fcc=c_fcc, c_hcp=c_hcp, c_unk=c_unk,
-            sigma_top=grip_stress(crystal, params),
-            energy=total_energy(crystal, params),
-        )
+        # the CNA shell pairs among the cutoff pairs of the current skin list
+        i, j, _, r2 = _cutoff_pairs(crystal, params, (state.i, state.j))
+        shell = r2 < cna_cutoff * cna_cutoff
+        labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, cna_cutoff,
+                            (i[shell], j[shell]) if cna_cutoff <= params.cutoff else None)
+        return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
+                            sigma_top=grip_stress(crystal, params, (i, j)),
+                            energy=state.potential + kinetic_energy(crystal))
 
     records = [record(0.0)]
     if params.target_strain == 0:
@@ -425,7 +448,8 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     for k in range(1, n_checkpoints + 1):
         strain_k = k * params.checkpoint_dstrain
         steps_target = int(round(strain_k * l0 / dl_per_step))
-        integrate(crystal, params, steps_target - steps_done, grip_speed=grip_speed)
+        state = integrate(crystal, params, steps_target - steps_done,
+                          grip_speed=grip_speed, state=state)
         steps_done = steps_target
         records.append(record(strain_k))
     return records

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import dense_pairs
 
+from gridsweep.cna import cna_labels, defect_concentrations
 from gridsweep.errors import BlowUpError, ParameterError
 from gridsweep.md import (
     A0_DEFAULT,
@@ -142,8 +143,9 @@ def test_pair_oscillation_period_matches_fine_dt_reference():
         params = MDParams(dt=dt, temperature=0.0)
         crystal = two_atom_crystal(r_eq + 0.05)
         times, seps = [], []
+        state = None
         for step in range(n_steps):
-            integrate(crystal, params, 1)
+            state = integrate(crystal, params, 1, state=state)
             times.append((step + 1) * dt)
             seps.append(np.linalg.norm(crystal.positions[1] - crystal.positions[0]))
         seps = np.asarray(seps) - np.mean(seps)
@@ -158,6 +160,55 @@ def test_pair_oscillation_period_matches_fine_dt_reference():
     coarse = period(0.004, 1000)
     fine = period(0.00004, 100_000)
     assert abs(coarse - fine) / fine < 1e-3
+
+
+def test_threaded_state_matches_one_call():
+    params = MDParams(temperature=0.1)
+    start = build_crystal(3, 4, 3, temperature=0.1, seed=6)
+    whole, threaded, fresh = start.copy(), start.copy(), start.copy()
+    integrate(whole, params, 300, grip_speed=0.2)
+    state = None
+    for n in (1, 0, 37, 100, 162):
+        state = integrate(threaded, params, n, grip_speed=0.2, state=state)
+        integrate(fresh, params, n, grip_speed=0.2)  # new pair list and forces per call
+    assert not np.array_equal(state.ref_pos, start.positions)  # the list was rebuilt
+    for crystal in (threaded, fresh):
+        assert np.array_equal(crystal.positions, whole.positions)
+        assert np.array_equal(crystal.velocities, whole.velocities)
+
+
+def test_checkpoint_record_matches_public_observables():
+    params = MDParams(strain_rate=0.2, target_strain=0.01, equilibration_steps=60, seed=4)
+    records = run_tensile(params, (3, 4, 3))
+
+    def observables(crystal):
+        labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, 0.854 * A0_DEFAULT)
+        return (*defect_concentrations(labels, crystal.grip_mask),
+                grip_stress(crystal, params), total_energy(crystal, params))
+
+    crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=params.seed)
+    state = equilibrate(crystal, params)
+    expected = [observables(crystal)]
+    grip_speed = 0.5 * params.strain_rate * A0_DEFAULT
+    n_steps = int(round(0.01 * grip_separation(crystal) / (2.0 * grip_speed * params.dt)))
+    integrate(crystal, params, n_steps, grip_speed=grip_speed, state=state)
+    expected.append(observables(crystal))
+    got = [(r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy) for r in records]
+    assert got == expected
+
+
+def test_unstable_integration_raises():
+    params = MDParams(dt=0.3, temperature=0.5, equilibration_steps=100,
+                      strain_rate=0.4, target_strain=0.04)
+    with pytest.raises(BlowUpError, match="drift"):
+        run_tensile(params, (3, 4, 3), seed=0)
+
+
+def test_non_finite_state_raises():
+    crystal = two_atom_crystal(2 ** (1 / 6))
+    crystal.velocities[0, 0] = np.nan
+    with pytest.raises(BlowUpError, match="finite"):
+        integrate(crystal, MDParams(), 3)
 
 
 def test_nve_energy_and_momentum_conservation():
