@@ -19,12 +19,13 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import gridsim, hosts, scenario as scenario_mod, sweep as sweep_mod
 from .errors import GridsweepError, ScenarioParseError
 from .md import MDParams
-from .outputs import staged_outputs
+from .outputs import staged_outputs, write_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -33,24 +34,12 @@ EXIT_USAGE = 2
 SUMMARY_CSV_HEADER = ["attribute", "mean", "sd", "min", "max", "count"]
 
 
-def _atomic_write_csv(path, header, rows) -> None:
-    with staged_outputs() as stage, open(stage(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _cmd_hosts_sample(args) -> int:
-    if args.params:
-        params = hosts.read_params_file(args.params)
-    elif args.preset == "registered":
-        params = hosts.default_registered_params()
-    else:
-        params = hosts.default_worker_pool_params()
+    params = hosts.read_params_file(args.params) if args.params else hosts.PRESETS[args.preset]
     if args.n is not None:
-        params = hosts.PopulationParams(**{**params.__dict__, "n_hosts": args.n})
+        params = replace(params, n_hosts=args.n)
     if args.seed is not None:
-        params = hosts.with_seed(params, args.seed)
+        params = replace(params, seed=args.seed)
     pop = hosts.sample_hosts(params)
     with staged_outputs() as stage:
         hosts.write_population_csv(pop, stage(args.out))
@@ -63,7 +52,8 @@ def _cmd_hosts_summary(args) -> int:
     rows = [[name, repr(a.mean), repr(a.sd), repr(a.min), repr(a.max), a.count]
             for name, a in summary.attributes.items()]
     if args.out:
-        _atomic_write_csv(args.out, SUMMARY_CSV_HEADER, rows)
+        with staged_outputs() as stage:
+            write_csv(stage(args.out), SUMMARY_CSV_HEADER, rows)
     else:
         w = csv.writer(sys.stdout)
         w.writerow(SUMMARY_CSV_HEADER)
@@ -78,10 +68,7 @@ def _cmd_sim_run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with staged_outputs() as stage:
-        for name, write in (("trace.csv", gridsim.write_trace_csv),
-                            ("speedup.csv", gridsim.write_speedup_csv),
-                            ("regimes.csv", gridsim.write_regimes_csv)):
-            write(trace, stage(out / name))
+        gridsim.write_trace_csvs(trace, stage, out)
     return EXIT_OK
 
 
@@ -116,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = hp.add_subparsers(dest="subcommand", required=True)
     hs = hsub.add_parser("sample", help="sample a synthetic population to CSV")
     hs.add_argument("--params", help="key=value population params file")
-    hs.add_argument("--preset", choices=["registered", "pool"], default="pool")
+    hs.add_argument("--preset", choices=list(hosts.PRESETS), default="pool")
     hs.add_argument("--n", type=int, help="override n_hosts")
     hs.add_argument("--seed", type=int, help="override RNG seed")
     hs.add_argument("--out", required=True)

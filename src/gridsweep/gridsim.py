@@ -12,16 +12,16 @@ Times are seconds throughout; churn rates on HostSpec are per hour.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError, SimulationStallError
 from .hosts import HostPopulation, HostSpec
+from .outputs import write_csv
 
 DISPATCH = "dispatch"
 COMPLETE = "complete"
@@ -83,7 +83,6 @@ class TraceEvent:
 class SimTrace:
     events: list[TraceEvent]
     tasks: list[TaskSpec]
-    ref: ReferenceHost
 
 
 @dataclass(frozen=True)
@@ -314,7 +313,7 @@ class _Sim:
 
         # report delays can reorder completions relative to host events
         self.events.sort(key=lambda e: e.time)
-        return SimTrace(events=self.events, tasks=self.tasks, ref=self.ref)
+        return SimTrace(events=self.events, tasks=self.tasks)
 
 
 def run_scenario(tasks, pop: HostPopulation, seed: int = 0,
@@ -360,26 +359,53 @@ def task_makespan(trace: SimTrace, task_name: str) -> float:
     return end - start
 
 
+@dataclass(frozen=True)
+class SpeedupRow:
+    name: str  # a task, 'Subtotal' (the shared tasks) or 'TOTAL'
+    t_job_ref_s: float  # 0 on the Subtotal and TOTAL rows
+    n_jobs: int
+    t_seq_s: float
+    t_dg_s: float
+
+    @property
+    def speedup(self) -> float:
+        return self.t_seq_s / self.t_dg_s
+
+
+def _task_row(trace: SimTrace, t: TaskSpec) -> SpeedupRow:
+    """A task's T_seq (n_jobs x t_job_ref_s) and T_dg (its makespan)."""
+    return SpeedupRow(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s,
+                      task_makespan(trace, t.name))
+
+
+def speedup_table(trace: SimTrace) -> list[SpeedupRow]:
+    """T_seq / T_dg per task in published-table order, then Subtotal and TOTAL.
+
+    Shared tasks overlap, so their Subtotal T_dg is the max of their
+    makespans; dedicated tasks ran on their own and add their makespans in
+    TOTAL.
+    """
+    shared = [_task_row(trace, t) for t in trace.tasks if t.mode == "shared"]
+    dedicated = [_task_row(trace, t) for t in trace.tasks if t.mode == "dedicated"]
+    shared_dg = max((r.t_dg_s for r in shared), default=0.0)
+    subtotal = [SpeedupRow("Subtotal", 0.0, sum(r.n_jobs for r in shared),
+                           sum(r.t_seq_s for r in shared), shared_dg)] if shared else []
+    t_dg = shared_dg + sum(r.t_dg_s for r in dedicated)
+    if t_dg <= 0:
+        raise ParameterError("trace has no completed tasks")
+    return shared + subtotal + dedicated + [
+        SpeedupRow("TOTAL", 0.0, sum(t.n_jobs for t in trace.tasks),
+                   sum(t.n_jobs * t.t_job_ref_s for t in trace.tasks), t_dg)]
+
+
 def task_speedup(trace: SimTrace, task_name: str) -> float:
     """T_seq / T_dg for a single completed task."""
-    task = _task_by_name(trace, task_name)
-    t_seq = task.n_jobs * task.t_job_ref_s
-    return t_seq / task_makespan(trace, task_name)
+    return _task_row(trace, _task_by_name(trace, task_name)).speedup
 
 
 def total_speedup(trace: SimTrace) -> float:
-    """Overall speedup with the shared subtotal taken as the column maximum.
-
-    Shared tasks overlap, so their combined T_dg is the max of their
-    makespans; dedicated tasks ran on their own and add their makespans.
-    """
-    t_seq = sum(t.n_jobs * t.t_job_ref_s for t in trace.tasks)
-    shared = [task_makespan(trace, t.name) for t in trace.tasks if t.mode == "shared"]
-    dedicated = [task_makespan(trace, t.name) for t in trace.tasks if t.mode == "dedicated"]
-    t_dg = (max(shared) if shared else 0.0) + sum(dedicated)
-    if t_dg <= 0:
-        raise ParameterError("trace has no completed tasks")
-    return t_seq / t_dg
+    """The TOTAL row of :func:`speedup_table`."""
+    return speedup_table(trace)[-1].speedup
 
 
 def segment_regimes(trace: SimTrace, task_name: str) -> RegimeSegmentation:
@@ -454,58 +480,32 @@ REGIMES_CSV_HEADER = ["task", "t_start_s", "t_initial_end_s", "t_active_end_s", 
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_CSV_HEADER)
-        for e in trace.events:
-            job = "" if e.job_id < 0 else e.job_id
-            w.writerow([repr(e.time), e.kind, job, e.task, e.host_id])
+    write_csv(path, TRACE_CSV_HEADER,
+              ([repr(e.time), e.kind, "" if e.job_id < 0 else e.job_id, e.task, e.host_id]
+               for e in trace.events))
 
 
 def speedup_report_rows(trace: SimTrace) -> list[list]:
-    """Rows for the speedup CSV, in published-table order with subtotal/total."""
-    rows = []
-    shared = [t for t in trace.tasks if t.mode == "shared"]
-    dedicated = [t for t in trace.tasks if t.mode == "dedicated"]
-
-    def row(name, t_job_s, n_jobs, t_seq_s, t_dg_s):
-        return [name, repr(t_job_s / SECONDS_PER_HOUR) if t_job_s else "",
-                n_jobs, repr(t_seq_s / SECONDS_PER_DAY), repr(t_dg_s / SECONDS_PER_DAY),
-                repr(t_seq_s / t_dg_s)]
-
-    shared_dg = []
-    for t in shared:
-        dg = task_makespan(trace, t.name)
-        shared_dg.append(dg)
-        rows.append(row(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s, dg))
-    if shared:
-        seq = sum(t.n_jobs * t.t_job_ref_s for t in shared)
-        rows.append(row("Subtotal", 0, sum(t.n_jobs for t in shared), seq, max(shared_dg)))
-    ded_dg = []
-    for t in dedicated:
-        dg = task_makespan(trace, t.name)
-        ded_dg.append(dg)
-        rows.append(row(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s, dg))
-    total_seq = sum(t.n_jobs * t.t_job_ref_s for t in trace.tasks)
-    total_dg = (max(shared_dg) if shared_dg else 0.0) + sum(ded_dg)
-    rows.append(row("TOTAL", 0, sum(t.n_jobs for t in trace.tasks), total_seq, total_dg))
-    return rows
+    """Rows for the speedup CSV: :func:`speedup_table` in days and hours."""
+    return [[r.name, repr(r.t_job_ref_s / SECONDS_PER_HOUR) if r.t_job_ref_s else "",
+             r.n_jobs, repr(r.t_seq_s / SECONDS_PER_DAY), repr(r.t_dg_s / SECONDS_PER_DAY),
+             repr(r.speedup)] for r in speedup_table(trace)]
 
 
 def write_speedup_csv(trace: SimTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SPEEDUP_CSV_HEADER)
-        w.writerows(speedup_report_rows(trace))
+    write_csv(path, SPEEDUP_CSV_HEADER, speedup_report_rows(trace))
 
 
 def write_regimes_csv(trace: SimTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REGIMES_CSV_HEADER)
-        for t in trace.tasks:
-            r = segment_regimes(trace, t.name)
-            w.writerow([r.task, repr(r.t_start), repr(r.t_initial_end),
-                        repr(r.t_active_end), repr(r.t_end), repr(r.rate_initial),
-                        repr(r.rate_active), repr(r.rate_final), r.max_inflight,
-                        int(r.degenerate)])
+    regimes = (segment_regimes(trace, t.name) for t in trace.tasks)
+    write_csv(path, REGIMES_CSV_HEADER,
+              ([r.task, repr(r.t_start), repr(r.t_initial_end), repr(r.t_active_end),
+                repr(r.t_end), repr(r.rate_initial), repr(r.rate_active), repr(r.rate_final),
+                r.max_inflight, int(r.degenerate)] for r in regimes))
+
+
+def write_trace_csvs(trace: SimTrace, stage, out_dir) -> None:
+    """Write trace.csv, speedup.csv and regimes.csv to out_dir through ``stage``."""
+    for name, write in (("trace.csv", write_trace_csv), ("speedup.csv", write_speedup_csv),
+                        ("regimes.csv", write_regimes_csv)):
+        write(trace, stage(Path(out_dir) / name))

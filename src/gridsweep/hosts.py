@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ScenarioParseError
+from .outputs import write_csv
 
 #: Core counts actually observed on real hosts; sampled values snap to these.
 CPU_STEPS = (1, 2, 4, 6, 8, 16, 32, 48, 64, 128)
@@ -317,6 +318,9 @@ _POOL_CPU = (1.298172, 1.124145)
 _POOL_RAM = (2.250186, 1.019167)
 _POOL_HDD = (4.760714, 1.080425)
 
+#: the built-in populations by name (``hosts sample --preset``, scenario ``preset =``)
+PRESETS = {"registered": default_registered_params(), "pool": default_worker_pool_params()}
+
 
 # --- external interfaces -------------------------------------------------
 
@@ -324,12 +328,9 @@ POPULATION_CSV_HEADER = ["id", "gflops", "n_cpus", "ram_gb", "hdd_gb", "on_rate"
 
 
 def write_population_csv(pop: HostPopulation, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(POPULATION_CSV_HEADER)
-        for h in pop.hosts:
-            w.writerow([h.id, repr(h.gflops), h.n_cpus, repr(h.ram_gb), repr(h.hdd_gb),
-                        repr(h.on_rate), repr(h.off_rate)])
+    write_csv(path, POPULATION_CSV_HEADER,
+              ([h.id, repr(h.gflops), h.n_cpus, repr(h.ram_gb), repr(h.hdd_gb),
+                repr(h.on_rate), repr(h.off_rate)] for h in pop.hosts))
 
 
 def read_population_csv(path) -> HostPopulation:

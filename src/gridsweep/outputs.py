@@ -1,7 +1,8 @@
-"""Atomic output: files staged next to their targets and committed together."""
+"""CSV output, and atomic output: files staged next to their targets and committed together."""
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,3 +33,11 @@ def staged_outputs():
         raise
     for tmp, path in staged:
         os.replace(tmp, path)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

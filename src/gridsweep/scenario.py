@@ -63,14 +63,11 @@ def parse_scenario(path) -> Scenario:
             params = hosts_mod.read_params_file(path.parent / hosts_sec["params"])
         else:
             preset = hosts_sec["preset"]
-            if preset == "registered":
-                params = hosts_mod.default_registered_params()
-            elif preset == "pool":
-                params = hosts_mod.default_worker_pool_params()
-            else:
+            if preset not in hosts_mod.PRESETS:
                 raise ScenarioParseError(
-                    f"{path}: [hosts] preset must be 'registered' or 'pool', "
+                    f"{path}: [hosts] preset must be one of {sorted(hosts_mod.PRESETS)}, "
                     f"got {preset!r}")
+            params = hosts_mod.PRESETS[preset]
         try:
             if "seed" in hosts_sec:
                 params = hosts_mod.with_seed(params, int(hosts_sec["seed"]))

@@ -2,8 +2,8 @@
 
 A sweep runs many tensile MD realizations (identical conditions, different
 velocity seeds) through a bounded process pool, writes one defect-record
-CSV per job, and accounts wall-clock speedup the same way the grid
-simulator does: estimated sequential time over sweep makespan.
+CSV per job, and records the run as a grid-simulator trace, so gridsim's
+T_seq / T_dg table and regime segmentation apply to it unchanged.
 
 The analysis side pools one observable at one strain checkpoint across all
 job files and runs the full statistics chain: normal and Weibull fits, KS
@@ -19,18 +19,19 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import stats as st
+from . import gridsim, stats as st
 from .errors import DegenerateSampleError, GridsweepError, ParameterError
 from .md import DefectRecord, MDParams, run_tensile
-from .outputs import staged_outputs
+from .outputs import staged_outputs, write_csv
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
-LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s"]
-LEDGER_SUMMARY_HEADER = ["n_jobs", "n_ok", "n_failed", "t_seq_est_s", "t_wall_s", "speedup"]
+LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s", "cpu_time_s"]
+LEDGER_SUMMARY_HEADER = ["n_jobs", "n_ok", "n_failed"]
 REPORT_CSV_HEADER = ["label", "family", "param1", "param2", "loglik", "ks_d", "ks_p", "mode"]
 CLOUD_CSV_HEADER = ["beta1", "beta2"]
 QQ_CSV_HEADER = ["theoretical", "empirical"]
@@ -72,18 +73,16 @@ class JobResult:
     seed: int
     status: str  # 'ok' | 'failed'
     wall_time_s: float
+    cpu_time_s: float
+    start_s: float  # since the sweep's start, on the monotonic clock all workers share
+    pid: int  # the worker process that ran the job
     error: str = ""
 
 
 @dataclass
 class SweepLedger:
     jobs: list[JobResult]
-    t_seq_est_s: float
-    t_wall_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.t_seq_est_s / self.t_wall_s if self.t_wall_s > 0 else 0.0
+    trace: gridsim.SimTrace
 
 
 def job_csv_path(output_dir, job_id: int) -> Path:
@@ -91,12 +90,11 @@ def job_csv_path(output_dir, job_id: int) -> Path:
 
 
 def write_records_csv(records: list[DefectRecord], path) -> None:
-    with staged_outputs() as stage, open(stage(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(JOB_CSV_HEADER)
-        for r in records:
-            w.writerow([repr(float(x)) for x in
-                        (r.strain, r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy)])
+    with staged_outputs() as stage:
+        write_csv(stage(path), JOB_CSV_HEADER,
+                  ([repr(float(x)) for x in
+                    (r.strain, r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy)]
+                   for r in records))
 
 
 def read_records_csv(path) -> list[dict[str, float]]:
@@ -107,16 +105,36 @@ def read_records_csv(path) -> list[dict[str, float]]:
         return [{k: float(v) for k, v in row.items()} for row in reader]
 
 
-def _run_one(spec: SweepSpec, job_id: int) -> JobResult:
+def _run_one(spec: SweepSpec, t_origin: float, job_id: int) -> JobResult:
     seed = spec.job_seed(job_id)
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     try:
         records = run_tensile(spec.md_params(), (spec.nx, spec.ny, spec.nz), seed=seed)
         write_records_csv(records, job_csv_path(spec.output_dir, job_id))
         status, error = "ok", ""
     except GridsweepError as exc:
         status, error = "failed", str(exc)
-    return JobResult(job_id, seed, status, time.perf_counter() - t0, error)
+    return JobResult(job_id, seed, status, time.perf_counter() - t0,
+                     time.process_time() - cpu0, t0 - t_origin, os.getpid(), error)
+
+
+def _job_trace(spec: SweepSpec, jobs: list[JobResult]) -> gridsim.SimTrace:
+    """The sweep as a one-task gridsim trace whose T_seq is the jobs' summed CPU time.
+
+    Each job is dispatched and completed on ``host_id`` = its worker process,
+    the workers numbered in the order of their first job.
+    """
+    name = f"S={spec.nx}x{spec.ny}x{spec.nz},V={spec.strain_rate:g}"
+    slots: dict[int, int] = {}
+    events = []
+    for r in sorted(jobs, key=lambda r: r.start_s):
+        host = slots.setdefault(r.pid, len(slots))
+        events += [gridsim.TraceEvent(r.start_s, gridsim.DISPATCH, r.job_id, name, host),
+                   gridsim.TraceEvent(r.start_s + r.wall_time_s, gridsim.COMPLETE,
+                                      r.job_id, name, host)]
+    events.sort(key=lambda e: e.time)
+    t_job = sum(r.cpu_time_s for r in jobs) / len(jobs)
+    return gridsim.SimTrace(events, [gridsim.TaskSpec(name, t_job, len(jobs))])
 
 
 def sweep_run(spec: SweepSpec) -> SweepLedger:
@@ -126,35 +144,29 @@ def sweep_run(spec: SweepSpec) -> SweepLedger:
     if not os.access(out, os.W_OK):
         raise ParameterError(f"output dir {out} is not writable")
 
-    t0 = time.perf_counter()
+    run = partial(_run_one, spec, time.perf_counter())
+    job_ids = range(spec.n_realizations)
     if spec.parallelism == 1:
-        results = [_run_one(spec, i) for i in range(spec.n_realizations)]
+        results = list(map(run, job_ids))
     else:
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            results = list(pool.map(_run_one, [spec] * spec.n_realizations,
-                                    range(spec.n_realizations)))
-    t_wall = time.perf_counter() - t0
-    results.sort(key=lambda r: r.job_id)
-    t_seq = sum(r.wall_time_s for r in results)
-    ledger = SweepLedger(jobs=results, t_seq_est_s=t_seq, t_wall_s=t_wall)
+            results = list(pool.map(run, job_ids))
+    ledger = SweepLedger(jobs=results, trace=_job_trace(spec, results))
     write_ledger(ledger, out)
     return ledger
 
 
 def write_ledger(ledger: SweepLedger, output_dir) -> None:
+    """Write the ledger and the sweep's gridsim trace files, all or none."""
     out = Path(output_dir)
     n_ok = sum(1 for r in ledger.jobs if r.status == "ok")
     with staged_outputs() as stage:
-        with open(stage(out / "ledger.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(LEDGER_CSV_HEADER)
-            for r in ledger.jobs:
-                w.writerow([r.job_id, r.seed, r.status, repr(r.wall_time_s)])
-        with open(stage(out / "ledger_summary.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(LEDGER_SUMMARY_HEADER)
-            w.writerow([len(ledger.jobs), n_ok, len(ledger.jobs) - n_ok,
-                        repr(ledger.t_seq_est_s), repr(ledger.t_wall_s), repr(ledger.speedup)])
+        write_csv(stage(out / "ledger.csv"), LEDGER_CSV_HEADER,
+                  ([r.job_id, r.seed, r.status, repr(r.wall_time_s), repr(r.cpu_time_s)]
+                   for r in ledger.jobs))
+        write_csv(stage(out / "ledger_summary.csv"), LEDGER_SUMMARY_HEADER,
+                  [[len(ledger.jobs), n_ok, len(ledger.jobs) - n_ok]])
+        gridsim.write_trace_csvs(ledger.trace, stage, out)
 
 
 # --- ensemble analysis ---------------------------------------------------
@@ -262,40 +274,24 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with staged_outputs() as stage:
-        def writer(name):
-            return open(stage(out / name), "w", newline="")
-
-        with writer("report.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(REPORT_CSV_HEADER)
-            for family, fit in res.fits.items():
-                for mode in ("asymptotic", "parametric_bootstrap"):
-                    ks = res.ks.get((family, mode))
-                    if ks is None:
-                        continue
-                    w.writerow([sample.label, family, repr(fit.params[0]),
-                                repr(fit.params[1]), repr(fit.log_likelihood),
-                                repr(ks.statistic), repr(ks.p_value), mode])
-        with writer("cloud.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(CLOUD_CSV_HEADER)
-            if res.cloud is not None:
-                for b1, b2 in res.cloud.points:
-                    w.writerow([repr(float(b1)), repr(float(b2))])
+        # res.ks holds each converged family's two modes, in res.fits order
+        write_csv(stage(out / "report.csv"), REPORT_CSV_HEADER,
+                  ([sample.label, family, repr(res.fits[family].params[0]),
+                    repr(res.fits[family].params[1]), repr(res.fits[family].log_likelihood),
+                    repr(ks.statistic), repr(ks.p_value), mode]
+                   for (family, mode), ks in res.ks.items()))
+        write_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
+                  ([repr(float(b1)), repr(float(b2))] for b1, b2 in
+                   (res.cloud.points if res.cloud is not None else ())))
         for family, fit in res.fits.items():
-            if not fit.converged:
-                continue
-            with writer(f"qq_{family}.csv") as fh:
-                w = csv.writer(fh)
-                w.writerow(QQ_CSV_HEADER)
-                for tq, eq in st.qq_points(sample.values, fit):
-                    w.writerow([repr(float(tq)), repr(float(eq))])
-        with writer("verdict.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(VERDICT_CSV_HEADER)
-            kn = res.ks.get(("normal", "parametric_bootstrap"))
-            kw = res.ks.get(("weibull", "parametric_bootstrap"))
-            w.writerow([repr(strain), observable, sample.values.size, res.verdict,
-                        repr(kn.p_value) if kn else "", repr(kw.p_value) if kw else "",
-                        "parametric_bootstrap"])
+            if fit.converged:
+                write_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
+                          ([repr(float(tq)), repr(float(eq))]
+                           for tq, eq in st.qq_points(sample.values, fit)))
+        kn = res.ks.get(("normal", "parametric_bootstrap"))
+        kw = res.ks.get(("weibull", "parametric_bootstrap"))
+        write_csv(stage(out / "verdict.csv"), VERDICT_CSV_HEADER,
+                  [[repr(strain), observable, sample.values.size, res.verdict,
+                    repr(kn.p_value) if kn else "", repr(kw.p_value) if kw else "",
+                    "parametric_bootstrap"]])
     return res

@@ -110,6 +110,16 @@ def test_sim_failing_writer_leaves_no_files(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_sim_unknown_preset_exits_2_without_outputs(tmp_path):
+    scn = tmp_path / "bad.scenario"
+    scn.write_text("[hosts]\npreset = nope\n\n"
+                   "[task.1]\nname = a\nt_job_ref_min = 30\nn_jobs = 9\n")
+    out = tmp_path / "sim"
+    assert main(["sim", "run", "--scenario", str(scn),
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_sim_malformed_scenario_exits_2_without_outputs(tmp_path):
     scn = tmp_path / "bad.scenario"
     scn.write_text("[hosts]\nwat = 1\n")
@@ -139,6 +149,20 @@ def test_sweep_and_analyze_pipeline(tmp_path, capsys):
     assert code == EXIT_OK
     assert "verdict:" in capsys.readouterr().out
     assert (analysis / "verdict.csv").exists()
+
+
+def test_sweep_failing_writer_leaves_no_files(tmp_path, monkeypatch):
+    def disk_full(trace, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gridsim, "write_regimes_csv", disk_full)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2",
+                 "--strain-rate", "0.4", "--target-strain", "0.02",
+                 "--n-realizations", "1", "--parallelism", "1",
+                 "--out-dir", str(out)]) == EXIT_RUNTIME
+    left = {p.name for p in out.iterdir()}
+    assert left <= {"job_0000.csv"}
 
 
 def test_analyze_missing_checkpoint_exits_1(tmp_path):

@@ -1,12 +1,14 @@
 """Sweep runner ledger/accounting and ensemble analysis outputs."""
 
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridsweep.errors import ParameterError
+from gridsweep.gridsim import TRACE_CSV_HEADER, total_speedup
 from gridsweep.md import DefectRecord, MDParams, run_tensile
 from gridsweep.stats import Sample
 from gridsweep.sweep import (
@@ -52,7 +54,36 @@ def test_tiny_sweep_completes_and_accounts(tmp_path):
     assert (tmp_path / "ledger.csv").exists()
     assert (tmp_path / "ledger_summary.csv").exists()
     # serial pool: estimated sequential time cannot beat the wall clock
-    assert 0.2 < ledger.speedup <= 1.01
+    assert 0.2 < total_speedup(ledger.trace) <= 1.01
+
+
+def test_oversubscribed_sweep_speedup_is_bounded_by_cores(tmp_path):
+    """More workers than cores: the CPU seconds spent inside T_dg cannot
+    exceed cores x T_dg, so neither can the reported speedup."""
+    cores = len(os.sched_getaffinity(0))
+    parallelism = cores + 2
+    ledger = sweep_run(tiny_spec(tmp_path, n=2 * parallelism, parallelism=parallelism))
+    assert [j.status for j in ledger.jobs] == ["ok"] * (2 * parallelism)
+    assert total_speedup(ledger.trace) <= 1.05 * cores
+
+
+def test_sweep_trace_feeds_the_simulator_analysis(tmp_path):
+    sweep_run(tiny_spec(tmp_path, n=3, parallelism=2))
+
+    def rows(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.reader(fh))
+
+    trace = rows("trace.csv")
+    assert trace[0] == TRACE_CSV_HEADER
+    assert sorted(r[1] for r in trace[1:]) == ["complete"] * 3 + ["dispatch"] * 3
+    assert sorted(r[2] for r in trace[1:]) == ["0", "0", "1", "1", "2", "2"]
+    assert {r[4] for r in trace[1:]} <= {"0", "1"}
+    assert [r[0] for r in rows("speedup.csv")[1:]] == ["S=2x4x2,V=0.4", "Subtotal", "TOTAL"]
+    regimes = rows("regimes.csv")[1:]
+    assert len(regimes) == 1 and int(regimes[0][8]) <= 2
+    assert rows("ledger.csv")[0] == ["job_id", "seed", "status", "wall_time_s", "cpu_time_s"]
+    assert rows("ledger_summary.csv") == [["n_jobs", "n_ok", "n_failed"], ["3", "3", "0"]]
 
 
 def test_sweep_jobs_differ_by_seed_but_rerun_identically(tmp_path):
