@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +394,3 @@ def write_params_file(params: PopulationParams, path) -> None:
     lines = [f"{f.name} = {getattr(params, f.name)}" for f in fields(PopulationParams)]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def with_seed(params: PopulationParams, seed: int) -> PopulationParams:
-    return replace(params, seed=seed)

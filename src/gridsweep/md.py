@@ -9,6 +9,11 @@ chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
 call, and the checkpoint observables take their pairs from it.
 
+Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
+order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
+for bit: r2 adds (x^2 + z^2) + y^2, as numpy's einsum("ij,ij->i") does on
+3-wide rows, and each force bin ax*n + atom sums its pair terms in list order.
+
 The default lattice constant is the 0 K equilibrium spacing of the
 truncated-shifted potential (a ~ 1.5496, slightly tighter than the
 isolated-pair value 2^(1/6) * sqrt(2) because of the attractive second and
@@ -150,12 +155,15 @@ def build_crystal(nx: int, ny: int, nz: int, a: float = A0_DEFAULT,
     return Crystal(pos, vel, box, periodic, a, grip_mask)
 
 
-def _min_image(vec: np.ndarray, box, periodic) -> np.ndarray:
+def _min_image_r2(delta: np.ndarray, box, periodic) -> np.ndarray:
+    """Min-image the (3, m) separations ``delta`` in place, one axis row at a
+    time, and return their squared lengths summed as (x^2 + z^2) + y^2."""
     for ax in range(3):
         if periodic[ax]:
             L = box[ax]
-            vec[:, ax] -= L * np.rint(vec[:, ax] / L)
-    return vec
+            delta[ax] -= L * np.rint(delta[ax] / L)
+    dx, dy, dz = delta
+    return dx * dx + dz * dz + dy * dy
 
 
 #: cells are made this much wider than rmax so that rounding in the binning
@@ -209,34 +217,31 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     a, b = a[keep], b[keep]
 
     # r_a - r_b is exactly -(r_b - r_a), so the test matches the i < j scan
-    delta = np.take(pos, a, axis=0)
-    delta -= np.take(pos, b, axis=0)
-    _min_image(delta, box, periodic)
-    close = np.einsum("ij,ij->i", delta, delta) < rmax * rmax
+    delta = pos.T.take(a, axis=1) - pos.T.take(b, axis=1)
+    close = _min_image_r2(delta, box, periodic) < rmax * rmax
     a, b = a[close], b[close]
     return np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
 
 
 def _cutoff_pairs(crystal: Crystal, params: MDParams, pairs=None):
-    """(i, j, delta = r_i - r_j min-imaged, r2) of the pairs of the sorted list
-    ``pairs``, or of a fresh search, inside the cutoff; BlowUpError if a listed
-    pair is closer than 0.5 sigma.  On a skin list this gives exactly the
-    arrays of a fresh search: the distance test is the same, and a subset of a
-    list sorted by i*n + j keeps its order, so sums over it add the same terms
-    in the same order.  The dropped pairs only add exact +-0.0 to force sums."""
+    """(i, j, delta = r_i - r_j min-imaged as (3, m), r2) of the pairs of the
+    sorted list ``pairs``, or of a fresh search, inside the cutoff; BlowUpError
+    if a listed pair is closer than 0.5 sigma.  On a skin list this gives
+    exactly the arrays of a fresh search: the distance test is the same, and a
+    subset of a list sorted by i*n + j keeps its order, so sums over it add the
+    same terms in the same order (dropped pairs only add exact +-0.0 to force
+    sums).  r2 sums x, z, y, as the (m, 3) oracle does (see the module doc)."""
     pos = crystal.positions
     if pairs is None:
         pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
     i, j = pairs
-    delta = np.take(pos, i, axis=0)
-    delta -= np.take(pos, j, axis=0)
-    _min_image(delta, crystal.box, crystal.periodic)
-    r2 = np.einsum("ij,ij->i", delta, delta)
+    delta = pos.T.take(i, axis=1) - pos.T.take(j, axis=1)
+    r2 = _min_image_r2(delta, crystal.box, crystal.periodic)
     if r2.size and r2.min() < (0.5 * params.lj_sigma) ** 2:
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
     inside = np.flatnonzero(r2 < params.cutoff * params.cutoff)
-    return i.take(inside), j.take(inside), delta.take(inside, axis=0), r2.take(inside)
+    return i.take(inside), j.take(inside), delta.take(inside, axis=1), r2.take(inside)
 
 
 def _lj_coeff(params: MDParams, r2: np.ndarray) -> np.ndarray:
@@ -254,14 +259,13 @@ def _potential_energy(params: MDParams, r2: np.ndarray) -> float:
 
 
 def _pair_forces(params: MDParams, n: int, i, j, delta, r2) -> np.ndarray:
-    """Forces from cutoff pairs.  Each pair contributes +f to i and -f to j,
-    so antisymmetry is exact and total momentum is conserved to round-off."""
-    fpair = _lj_coeff(params, r2)[:, None] * delta
-    forces = np.empty((n, 3))
-    for ax in range(3):
-        forces[:, ax] = (np.bincount(i, weights=fpair[:, ax], minlength=n)
-                         - np.bincount(j, weights=fpair[:, ax], minlength=n))
-    return forces
+    """Forces (n, 3) from cutoff pairs: +f to i and -f to j, so momentum is
+    conserved to round-off; one bincount per side over bins ax*n + atom."""
+    fpair = (delta * _lj_coeff(params, r2)).ravel()
+    bins = np.arange(0, 3 * n, n)[:, None]
+    forces = (np.bincount((i + bins).ravel(), fpair, 3 * n)
+              - np.bincount((j + bins).ravel(), fpair, 3 * n))
+    return forces.reshape(3, n).T
 
 
 def compute_forces(crystal: Crystal, params: MDParams):
@@ -324,8 +328,7 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
         crystal.velocities += kick * forces
         crystal.positions += dt * crystal.velocities
         crystal.positions[:, per] %= crystal.box[per]
-        disp = _min_image(crystal.positions - ref_pos, crystal.box, crystal.periodic)
-        moved = np.max(np.einsum("ij,ij->i", disp, disp))
+        moved = _min_image_r2((crystal.positions - ref_pos).T, crystal.box, per).max()
         if not moved <= (0.5 * skin) ** 2:
             if not math.isfinite(moved):
                 raise BlowUpError("positions are no longer finite; dt too large?")
@@ -402,7 +405,7 @@ def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
     top = grips & (y > y[grips].mean())
     free = crystal.free_mask
     i, j, delta, r2 = _cutoff_pairs(crystal, params, pairs)
-    f_y = _lj_coeff(params, r2) * delta[:, 1]  # y-force of j on i
+    f_y = _lj_coeff(params, r2) * delta[1]  # y-force of j on i
     # force of free j on top-grip i, then of free i on top-grip j
     f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])

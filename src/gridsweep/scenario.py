@@ -23,7 +23,7 @@ and each ``[task.N]`` section declares one task::
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import hosts as hosts_mod
@@ -70,7 +70,7 @@ def parse_scenario(path) -> Scenario:
             params = hosts_mod.PRESETS[preset]
         try:
             if "seed" in hosts_sec:
-                params = hosts_mod.with_seed(params, int(hosts_sec["seed"]))
+                params = replace(params, seed=int(hosts_sec["seed"]))
         except ValueError as exc:
             raise ScenarioParseError(f"{path}: [hosts]: {exc}") from exc
         pop = hosts_mod.sample_hosts(params)

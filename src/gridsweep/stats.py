@@ -13,7 +13,7 @@ has CDF 1 - exp(-(x/lambda)^k) with no location shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri

@@ -6,11 +6,18 @@ must reproduce element for element.  ``bond_signature`` and
 (ncn, nb, lcb) signature of every bond, with the longest bond chain found
 by exhaustive search.  The search is exponential in the number of bonds
 among the common neighbours, so keep oracle inputs close to a lattice.
+``rows_compute_forces`` and ``rows_grip_stress`` run the LJ pair kernel on
+(m, 3) rows -- row gathers, an einsum for r2 and one bincount per axis -- and
+the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from gridsweep.cna import FCC, HCP, UNK
+from gridsweep.errors import BlowUpError
+from gridsweep.md import _lj_coeff, _potential_energy, neighbor_pairs
 
 
 def dense_table(positions, box, periodic, cutoff):
@@ -90,3 +97,54 @@ def oracle_cna_labels(positions, box, periodic, cutoff):
         elif sigs.count((4, 2, 1)) == 6 and sigs.count((4, 2, 2)) == 6:
             labels[i] = HCP
     return labels
+
+
+def _min_image(vec, box, periodic):
+    for ax in range(3):
+        if periodic[ax]:
+            L = box[ax]
+            vec[:, ax] -= L * np.rint(vec[:, ax] / L)
+    return vec
+
+
+def rows_cutoff_pairs(crystal, params, pairs=None):
+    """(i, j, delta as (m, 3), r2) of the listed or searched pairs inside the cutoff."""
+    pos = crystal.positions
+    if pairs is None:
+        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
+    i, j = pairs
+    delta = np.take(pos, i, axis=0)
+    delta -= np.take(pos, j, axis=0)
+    _min_image(delta, crystal.box, crystal.periodic)
+    r2 = np.einsum("ij,ij->i", delta, delta)
+    if r2.size and r2.min() < (0.5 * params.lj_sigma) ** 2:
+        raise BlowUpError(
+            f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
+    inside = np.flatnonzero(r2 < params.cutoff * params.cutoff)
+    return i.take(inside), j.take(inside), delta.take(inside, axis=0), r2.take(inside)
+
+
+def rows_pair_forces(params, n, i, j, delta, r2):
+    fpair = _lj_coeff(params, r2)[:, None] * delta
+    forces = np.empty((n, 3))
+    for ax in range(3):
+        forces[:, ax] = (np.bincount(i, weights=fpair[:, ax], minlength=n)
+                         - np.bincount(j, weights=fpair[:, ax], minlength=n))
+    return forces
+
+
+def rows_compute_forces(crystal, params):
+    i, j, delta, r2 = rows_cutoff_pairs(crystal, params)
+    forces = rows_pair_forces(params, crystal.n_atoms, i, j, delta, r2)
+    return forces, _potential_energy(params, r2), float(r2.min()) if r2.size else math.inf
+
+
+def rows_grip_stress(crystal, params, pairs=None):
+    grips = crystal.grip_mask
+    y = crystal.positions[:, 1]
+    top = grips & (y > y[grips].mean())
+    free = crystal.free_mask
+    i, j, delta, r2 = rows_cutoff_pairs(crystal, params, pairs)
+    f_y = _lj_coeff(params, r2) * delta[:, 1]
+    f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
+    return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])

@@ -5,8 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dense_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from oracles import (
+    dense_pairs,
+    rows_compute_forces,
+    rows_cutoff_pairs,
+    rows_grip_stress,
+    rows_pair_forces,
+)
 
+from gridsweep import md
 from gridsweep.cna import cna_labels, defect_concentrations
 from gridsweep.errors import BlowUpError, ParameterError
 from gridsweep.md import (
@@ -121,6 +130,54 @@ def test_neighbor_pairs_match_dense_scan_on_lattices(rmax):
     assert_same_pairs(slab.positions, slab.box, slab.periodic, rmax)
     bulk = build_crystal(3, 3, 3, grip_planes=0)
     assert_same_pairs(bulk.positions, bulk.box, bulk.periodic, rmax)
+
+
+# --- pair kernel ---------------------------------------------------------
+
+
+# slab: gripped, 4 cells wide in x and z; bulk: periodic, 3 cells wide, so
+# the cutoff passes L/2; narrow: periodic, 4 cells wide, so skin pairs listed
+# below rmax = 2.9 drift past L/2 (3.1 unstrained) when jittered and compressed
+KERNEL_CRYSTALS = {"slab": (4, 6, 4, 3), "bulk": (3, 3, 3, 0), "narrow": (4, 4, 4, 0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=hs.sampled_from(sorted(KERNEL_CRYSTALS)),
+       axis=hs.integers(0, 2),
+       strain=hs.floats(-0.05, 0.12),
+       jitter=hs.floats(0.0, 0.15),
+       seed=hs.integers(0, 2**32 - 1))
+def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed):
+    nx, ny, nz, grip_planes = KERNEL_CRYSTALS[kind]
+    params = MDParams()
+    crystal = build_crystal(nx, ny, nz, grip_planes=grip_planes)
+    # the integrator's skin list, built before the atoms moved
+    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, params.cutoff + 0.4)
+    rng = np.random.default_rng(seed)
+    crystal.positions += rng.uniform(-jitter, jitter, crystal.positions.shape)
+    crystal.positions[:, axis] *= 1.0 + strain
+    crystal.box[axis] *= 1.0 + strain
+
+    forces, potential, r2_min = compute_forces(crystal, params)
+    want_forces, want_potential, want_r2_min = rows_compute_forces(crystal, params)
+    assert np.array_equal(forces, want_forces)
+    assert (potential, r2_min) == (want_potential, want_r2_min)
+    n = crystal.n_atoms
+    assert np.array_equal(md._pair_forces(params, n, *md._cutoff_pairs(crystal, params, skin)),
+                          rows_pair_forces(params, n, *rows_cutoff_pairs(crystal, params, skin)))
+    if grip_planes:
+        assert grip_stress(crystal, params) == rows_grip_stress(crystal, params)
+        assert grip_stress(crystal, params, skin) == rows_grip_stress(crystal, params, skin)
+
+
+@pytest.mark.parametrize("evaluate", [compute_forces, rows_compute_forces,
+                                      lambda crystal, params: integrate(crystal, params, 0)])
+def test_close_pair_across_a_periodic_face_blows_up(evaluate):
+    crystal = build_crystal(4, 4, 4, grip_planes=0)
+    # the last atom 0.45 sigma from atom 0 (at the origin), across the x face
+    crystal.positions[-1] = (crystal.positions[0] - [0.45, 0.0, 0.0]) % crystal.box
+    with pytest.raises(BlowUpError, match="r = 0.45 < 0.5 sigma"):
+        evaluate(crystal, MDParams())
 
 
 # --- integration ---------------------------------------------------------
