@@ -13,6 +13,7 @@ Times are seconds throughout; churn rates on HostSpec are per hour.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,39 +327,6 @@ def run_scenario(tasks, pop: HostPopulation, seed: int = 0,
 # --- trace analysis ------------------------------------------------------
 
 
-def _task_by_name(trace: SimTrace, task_name: str) -> TaskSpec:
-    for t in trace.tasks:
-        if t.name == task_name:
-            return t
-    raise ParameterError(f"unknown task {task_name!r}")
-
-
-def _task_window(trace: SimTrace, task: TaskSpec) -> tuple[float, float]:
-    """(first dispatch, last completion); raises if the task never finished."""
-    first_dispatch = None
-    last_complete = None
-    n_complete = 0
-    for e in trace.events:
-        if e.task != task.name:
-            continue
-        if e.kind == DISPATCH and first_dispatch is None:
-            first_dispatch = e.time
-        elif e.kind == COMPLETE:
-            last_complete = e.time
-            n_complete += 1
-    if n_complete != task.n_jobs or first_dispatch is None:
-        raise ParameterError(
-            f"task {task.name!r} incomplete: {n_complete}/{task.n_jobs} jobs done")
-    return first_dispatch, last_complete
-
-
-def task_makespan(trace: SimTrace, task_name: str) -> float:
-    """T_dg of one task: first dispatch to last completion, seconds."""
-    task = _task_by_name(trace, task_name)
-    start, end = _task_window(trace, task)
-    return end - start
-
-
 @dataclass(frozen=True)
 class SpeedupRow:
     name: str  # a task, 'Subtotal' (the shared tasks) or 'TOTAL'
@@ -372,21 +340,82 @@ class SpeedupRow:
         return self.t_seq_s / self.t_dg_s
 
 
-def _task_row(trace: SimTrace, t: TaskSpec) -> SpeedupRow:
-    """A task's T_seq (n_jobs x t_job_ref_s) and T_dg (its makespan)."""
-    return SpeedupRow(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s,
-                      task_makespan(trace, t.name))
+def _rate(times: list[float], start: float, t0: float, t1: float) -> float:
+    """Completions per second in (t0, t1] of the sorted ``times``; a regime
+    that begins at the window start also counts completions exactly at it."""
+    if t1 <= t0:
+        return 0.0
+    lo = bisect_left(times, t0) if t0 == start else bisect_right(times, t0)
+    return (bisect_right(times, t1) - lo) / (t1 - t0)
+
+
+def _accounts(trace: SimTrace) -> dict[str, RegimeSegmentation]:
+    """Every task's window and regimes from one pass over the time-ordered events.
+
+    A task's window runs from its first dispatch to its last completion.  Its
+    initial regime ends when its in-flight job count first reaches its
+    maximum, its active regime at its last dispatch, and its final regime at
+    the window's end.  A job leaves flight when it completes (a report delay
+    only shifts the record) or when its host goes down.  Raises
+    ParameterError if any task did not complete all of its jobs.
+    """
+    tasks = {t.name: t for t in trace.tasks}
+    dispatched: dict[str, list[float]] = {name: [] for name in tasks}
+    done: dict[str, list[float]] = {name: [] for name in tasks}
+    inflight = dict.fromkeys(tasks, 0)
+    peak = dict.fromkeys(tasks, (0, 0.0))  # (max in flight, when first reached)
+    running_on: dict[int, set] = {}  # host -> (task, job_id) in flight there
+    for e in trace.events:
+        if e.kind == DISPATCH and e.task in tasks:
+            running_on.setdefault(e.host_id, set()).add((e.task, e.job_id))
+            dispatched[e.task].append(e.time)
+            inflight[e.task] += 1
+            if inflight[e.task] > peak[e.task][0]:
+                peak[e.task] = (inflight[e.task], e.time)
+        elif e.kind == COMPLETE and e.task in tasks:
+            done[e.task].append(e.time)
+            running = running_on.get(e.host_id)
+            if running and (e.task, e.job_id) in running:
+                running.remove((e.task, e.job_id))
+                inflight[e.task] -= 1
+        elif e.kind == HOST_DOWN:
+            for name, _ in running_on.pop(e.host_id, ()):
+                inflight[name] -= 1
+
+    accounts = {}
+    for name, task in tasks.items():
+        times, dispatches = done[name], dispatched[name]
+        if len(times) != task.n_jobs or not dispatches:
+            raise ParameterError(
+                f"task {name!r} incomplete: {len(times)}/{task.n_jobs} jobs done")
+        start, end, t_active_end = dispatches[0], times[-1], dispatches[-1]
+        max_inflight, t_peak = peak[name]
+        t_initial_end = min(t_peak, t_active_end)
+        accounts[name] = RegimeSegmentation(
+            task=name, t_start=start, t_initial_end=t_initial_end,
+            t_active_end=t_active_end, t_end=end,
+            rate_initial=_rate(times, start, start, t_initial_end),
+            rate_active=_rate(times, start, t_initial_end, t_active_end),
+            rate_final=_rate(times, start, t_active_end, end),
+            max_inflight=max_inflight,
+            degenerate=t_initial_end == t_active_end == start)
+    return accounts
 
 
 def speedup_table(trace: SimTrace) -> list[SpeedupRow]:
     """T_seq / T_dg per task in published-table order, then Subtotal and TOTAL.
 
-    Shared tasks overlap, so their Subtotal T_dg is the max of their
-    makespans; dedicated tasks ran on their own and add their makespans in
-    TOTAL.
+    A task's T_seq is n_jobs x t_job_ref_s and its T_dg its window, first
+    dispatch to last completion.  Shared tasks overlap, so their Subtotal
+    T_dg is the max of their windows; dedicated tasks ran on their own and
+    add their windows in TOTAL.
     """
-    shared = [_task_row(trace, t) for t in trace.tasks if t.mode == "shared"]
-    dedicated = [_task_row(trace, t) for t in trace.tasks if t.mode == "dedicated"]
+    accounts = _accounts(trace)
+    rows = {t.name: SpeedupRow(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s,
+                               accounts[t.name].t_end - accounts[t.name].t_start)
+            for t in trace.tasks}
+    shared = [rows[t.name] for t in trace.tasks if t.mode == "shared"]
+    dedicated = [rows[t.name] for t in trace.tasks if t.mode == "dedicated"]
     shared_dg = max((r.t_dg_s for r in shared), default=0.0)
     subtotal = [SpeedupRow("Subtotal", 0.0, sum(r.n_jobs for r in shared),
                            sum(r.t_seq_s for r in shared), shared_dg)] if shared else []
@@ -398,76 +427,28 @@ def speedup_table(trace: SimTrace) -> list[SpeedupRow]:
                    sum(t.n_jobs * t.t_job_ref_s for t in trace.tasks), t_dg)]
 
 
+def segment_regimes(trace: SimTrace, task_name: str) -> RegimeSegmentation:
+    """One task's initial / active / final regimes (see :func:`_accounts`).
+
+    Per-regime rates are completions per second, 0 for an empty or
+    zero-length regime.
+    """
+    accounts = _accounts(trace)
+    if task_name not in accounts:
+        raise ParameterError(f"unknown task {task_name!r}")
+    return accounts[task_name]
+
+
 def task_speedup(trace: SimTrace, task_name: str) -> float:
     """T_seq / T_dg for a single completed task."""
-    return _task_row(trace, _task_by_name(trace, task_name)).speedup
+    seg = segment_regimes(trace, task_name)
+    task = next(t for t in trace.tasks if t.name == task_name)
+    return task.n_jobs * task.t_job_ref_s / (seg.t_end - seg.t_start)
 
 
 def total_speedup(trace: SimTrace) -> float:
     """The TOTAL row of :func:`speedup_table`."""
     return speedup_table(trace)[-1].speedup
-
-
-def segment_regimes(trace: SimTrace, task_name: str) -> RegimeSegmentation:
-    """Split one task's history into initial / active / final regimes.
-
-    The initial stage ends when the task's in-flight job count first
-    reaches its maximum; the active stage ends at the task's last dispatch;
-    the final stage runs to the last completion.  Per-regime rates are
-    completions per second (0 for an empty or zero-length regime).
-    """
-    task = _task_by_name(trace, task_name)
-    start, end = _task_window(trace, task)
-
-    running_on: dict[int, set] = {}  # host -> gids of this task
-    inflight = 0
-    max_inflight = 0
-    t_initial_end = start
-    t_active_end = start
-    completion_times = []
-    for e in trace.events:
-        if e.kind == DISPATCH and e.task == task_name:
-            running_on.setdefault(e.host_id, set()).add(e.job_id)
-            inflight += 1
-            t_active_end = e.time
-            if inflight > max_inflight:
-                max_inflight = inflight
-                t_initial_end = e.time
-        elif e.kind == COMPLETE and e.task == task_name:
-            completion_times.append(e.time)
-            # the slot was freed at finish time; report delay only shifts the record
-            running = running_on.get(e.host_id)
-            if running and e.job_id in running:
-                running.remove(e.job_id)
-                inflight -= 1
-        elif e.kind == HOST_DOWN:
-            lost = running_on.pop(e.host_id, None)
-            if lost:
-                inflight -= len(lost)
-
-    t_initial_end = min(t_initial_end, t_active_end)
-    degenerate = t_initial_end == t_active_end == start
-
-    def rate(t0, t1):
-        if t1 <= t0:
-            return 0.0
-        n = sum(1 for t in completion_times if t0 < t <= t1)
-        if t0 == start:  # include completions exactly at the window start
-            n += sum(1 for t in completion_times if t == start)
-        return n / (t1 - t0)
-
-    return RegimeSegmentation(
-        task=task_name,
-        t_start=start,
-        t_initial_end=t_initial_end,
-        t_active_end=t_active_end,
-        t_end=end,
-        rate_initial=rate(start, t_initial_end),
-        rate_active=rate(t_initial_end, t_active_end),
-        rate_final=rate(t_active_end, end),
-        max_inflight=max_inflight,
-        degenerate=degenerate,
-    )
 
 
 # --- external interfaces -------------------------------------------------
@@ -485,19 +466,16 @@ def write_trace_csv(trace: SimTrace, path) -> None:
                for e in trace.events))
 
 
-def speedup_report_rows(trace: SimTrace) -> list[list]:
-    """Rows for the speedup CSV: :func:`speedup_table` in days and hours."""
-    return [[r.name, repr(r.t_job_ref_s / SECONDS_PER_HOUR) if r.t_job_ref_s else "",
-             r.n_jobs, repr(r.t_seq_s / SECONDS_PER_DAY), repr(r.t_dg_s / SECONDS_PER_DAY),
-             repr(r.speedup)] for r in speedup_table(trace)]
-
-
 def write_speedup_csv(trace: SimTrace, path) -> None:
-    write_csv(path, SPEEDUP_CSV_HEADER, speedup_report_rows(trace))
+    """:func:`speedup_table` with job times in hours and T_seq / T_dg in days."""
+    write_csv(path, SPEEDUP_CSV_HEADER,
+              ([r.name, repr(r.t_job_ref_s / SECONDS_PER_HOUR) if r.t_job_ref_s else "",
+                r.n_jobs, repr(r.t_seq_s / SECONDS_PER_DAY), repr(r.t_dg_s / SECONDS_PER_DAY),
+                repr(r.speedup)] for r in speedup_table(trace)))
 
 
 def write_regimes_csv(trace: SimTrace, path) -> None:
-    regimes = (segment_regimes(trace, t.name) for t in trace.tasks)
+    regimes = _accounts(trace).values()
     write_csv(path, REGIMES_CSV_HEADER,
               ([r.task, repr(r.t_start), repr(r.t_initial_end), repr(r.t_active_end),
                 repr(r.t_end), repr(r.rate_initial), repr(r.rate_active), repr(r.rate_final),

@@ -97,7 +97,7 @@ class DefectRecord:
     c_hcp: float
     c_unk: float
     sigma_top: float
-    energy: float
+    energy: float  # total (potential + kinetic) energy per atom
 
 
 _FCC_BASIS = np.array([[0.0, 0.0, 0.0],
@@ -438,7 +438,7 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
                             (i[shell], j[shell]) if cna_cutoff <= params.cutoff else None)
         return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
                             sigma_top=grip_stress(crystal, params, (i, j)),
-                            energy=state.potential + kinetic_energy(crystal))
+                            energy=(state.potential + kinetic_energy(crystal)) / crystal.n_atoms)
 
     records = [record(0.0)]
     if params.target_strain == 0:

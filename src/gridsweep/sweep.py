@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridsim, stats as st
-from .errors import DegenerateSampleError, GridsweepError, ParameterError
+from .errors import DegenerateSampleError, ParameterError
 from .md import DefectRecord, MDParams, run_tensile
 from .outputs import staged_outputs, write_csv
 
@@ -112,8 +112,8 @@ def _run_one(spec: SweepSpec, t_origin: float, job_id: int) -> JobResult:
         records = run_tensile(spec.md_params(), (spec.nx, spec.ny, spec.nz), seed=seed)
         write_records_csv(records, job_csv_path(spec.output_dir, job_id))
         status, error = "ok", ""
-    except GridsweepError as exc:
-        status, error = "failed", str(exc)
+    except Exception as exc:  # any job failure is recorded; BaseExceptions propagate
+        status, error = "failed", f"{type(exc).__name__}: {exc}"
     return JobResult(job_id, seed, status, time.perf_counter() - t0,
                      time.process_time() - cpu0, t0 - t_origin, os.getpid(), error)
 

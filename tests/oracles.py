@@ -9,6 +9,10 @@ among the common neighbours, so keep oracle inputs close to a lattice.
 ``rows_compute_forces`` and ``rows_grip_stress`` run the LJ pair kernel on
 (m, 3) rows -- row gathers, an einsum for r2 and one bincount per axis -- and
 the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
+``oracle_speedup_table`` and ``oracle_segment_regimes`` are the per-task
+trace rescans (one pass over the events for each task's window, one more
+for its regimes, and a scan of the completion times per regime rate) that
+``gridsim``'s one-pass accounting must reproduce exactly.
 """
 
 import math
@@ -16,7 +20,8 @@ import math
 import numpy as np
 
 from gridsweep.cna import FCC, HCP, UNK
-from gridsweep.errors import BlowUpError
+from gridsweep.errors import BlowUpError, ParameterError
+from gridsweep.gridsim import COMPLETE, DISPATCH, HOST_DOWN, RegimeSegmentation, SpeedupRow
 from gridsweep.md import _lj_coeff, _potential_energy, neighbor_pairs
 
 
@@ -148,3 +153,119 @@ def rows_grip_stress(crystal, params, pairs=None):
     f_y = _lj_coeff(params, r2) * delta[:, 1]
     f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
+
+
+def _task_by_name(trace, task_name):
+    for t in trace.tasks:
+        if t.name == task_name:
+            return t
+    raise ParameterError(f"unknown task {task_name!r}")
+
+
+def _task_window(trace, task):
+    """(first dispatch, last completion); raises if the task never finished."""
+    first_dispatch = None
+    last_complete = None
+    n_complete = 0
+    for e in trace.events:
+        if e.task != task.name:
+            continue
+        if e.kind == DISPATCH and first_dispatch is None:
+            first_dispatch = e.time
+        elif e.kind == COMPLETE:
+            last_complete = e.time
+            n_complete += 1
+    if n_complete != task.n_jobs or first_dispatch is None:
+        raise ParameterError(
+            f"task {task.name!r} incomplete: {n_complete}/{task.n_jobs} jobs done")
+    return first_dispatch, last_complete
+
+
+def oracle_task_makespan(trace, task_name):
+    """T_dg of one task: first dispatch to last completion, seconds."""
+    task = _task_by_name(trace, task_name)
+    start, end = _task_window(trace, task)
+    return end - start
+
+
+def _task_row(trace, t):
+    """A task's T_seq (n_jobs x t_job_ref_s) and T_dg (its makespan)."""
+    return SpeedupRow(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s,
+                      oracle_task_makespan(trace, t.name))
+
+
+def oracle_speedup_table(trace):
+    """T_seq / T_dg per task in published-table order, then Subtotal and TOTAL."""
+    shared = [_task_row(trace, t) for t in trace.tasks if t.mode == "shared"]
+    dedicated = [_task_row(trace, t) for t in trace.tasks if t.mode == "dedicated"]
+    shared_dg = max((r.t_dg_s for r in shared), default=0.0)
+    subtotal = [SpeedupRow("Subtotal", 0.0, sum(r.n_jobs for r in shared),
+                           sum(r.t_seq_s for r in shared), shared_dg)] if shared else []
+    t_dg = shared_dg + sum(r.t_dg_s for r in dedicated)
+    if t_dg <= 0:
+        raise ParameterError("trace has no completed tasks")
+    return shared + subtotal + dedicated + [
+        SpeedupRow("TOTAL", 0.0, sum(t.n_jobs for t in trace.tasks),
+                   sum(t.n_jobs * t.t_job_ref_s for t in trace.tasks), t_dg)]
+
+
+def oracle_segment_regimes(trace, task_name):
+    """Split one task's history into initial / active / final regimes.
+
+    The initial stage ends when the task's in-flight job count first
+    reaches its maximum; the active stage ends at the task's last dispatch;
+    the final stage runs to the last completion.  Per-regime rates are
+    completions per second (0 for an empty or zero-length regime).
+    """
+    task = _task_by_name(trace, task_name)
+    start, end = _task_window(trace, task)
+
+    running_on = {}  # host -> gids of this task
+    inflight = 0
+    max_inflight = 0
+    t_initial_end = start
+    t_active_end = start
+    completion_times = []
+    for e in trace.events:
+        if e.kind == DISPATCH and e.task == task_name:
+            running_on.setdefault(e.host_id, set()).add(e.job_id)
+            inflight += 1
+            t_active_end = e.time
+            if inflight > max_inflight:
+                max_inflight = inflight
+                t_initial_end = e.time
+        elif e.kind == COMPLETE and e.task == task_name:
+            completion_times.append(e.time)
+            # the slot was freed at finish time; report delay only shifts the record
+            running = running_on.get(e.host_id)
+            if running and e.job_id in running:
+                running.remove(e.job_id)
+                inflight -= 1
+        elif e.kind == HOST_DOWN:
+            lost = running_on.pop(e.host_id, None)
+            if lost:
+                inflight -= len(lost)
+
+    t_initial_end = min(t_initial_end, t_active_end)
+    degenerate = t_initial_end == t_active_end == start
+
+    def rate(t0, t1):
+        if t1 <= t0:
+            return 0.0
+        n = sum(1 for t in completion_times if t0 < t <= t1)
+        if t0 == start:  # include completions exactly at the window start
+            n += sum(1 for t in completion_times if t == start)
+        return n / (t1 - t0)
+
+    return RegimeSegmentation(
+        task=task_name,
+        t_start=start,
+        t_initial_end=t_initial_end,
+        t_active_end=t_active_end,
+        t_end=end,
+        rate_initial=rate(start, t_initial_end),
+        rate_active=rate(t_initial_end, t_active_end),
+        rate_final=rate(t_active_end, end),
+        max_inflight=max_inflight,
+        degenerate=degenerate,
+    )

@@ -1,5 +1,8 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,11 @@ from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gridsweep.hosts import HostPopulation, HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
 from gridsweep.sweep import job_csv_path, write_records_csv
+
+TABLE2 = Path(__file__).resolve().parents[1] / "scenarios" / "table2.scenario"
+DATA = Path(__file__).parent / "data"
+#: sha256 of trace.csv from `sim run --scenario scenarios/table2.scenario`
+TABLE2_TRACE_SHA256 = "f6009efc5f68e9cb10989334ec79d49cf2f511004caad9efdb3205deb9b13711"
 
 
 def ideal_pop_csv(path, gflops=2.514, n_hosts=1):
@@ -92,6 +100,17 @@ def test_sim_rerun_is_byte_identical(tmp_path):
                      "--out-dir", str(out)]) == EXIT_OK
     for name in ("trace.csv", "speedup.csv", "regimes.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_sim_run_table2_matches_golden_bytes(tmp_path):
+    """table2's trace, speedup and regimes files against bytes recorded with
+    the per-task rescanning analysis (tests/data/table2_*.csv)."""
+    assert main(["sim", "run", "--scenario", str(TABLE2),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    trace = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == TABLE2_TRACE_SHA256
+    for name in ("speedup.csv", "regimes.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / f"table2_{name}").read_bytes()
 
 
 def test_sim_failing_writer_leaves_no_files(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
+from oracles import oracle_segment_regimes, oracle_speedup_table
 
 from gridsweep.errors import ParameterError, SimulationStallError
 from gridsweep.gridsim import (
@@ -17,13 +18,15 @@ from gridsweep.gridsim import (
     SPEEDUP_CSV_HEADER,
     TRACE_CSV_HEADER,
     ReferenceHost,
+    RegimeSegmentation,
     SimPolicy,
+    SimTrace,
     TaskSpec,
+    TraceEvent,
     run_scenario,
     scaled_runtime,
     segment_regimes,
-    speedup_report_rows,
-    task_makespan,
+    speedup_table,
     task_speedup,
     total_speedup,
     write_regimes_csv,
@@ -42,6 +45,11 @@ def ideal_host(i, gflops=REF.gflops, n_cpus=1, on_rate=0.0, off_rate=0.0):
 
 def pop_of(hosts):
     return HostPopulation(hosts=hosts, params=None)
+
+
+def makespan(trace, name):
+    """T_dg of one task: its window, read off its speedup_table row."""
+    return next(r.t_dg_s for r in speedup_table(trace) if r.name == name)
 
 
 # --- runtime scaling -----------------------------------------------------
@@ -75,7 +83,7 @@ def test_single_job_single_host():
     trace = run_scenario([TaskSpec("t", 3600, 1)], pop_of([ideal_host(0)]))
     assert [(e.time, e.kind) for e in trace.events] == [(0.0, DISPATCH),
                                                         (3600.0, COMPLETE)]
-    assert task_makespan(trace, "t") == 3600.0
+    assert makespan(trace, "t") == 3600.0
     assert abs(task_speedup(trace, "t") - 1.0) < 1e-9
 
 
@@ -92,13 +100,15 @@ def test_n_ideal_hosts_give_speedup_n(n):
 def test_multi_cpu_host_runs_jobs_concurrently():
     trace = run_scenario([TaskSpec("t", 3600, 4)],
                          pop_of([ideal_host(0, n_cpus=4)]))
-    assert task_makespan(trace, "t") == 3600.0
+    assert makespan(trace, "t") == 3600.0
 
 
 def test_incomplete_task_queries_raise():
     trace = run_scenario([TaskSpec("t", 3600, 1)], pop_of([ideal_host(0)]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown task 'missing'"):
         task_speedup(trace, "missing")
+    with pytest.raises(ParameterError, match="unknown task 'missing'"):
+        segment_regimes(trace, "missing")
 
 
 # --- oracle comparison ---------------------------------------------------
@@ -141,7 +151,7 @@ def test_always_up_schedule_matches_oracle(n_jobs, speeds, cpus):
     hosts = [ideal_host(i, gflops=g, n_cpus=c)
              for i, (g, c) in enumerate(zip(speeds, cpus))]
     trace = run_scenario([TaskSpec("t", 3600, n_jobs)], pop_of(hosts))
-    assert task_makespan(trace, "t") == pytest.approx(
+    assert makespan(trace, "t") == pytest.approx(
         oracle_makespan(n_jobs, 3600, hosts), rel=1e-12)
 
 
@@ -173,7 +183,7 @@ def test_optimal_schedule_is_monotone_and_bounds_the_sim(n_jobs, speeds, extra):
     opt_grown = exhaustive_optimal_makespan(n_jobs, 3600, more)
     assert opt_grown <= opt_base + 1e-9
     for pool, opt in ((hosts, opt_base), (more, opt_grown)):
-        sim = task_makespan(run_scenario([TaskSpec("t", 3600, n_jobs)],
+        sim = makespan(run_scenario([TaskSpec("t", 3600, n_jobs)],
                                          pop_of(pool)), "t")
         assert sim >= opt - 1e-9
 
@@ -299,7 +309,7 @@ def test_report_delay_shifts_records_not_slots():
     # records arrive later, but the slot was freed on time: dispatch times equal
     assert [e.time for e in base.events if e.kind == DISPATCH] == \
         [e.time for e in delayed.events if e.kind == DISPATCH]
-    assert task_makespan(delayed, "a") > task_makespan(base, "a")
+    assert makespan(delayed, "a") > makespan(base, "a")
     again = run_scenario(tasks, pop, seed=1,
                          policy=SimPolicy(report_delay_logmu=5.0,
                                           report_delay_logsigma=0.5))
@@ -363,14 +373,71 @@ def test_csv_writers(tmp_path):
     assert len(lines) == 1 + len(tasks)
 
 
-def test_total_speedup_uses_subtotal_convention():
+def test_total_speedup_uses_subtotal_convention(tmp_path):
     tasks = [TaskSpec("a", 1800, 4), TaskSpec("b", 900, 4),
              TaskSpec("d", 600, 2, mode="dedicated")]
     trace = run_scenario(tasks, pop_of([ideal_host(0)]))
-    shared_dg = max(task_makespan(trace, "a"), task_makespan(trace, "b"))
-    total_dg = shared_dg + task_makespan(trace, "d")
+    shared_dg = max(makespan(trace, "a"), makespan(trace, "b"))
+    total_dg = shared_dg + makespan(trace, "d")
     total_seq = sum(t.n_jobs * t.t_job_ref_s for t in tasks)
     assert total_speedup(trace) == pytest.approx(total_seq / total_dg)
-    rows = speedup_report_rows(trace)
-    assert rows[-1][0] == "TOTAL"
-    assert float(rows[-1][-1]) == pytest.approx(total_seq / total_dg)
+    write_speedup_csv(trace, tmp_path / "speedup.csv")
+    last = (tmp_path / "speedup.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "TOTAL"
+    assert float(last[-1]) == pytest.approx(total_seq / total_dg)
+
+
+# --- one-pass accounting against the per-task rescans ---------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(jobs=st_h.lists(st_h.integers(1, 12), min_size=1, max_size=4),
+       last_dedicated=st_h.booleans(),
+       n_hosts=st_h.integers(2, 12),
+       churn=st_h.floats(0.2, 4.0),
+       delays=st_h.booleans(),
+       seed=st_h.integers(0, 2**31 - 1))
+def test_one_pass_accounts_match_rescanning_oracle(jobs, last_dedicated, n_hosts, churn,
+                                                   delays, seed):
+    tasks = [TaskSpec(f"t{k}", 600.0 * (k + 1), n,
+                      mode="dedicated" if last_dedicated and k == len(jobs) - 1 else "shared")
+             for k, n in enumerate(jobs)]
+    pop = pop_of([ideal_host(i, gflops=1.0 + (i % 5) * 0.8, n_cpus=(1, 2, 4)[i % 3],
+                             on_rate=churn, off_rate=churn) for i in range(n_hosts)])
+    policy = SimPolicy(report_delay_logmu=6.0 if delays else None, report_delay_logsigma=1.0)
+    trace = run_scenario(tasks, pop, seed=seed, policy=policy)
+    for t in tasks:
+        assert segment_regimes(trace, t.name) == oracle_segment_regimes(trace, t.name)
+    assert speedup_table(trace) == oracle_speedup_table(trace)
+
+
+def test_first_regime_counts_completions_at_the_window_start():
+    # a zero-length job completes at t_start; only the first regime counts it
+    events = [TraceEvent(t, kind, job, "t", host) for t, kind, job, host in (
+        (0.0, DISPATCH, 0, 0), (0.0, COMPLETE, 0, 0), (0.0, DISPATCH, 1, 0),
+        (4.0, DISPATCH, 2, 1), (6.0, COMPLETE, 1, 0), (8.0, DISPATCH, 3, 0),
+        (10.0, COMPLETE, 2, 1), (12.0, COMPLETE, 3, 0))]
+    trace = SimTrace(events, [TaskSpec("t", 1.0, 4)])
+    expected = RegimeSegmentation("t", 0.0, 4.0, 8.0, 12.0, 0.25, 0.25, 0.5, 2, False)
+    assert segment_regimes(trace, "t") == oracle_segment_regimes(trace, "t") == expected
+
+
+def cut_before_last_completion(trace):
+    """The trace up to (not including) its last completion, and that job's task."""
+    k = max(i for i, e in enumerate(trace.events) if e.kind == COMPLETE)
+    return SimTrace(trace.events[:k], trace.tasks), trace.events[k].task
+
+
+def test_unfinished_task_makes_every_query_raise(tmp_path):
+    tasks = [TaskSpec("a", 1800, 3), TaskSpec("b", 900, 3)]
+    whole = run_scenario(tasks, pop_of([ideal_host(0), ideal_host(1)]))
+    trace, unfinished = cut_before_last_completion(whole)
+    message = f"task {unfinished!r} incomplete"
+    with pytest.raises(ParameterError, match=message):
+        speedup_table(trace)
+    for t in tasks:  # the finished task's queries too
+        with pytest.raises(ParameterError, match=message):
+            segment_regimes(trace, t.name)
+    with pytest.raises(ParameterError, match=message):
+        write_regimes_csv(trace, tmp_path / "regimes.csv")
+    assert not (tmp_path / "regimes.csv").exists()

@@ -241,7 +241,7 @@ def test_checkpoint_record_matches_public_observables():
     def observables(crystal):
         labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, 0.854 * A0_DEFAULT)
         return (*defect_concentrations(labels, crystal.grip_mask),
-                grip_stress(crystal, params), total_energy(crystal, params))
+                grip_stress(crystal, params), total_energy(crystal, params) / crystal.n_atoms)
 
     crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=params.seed)
     state = equilibrate(crystal, params)

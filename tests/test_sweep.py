@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridsweep import sweep
 from gridsweep.errors import ParameterError
 from gridsweep.gridsim import TRACE_CSV_HEADER, total_speedup
 from gridsweep.md import DefectRecord, MDParams, run_tensile
@@ -104,6 +105,37 @@ def test_blown_up_jobs_are_recorded_not_fatal(tmp_path):
     assert all(j.error for j in ledger.jobs)
     assert not job_csv_path(tmp_path, 0).exists()
     assert (tmp_path / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_any_job_exception_is_recorded_not_fatal(tmp_path, monkeypatch, parallelism):
+    real = sweep.run_tensile
+
+    def out_of_memory_at_seed_11(params, geometry, seed=None):
+        if seed == 11:
+            raise MemoryError("cannot allocate")
+        return real(params, geometry, seed=seed)
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(sweep, "run_tensile", out_of_memory_at_seed_11)
+    ledger = sweep_run(tiny_spec(tmp_path, n=3, parallelism=parallelism))
+    assert [j.status for j in ledger.jobs] == ["ok", "failed", "ok"]
+    assert ledger.jobs[1].error == "MemoryError: cannot allocate"
+    with open(tmp_path / "ledger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["job_id"], r["status"]) for r in rows] == [
+        ("0", "ok"), ("1", "failed"), ("2", "ok")]
+    assert not job_csv_path(tmp_path, 1).exists()
+
+
+def test_interrupt_still_aborts_the_sweep(tmp_path, monkeypatch):
+    def interrupted(params, geometry, seed=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep, "run_tensile", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_run(tiny_spec(tmp_path, n=2))
+    assert not (tmp_path / "ledger.csv").exists()
 
 
 def test_default_spec_matches_golden_output(tmp_path):
