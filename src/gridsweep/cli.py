@@ -73,10 +73,9 @@ def _cmd_sim_run(args) -> int:
 
 
 def _cmd_sweep_run(args) -> int:
-    md = MDParams(seed=args.base_seed)
+    md = MDParams(strain_rate=args.strain_rate, target_strain=args.target_strain)
     spec = sweep_mod.SweepSpec(
         nx=args.nx, ny=args.ny, nz=args.nz,
-        strain_rate=args.strain_rate, target_strain=args.target_strain,
         n_realizations=args.n_realizations, base_seed=args.base_seed,
         parallelism=args.parallelism, output_dir=args.out_dir, md=md)
     ledger = sweep_mod.sweep_run(spec)

@@ -13,7 +13,6 @@ translation (on non-periodic data) by construction.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,13 +75,6 @@ def cna_labels(positions, box, periodic, cutoff: float, pairs=None) -> np.ndarra
     return labels
 
 
-def label_crystal(crystal, cutoff: float | None = None) -> np.ndarray:
-    """CNA labels for a Crystal; default cutoff is 0.854 lattice constants."""
-    if cutoff is None:
-        cutoff = 0.854 * crystal.lattice_constant
-    return cna_labels(crystal.positions, crystal.box, crystal.periodic, cutoff)
-
-
 def defect_counts(labels, grip_mask=None) -> tuple[int, int, int]:
     """(n_fcc, n_hcp, n_unk) over non-grip atoms."""
     labels = np.asarray(labels)
@@ -106,22 +98,3 @@ def defect_concentrations(labels, grip_mask=None) -> tuple[float, float, float]:
     return (float(Fraction(n_fcc, total)), float(Fraction(n_hcp, total)),
             float(Fraction(n_unk, total)))
 
-
-def hcp_positions(nx: int, ny: int, nz: int, a: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Ideal HCP block (c/a = sqrt(8/3)) in an orthorhombic cell; returns
-    (positions, box) suitable for a fully periodic CNA check."""
-    if min(nx, ny, nz) < 2:
-        raise ParameterError("nx, ny, nz must all be >= 2")
-    c = a * math.sqrt(8.0 / 3.0)
-    cell = np.array([a, a * math.sqrt(3.0), c])
-    basis = np.array([
-        [0.0, 0.0, 0.0],
-        [0.5, 0.5, 0.0],
-        [0.5, 5.0 / 6.0, 0.5],
-        [0.0, 1.0 / 3.0, 0.5],
-    ])
-    cells = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                                 indexing="ij"), axis=-1).reshape(-1, 3)
-    pos = (cells[:, None, :] + basis[None, :, :]).reshape(-1, 3) * cell
-    box = cell * np.array([nx, ny, nz])
-    return pos, box

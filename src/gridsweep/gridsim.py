@@ -439,18 +439,6 @@ def segment_regimes(trace: SimTrace, task_name: str) -> RegimeSegmentation:
     return accounts[task_name]
 
 
-def task_speedup(trace: SimTrace, task_name: str) -> float:
-    """T_seq / T_dg for a single completed task."""
-    seg = segment_regimes(trace, task_name)
-    task = next(t for t in trace.tasks if t.name == task_name)
-    return task.n_jobs * task.t_job_ref_s / (seg.t_end - seg.t_start)
-
-
-def total_speedup(trace: SimTrace) -> float:
-    """The TOTAL row of :func:`speedup_table`."""
-    return speedup_table(trace)[-1].speedup
-
-
 # --- external interfaces -------------------------------------------------
 
 TRACE_CSV_HEADER = ["time_s", "kind", "job_id", "task", "host_id"]

@@ -61,9 +61,9 @@ class PopulationParams:
     """Sampling parameters for a synthetic host population.
 
     The log-normal parameters are in log space (mean and sd of the
-    underlying normal).  The shipped defaults were produced by
-    :func:`calibrate_lognormal` against published fleet-average targets;
-    see ``default_registered_params`` / ``default_worker_pool_params``.
+    underlying normal).  The field defaults are round placeholder values;
+    the calibrated populations are :data:`PRESETS`, whose log-normal pairs
+    :func:`calibrate_lognormal` produced from published fleet averages.
     """
 
     n_hosts: int = 189
@@ -270,56 +270,27 @@ def calibrate_lognormal(
     return float(best[0]), float(best[1])
 
 
-def default_registered_params(seed: int = 0) -> PopulationParams:
-    """Defaults for the full registered fleet (n=4161): GFLOPs 2.25+-0.76,
-    CPUs 4.30+-4.95, RAM 6.68+-12.15 GB, HDD 257+-371 GB fleet averages."""
-    return PopulationParams(
-        n_hosts=4161,
-        gflops_mean=2.25,
-        gflops_sd=0.76,
-        cpu_logmu=_REGISTERED_CPU[0],
-        cpu_logsigma=_REGISTERED_CPU[1],
-        ram_logmu=_REGISTERED_RAM[0],
-        ram_logsigma=_REGISTERED_RAM[1],
-        hdd_logmu=_REGISTERED_HDD[0],
-        hdd_logsigma=_REGISTERED_HDD[1],
-        seed=seed,
-    )
-
-
-def default_worker_pool_params(seed: int = 0) -> PopulationParams:
-    """Defaults for the actually-used worker pool (n=189): GFLOPs 2.3+-0.7,
-    CPUs 6.7+-10, RAM 16+-22 GB, HDD 210+-320 GB fleet averages.
-
-    The GFLOPs floor is raised to 0.8: hosts below that never get through
-    application screening, so they are absent from the pool that actually
-    runs jobs."""
-    return PopulationParams(
-        n_hosts=189,
-        gflops_mean=2.3,
-        gflops_sd=0.7,
-        gflops_floor=0.8,
-        cpu_logmu=_POOL_CPU[0],
-        cpu_logsigma=_POOL_CPU[1],
-        ram_logmu=_POOL_RAM[0],
-        ram_logsigma=_POOL_RAM[1],
-        hdd_logmu=_POOL_HDD[0],
-        hdd_logsigma=_POOL_HDD[1],
-        seed=seed,
-    )
-
-
-# Frozen outputs of calibrate_lognormal (see tests/test_hosts.py, which
-# re-runs the search and checks these stay within tolerance of its result).
-_REGISTERED_CPU = (1.072828, 0.896361)
-_REGISTERED_RAM = (1.193851, 1.184914)
-_REGISTERED_HDD = (4.998475, 1.047338)
-_POOL_CPU = (1.298172, 1.124145)
-_POOL_RAM = (2.250186, 1.019167)
-_POOL_HDD = (4.760714, 1.080425)
-
-#: the built-in populations by name (``hosts sample --preset``, scenario ``preset =``)
-PRESETS = {"registered": default_registered_params(), "pool": default_worker_pool_params()}
+#: the built-in populations by name (``hosts sample --preset``, scenario
+#: ``preset =``).  The log-normal (logmu, logsigma) pairs are frozen outputs of
+#: calibrate_lognormal for the fleet averages in the comments (CPU counts
+#: with ``snap=True``); tests/test_hosts.py re-runs the search against them.
+PRESETS = {
+    # the full registered fleet: GFLOPs 2.25+-0.76, CPUs 4.30+-4.95,
+    # RAM 6.68+-12.15 GB, HDD 257+-371 GB
+    "registered": PopulationParams(
+        n_hosts=4161, gflops_mean=2.25, gflops_sd=0.76,
+        cpu_logmu=1.072828, cpu_logsigma=0.896361,
+        ram_logmu=1.193851, ram_logsigma=1.184914,
+        hdd_logmu=4.998475, hdd_logsigma=1.047338),
+    # the worker pool that actually ran jobs: GFLOPs 2.3+-0.7, CPUs 6.7+-10,
+    # RAM 16+-22 GB, HDD 210+-320 GB.  The GFLOPs floor is 0.8: slower hosts
+    # never get through application screening, so the pool has none.
+    "pool": PopulationParams(
+        n_hosts=189, gflops_mean=2.3, gflops_sd=0.7, gflops_floor=0.8,
+        cpu_logmu=1.298172, cpu_logsigma=1.124145,
+        ram_logmu=2.250186, ram_logsigma=1.019167,
+        hdd_logmu=4.760714, hdd_logsigma=1.080425),
+}
 
 
 # --- external interfaces -------------------------------------------------
@@ -388,9 +359,3 @@ def read_params_file(path) -> PopulationParams:
         return PopulationParams(**kwargs)
     except ParameterError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
-
-
-def write_params_file(params: PopulationParams, path) -> None:
-    lines = [f"{f.name} = {getattr(params, f.name)}" for f in fields(PopulationParams)]
-    Path(path).write_text("\n".join(lines) + "\n")
-

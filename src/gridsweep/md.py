@@ -45,7 +45,7 @@ A0_DEFAULT = 1.5496034240894725
 class MDParams:
     dt: float = 0.005
     temperature: float = 0.05
-    strain_rate: float = 0.05  # lattice spacings per reduced time
+    strain_rate: float = 0.1  # lattice spacings per reduced time
     target_strain: float = 0.20
     checkpoint_dstrain: float = 0.01
     lj_epsilon: float = 1.0
@@ -53,7 +53,6 @@ class MDParams:
     cutoff: float = 2.5
     equilibration_steps: int = 500
     rescale_interval: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -75,19 +74,24 @@ class Crystal:
     box: np.ndarray  # (3,) lengths
     periodic: tuple[bool, bool, bool]
     lattice_constant: float
-    grip_mask: np.ndarray  # (n,) bool; True = grip atom (rigidly driven)
+    grip_side: np.ndarray  # (n,) int8: -1 bottom grip, +1 top grip, 0 free
 
     @property
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
     @property
+    def grip_mask(self) -> np.ndarray:
+        """(n,) bool; True = grip atom (rigidly driven)."""
+        return self.grip_side != 0
+
+    @property
     def free_mask(self) -> np.ndarray:
-        return ~self.grip_mask
+        return self.grip_side == 0
 
     def copy(self) -> "Crystal":
         return Crystal(self.positions.copy(), self.velocities.copy(), self.box.copy(),
-                       self.periodic, self.lattice_constant, self.grip_mask.copy())
+                       self.periodic, self.lattice_constant, self.grip_side.copy())
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,11 @@ def build_crystal(nx: int, ny: int, nz: int, a: float = A0_DEFAULT,
                   grip_planes: int = 3) -> Crystal:
     """FCC crystal with Maxwell-Boltzmann velocities and zeroed net momentum.
 
-    ``grip_planes`` atomic (y) planes at each end are marked as grips and y
-    becomes a free/grip direction; ``grip_planes=0`` gives a fully periodic
-    box (the NVE configuration).  At the default cutoff the interaction
-    reaches three (010) planes, so three grip planes fully screen the free
-    region from the slab ends.
+    ``grip_planes`` atomic (y) planes at each end are marked as the bottom
+    (-1) and top (+1) grips in ``grip_side`` and y becomes an open direction;
+    ``grip_planes=0`` gives a fully periodic box (the NVE configuration).
+    At the default cutoff the interaction reaches three (010) planes, so
+    three grip planes fully screen the free region from the slab ends.
     """
     if min(nx, ny, nz) < 2:
         raise ParameterError("nx, ny, nz must all be >= 2")
@@ -144,15 +148,17 @@ def build_crystal(nx: int, ny: int, nz: int, a: float = A0_DEFAULT,
     else:
         vel = np.zeros((n, 3))
 
-    grip_mask = np.zeros(n, dtype=bool)
+    side = np.zeros(n, dtype=np.int8)
     periodic = (True, True, True)
     if grip_planes > 0:
         plane = np.rint(pos[:, 1] / (a / 2)).astype(int)
-        grip_mask = (plane < grip_planes) | (plane >= n_planes - grip_planes)
-        vel[grip_mask] = 0.0
-        vel[~grip_mask] -= vel[~grip_mask].mean(axis=0)
+        side[plane < grip_planes] = -1
+        side[plane >= n_planes - grip_planes] = 1
+        free = side == 0
+        vel[~free] = 0.0
+        vel[free] -= vel[free].mean(axis=0)
         periodic = (True, False, True)
-    return Crystal(pos, vel, box, periodic, a, grip_mask)
+    return Crystal(pos, vel, box, periodic, a, side)
 
 
 def _min_image_r2(delta: np.ndarray, box, periodic) -> np.ndarray:
@@ -284,10 +290,6 @@ def total_energy(crystal: Crystal, params: MDParams) -> float:
     return _potential_energy(params, _cutoff_pairs(crystal, params)[3]) + kinetic_energy(crystal)
 
 
-def total_momentum(crystal: Crystal) -> np.ndarray:
-    return crystal.velocities.sum(axis=0)
-
-
 #: what one `integrate` call hands the next: the skin pair list (i, j), the
 #: positions it was built at, and the current forces and potential energy
 PairState = namedtuple("PairState", "i j ref_pos forces potential")
@@ -308,13 +310,10 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     dt = params.dt
     skin = 0.4 * params.lj_sigma
     rmax = params.cutoff + skin
-    grips = crystal.grip_mask
-    if grips.any():
-        top = grips & (crystal.positions[:, 1] > crystal.positions[:, 1].mean())
-        bottom = grips & ~top
-        crystal.velocities[top] = [0.0, grip_speed, 0.0]
-        crystal.velocities[bottom] = [0.0, -grip_speed, 0.0]
-    kick = np.where(grips, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
+    side = crystal.grip_side
+    crystal.velocities[side > 0] = [0.0, grip_speed, 0.0]
+    crystal.velocities[side < 0] = [0.0, -grip_speed, 0.0]
+    kick = np.where(side != 0, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
     per = np.asarray(crystal.periodic)
 
     if state is None:
@@ -340,14 +339,6 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
         if step == n_steps - 1:  # the energy sum only once per call
             potential = _potential_energy(params, pairs[3])
     return PairState(i, j, ref_pos, forces, potential)
-
-
-def integrate_step(crystal: Crystal, params: MDParams,
-                   grip_speed: float = 0.0) -> Crystal:
-    """One velocity-Verlet step on a copy; the input state is untouched."""
-    out = crystal.copy()
-    integrate(out, params, 1, grip_speed=grip_speed)
-    return out
 
 
 #: total-energy drift per atom over one equilibration chunk (NVE: no rescale
@@ -379,14 +370,11 @@ def equilibrate(crystal: Crystal, params: MDParams) -> PairState:
 
 def grip_separation(crystal: Crystal) -> float:
     """Distance between the mean y of the top and bottom grip layers."""
-    y = crystal.positions[:, 1]
-    grips = crystal.grip_mask
-    if not grips.any():
+    side = crystal.grip_side
+    if not side.any():
         raise ParameterError("crystal has no grip layers")
-    mid = y[grips].mean()
-    top = grips & (y > mid)
-    bottom = grips & ~top
-    return float(y[top].mean() - y[bottom].mean())
+    y = crystal.positions[:, 1]
+    return float(y[side > 0].mean() - y[side < 0].mean())
 
 
 def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
@@ -398,11 +386,9 @@ def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
     is a sorted (i, j) list holding every pair inside the cutoff, such as the
     integrator's skin list; without it the pairs are searched here.
     """
-    grips = crystal.grip_mask
-    if not grips.any():
+    if not crystal.grip_side.any():
         raise ParameterError("crystal has no grip layers")
-    y = crystal.positions[:, 1]
-    top = grips & (y > y[grips].mean())
+    top = crystal.grip_side > 0
     free = crystal.free_mask
     i, j, delta, r2 = _cutoff_pairs(crystal, params, pairs)
     f_y = _lj_coeff(params, r2) * delta[1]  # y-force of j on i
@@ -412,8 +398,7 @@ def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
 
 
 def run_tensile(params: MDParams, geometry: tuple[int, int, int],
-                seed: int | None = None, a: float = A0_DEFAULT,
-                grip_planes: int = 3) -> list[DefectRecord]:
+                seed: int = 0) -> list[DefectRecord]:
     """Equilibrate, then strain to target, emitting a record per checkpoint.
 
     Strain is the relative change of grip separation; records land on the
@@ -421,13 +406,11 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     """
     from .cna import cna_labels, defect_concentrations  # local import: cna imports md
 
-    if seed is None:
-        seed = params.seed
     nx, ny, nz = geometry
-    crystal = build_crystal(nx, ny, nz, a=a, temperature=params.temperature,
-                            seed=seed, grip_planes=grip_planes)
+    crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
     state = equilibrate(crystal, params)
     l0 = grip_separation(crystal)
+    a = crystal.lattice_constant
     cna_cutoff = 0.854 * a
 
     def record(strain: float) -> DefectRecord:

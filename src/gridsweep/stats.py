@@ -1,9 +1,9 @@
 """Ensemble statistics for scalar observables.
 
-ECDF evaluation, normal and two-parameter Weibull maximum-likelihood fits,
-one-sample Kolmogorov-Smirnov tests (asymptotic and parametric-bootstrap
-p-values), central-moment summaries with Pearson-plane coordinates
-(beta1, beta2) = (skewness^2, kurtosis), and bootstrap moment clouds.
+Normal and two-parameter Weibull maximum-likelihood fits, one-sample
+Kolmogorov-Smirnov tests (asymptotic and parametric-bootstrap p-values),
+central-moment summaries with Pearson-plane coordinates (beta1, beta2) =
+(skewness^2, kurtosis), and bootstrap moment clouds.
 
 Conventions, fixed here once: population (divide-by-n) central moments;
 non-excess kurtosis (a normal law sits at beta2 = 3); the Weibull family
@@ -119,17 +119,6 @@ class BootstrapCloud:
     n_redrawn: int = 0
 
 
-# --- ECDF ----------------------------------------------------------------
-
-
-def ecdf_eval(sample, x: float) -> float:
-    """Fraction of sample values <= x (right-continuous step function)."""
-    v = _as_values(sample)
-    if v.size == 0:
-        raise ParameterError("ecdf of an empty sample is undefined")
-    return float(np.count_nonzero(v <= x)) / v.size
-
-
 # --- fits ----------------------------------------------------------------
 
 
@@ -223,17 +212,6 @@ def fit_weibull(sample) -> FitResult:
         - ((v / lam) ** k).sum()
     )
     return FitResult("weibull", (float(k), lam), loglik, converged)
-
-
-def weibull_log_likelihood(sample, k: float, lam: float) -> float:
-    """Log-likelihood of a sample under Weibull(k, lam); oracle helper."""
-    v = _as_values(sample)
-    if np.any(v <= 0) or k <= 0 or lam <= 0:
-        raise DomainError("positive values and parameters required")
-    n = v.size
-    return float(
-        n * math.log(k) - n * k * math.log(lam) + (k - 1) * np.log(v).sum() - ((v / lam) ** k).sum()
-    )
 
 
 # --- Kolmogorov-Smirnov --------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .md import DefectRecord, MDParams, run_tensile
 from .outputs import staged_outputs, write_csv
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
-LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s", "cpu_time_s"]
+LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s", "cpu_time_s", "error"]
 LEDGER_SUMMARY_HEADER = ["n_jobs", "n_ok", "n_failed"]
 REPORT_CSV_HEADER = ["label", "family", "param1", "param2", "loglik", "ks_d", "ks_p", "mode"]
 CLOUD_CSV_HEADER = ["beta1", "beta2"]
@@ -39,14 +39,19 @@ VERDICT_CSV_HEADER = ["strain", "observable", "n", "verdict", "p_normal", "p_wei
 
 OBSERVABLES = ("c_hcp", "c_unk", "sigma_top")
 
+#: the verdict compares the KS p-values of this mode: larger p wins, except
+#: that two p-values both above P_FLOOR and within a factor TIE_FACTOR of
+#: each other are called indistinguishable
+VERDICT_MODE = "parametric_bootstrap"
+P_FLOOR = 0.05
+TIE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     nx: int = 4
     ny: int = 6
     nz: int = 4
-    strain_rate: float = 0.1
-    target_strain: float = 0.20
     n_realizations: int = 100
     base_seed: int = 0
     parallelism: int = 4
@@ -62,10 +67,6 @@ class SweepSpec:
     def job_seed(self, i: int) -> int:
         return self.base_seed + i
 
-    def md_params(self) -> MDParams:
-        return replace(self.md, strain_rate=self.strain_rate,
-                       target_strain=self.target_strain)
-
 
 @dataclass(frozen=True)
 class JobResult:
@@ -76,7 +77,7 @@ class JobResult:
     cpu_time_s: float
     start_s: float  # since the sweep's start, on the monotonic clock all workers share
     pid: int  # the worker process that ran the job
-    error: str = ""
+    error: str = ""  # "<exception type>: <message>" of a failed job
 
 
 @dataclass
@@ -109,7 +110,7 @@ def _run_one(spec: SweepSpec, t_origin: float, job_id: int) -> JobResult:
     seed = spec.job_seed(job_id)
     t0, cpu0 = time.perf_counter(), time.process_time()
     try:
-        records = run_tensile(spec.md_params(), (spec.nx, spec.ny, spec.nz), seed=seed)
+        records = run_tensile(spec.md, (spec.nx, spec.ny, spec.nz), seed=seed)
         write_records_csv(records, job_csv_path(spec.output_dir, job_id))
         status, error = "ok", ""
     except Exception as exc:  # any job failure is recorded; BaseExceptions propagate
@@ -124,7 +125,7 @@ def _job_trace(spec: SweepSpec, jobs: list[JobResult]) -> gridsim.SimTrace:
     Each job is dispatched and completed on ``host_id`` = its worker process,
     the workers numbered in the order of their first job.
     """
-    name = f"S={spec.nx}x{spec.ny}x{spec.nz},V={spec.strain_rate:g}"
+    name = f"S={spec.nx}x{spec.ny}x{spec.nz},V={spec.md.strain_rate:g}"
     slots: dict[int, int] = {}
     events = []
     for r in sorted(jobs, key=lambda r: r.start_s):
@@ -162,8 +163,8 @@ def write_ledger(ledger: SweepLedger, output_dir) -> None:
     n_ok = sum(1 for r in ledger.jobs if r.status == "ok")
     with staged_outputs() as stage:
         write_csv(stage(out / "ledger.csv"), LEDGER_CSV_HEADER,
-                  ([r.job_id, r.seed, r.status, repr(r.wall_time_s), repr(r.cpu_time_s)]
-                   for r in ledger.jobs))
+                  ([r.job_id, r.seed, r.status, repr(r.wall_time_s), repr(r.cpu_time_s),
+                    r.error] for r in ledger.jobs))
         write_csv(stage(out / "ledger_summary.csv"), LEDGER_SUMMARY_HEADER,
                   [[len(ledger.jobs), n_ok, len(ledger.jobs) - n_ok]])
         gridsim.write_trace_csvs(ledger.trace, stage, out)
@@ -214,15 +215,10 @@ def collect_observable(input_dir, strain: float, observable: str,
     return st.Sample(np.asarray(values), label=f"{observable}@eps={strain}")
 
 
-def classify_sample(sample: st.Sample, seed: int = 0, n_resamples: int = 999,
-                    p_floor: float = 0.05, tie_factor: float = 2.0,
-                    mode: str = "parametric_bootstrap") -> AnalysisResult:
-    """Fit both families, KS-test in both modes, and pick a verdict.
-
-    The verdict compares the requested mode's p-values: larger p wins,
-    except that two p-values both above ``p_floor`` and within a factor
-    ``tie_factor`` of each other are called indistinguishable.
-    """
+def classify_sample(sample: st.Sample, seed: int = 0,
+                    n_resamples: int = 999) -> AnalysisResult:
+    """Fit both families, KS-test in both modes, and pick a verdict (see
+    VERDICT_MODE); a constant sample is 'degenerate' and gets no fits."""
     res = AnalysisResult(sample=sample, strain=math.nan, observable=sample.label,
                          verdict="degenerate")
     v = sample.values
@@ -242,8 +238,8 @@ def classify_sample(sample: st.Sample, seed: int = 0, n_resamples: int = 999,
     res.moments = st.moment_summary(v)
     res.cloud = st.bootstrap_cloud(v, n_resamples=1000, seed=seed)
 
-    p_n = res.ks.get(("normal", mode))
-    p_w = res.ks.get(("weibull", mode))
+    p_n = res.ks.get(("normal", VERDICT_MODE))
+    p_w = res.ks.get(("weibull", VERDICT_MODE))
     if p_w is None and p_n is None:
         res.verdict = "degenerate"
     elif p_w is None:
@@ -252,7 +248,7 @@ def classify_sample(sample: st.Sample, seed: int = 0, n_resamples: int = 999,
         res.verdict = "weibull"
     else:
         pn, pw = p_n.p_value, p_w.p_value
-        if pn > p_floor and pw > p_floor and max(pn, pw) <= tie_factor * min(pn, pw):
+        if pn > P_FLOOR and pw > P_FLOOR and max(pn, pw) <= TIE_FACTOR * min(pn, pw):
             res.verdict = "indistinguishable"
         else:
             res.verdict = "normal" if pn > pw else "weibull"
@@ -263,13 +259,9 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
                      seed: int = 0, n_resamples: int = 999) -> AnalysisResult:
     """Full ensemble analysis; writes report/cloud/QQ/verdict CSVs atomically."""
     sample = collect_observable(input_dir, strain, observable)
-    if sample.values.max() == sample.values.min():
-        res = AnalysisResult(sample=sample, strain=strain, observable=observable,
-                             verdict="degenerate")
-    else:
-        res = classify_sample(sample, seed=seed, n_resamples=n_resamples)
-        res.strain = strain
-        res.observable = observable
+    res = classify_sample(sample, seed=seed, n_resamples=n_resamples)
+    res.strain = strain
+    res.observable = observable
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,10 +280,10 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
                 write_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
                           ([repr(float(tq)), repr(float(eq))]
                            for tq, eq in st.qq_points(sample.values, fit)))
-        kn = res.ks.get(("normal", "parametric_bootstrap"))
-        kw = res.ks.get(("weibull", "parametric_bootstrap"))
+        kn = res.ks.get(("normal", VERDICT_MODE))
+        kw = res.ks.get(("weibull", VERDICT_MODE))
         write_csv(stage(out / "verdict.csv"), VERDICT_CSV_HEADER,
                   [[repr(strain), observable, sample.values.size, res.verdict,
                     repr(kn.p_value) if kn else "", repr(kw.p_value) if kw else "",
-                    "parametric_bootstrap"]])
+                    VERDICT_MODE]])
     return res

@@ -13,6 +13,9 @@ the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
 trace rescans (one pass over the events for each task's window, one more
 for its regimes, and a scan of the completion times per regime rate) that
 ``gridsim``'s one-pass accounting must reproduce exactly.
+``hcp_positions`` builds the ideal HCP lattice the CNA must label all HCP,
+and ``weibull_log_likelihood`` is the closed-form likelihood a Weibull fit
+must maximise.
 """
 
 import math
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from gridsweep.cna import FCC, HCP, UNK
-from gridsweep.errors import BlowUpError, ParameterError
+from gridsweep.errors import BlowUpError, DomainError, ParameterError
 from gridsweep.gridsim import COMPLETE, DISPATCH, HOST_DOWN, RegimeSegmentation, SpeedupRow
 from gridsweep.md import _lj_coeff, _potential_energy, neighbor_pairs
 
@@ -43,6 +46,26 @@ def dense_pairs(positions, box, periodic, rmax):
     iu, ju = np.triu_indices(len(positions), k=1)
     close = dense_table(positions, box, periodic, rmax)[iu, ju]
     return iu[close], ju[close]
+
+
+def hcp_positions(nx, ny, nz, a=1.0):
+    """Ideal HCP block (c/a = sqrt(8/3)) in an orthorhombic cell; returns
+    (positions, box) suitable for a fully periodic CNA check."""
+    if min(nx, ny, nz) < 2:
+        raise ParameterError("nx, ny, nz must all be >= 2")
+    c = a * math.sqrt(8.0 / 3.0)
+    cell = np.array([a, a * math.sqrt(3.0), c])
+    basis = np.array([
+        [0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.0],
+        [0.5, 5.0 / 6.0, 0.5],
+        [0.0, 1.0 / 3.0, 0.5],
+    ])
+    cells = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
+                                 indexing="ij"), axis=-1).reshape(-1, 3)
+    pos = (cells[:, None, :] + basis[None, :, :]).reshape(-1, 3) * cell
+    box = cell * np.array([nx, ny, nz])
+    return pos, box
 
 
 def _longest_chain(nodes, adj):
@@ -268,4 +291,15 @@ def oracle_segment_regimes(trace, task_name):
         rate_final=rate(t_active_end, end),
         max_inflight=max_inflight,
         degenerate=degenerate,
+    )
+
+
+def weibull_log_likelihood(sample, k, lam):
+    """Log-likelihood of a sample under Weibull(k, lam)."""
+    v = np.asarray(sample, dtype=float)
+    if np.any(v <= 0) or k <= 0 or lam <= 0:
+        raise DomainError("positive values and parameters required")
+    n = v.size
+    return float(
+        n * math.log(k) - n * k * math.log(lam) + (k - 1) * np.log(v).sum() - ((v / lam) ** k).sum()
     )

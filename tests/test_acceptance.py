@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import hcp_positions
 
 from gridsweep.cli import EXIT_OK, main
 from gridsweep.cna import FCC, HCP, cna_labels
@@ -15,15 +16,9 @@ from gridsweep.gridsim import (
     TaskSpec,
     run_scenario,
     segment_regimes,
-    task_speedup,
-    total_speedup,
+    speedup_table,
 )
-from gridsweep.hosts import (
-    HostPopulation,
-    HostSpec,
-    default_registered_params,
-    sample_hosts,
-)
+from gridsweep.hosts import PRESETS, HostPopulation, HostSpec, sample_hosts
 from gridsweep.md import (
     DefectRecord,
     MDParams,
@@ -31,7 +26,6 @@ from gridsweep.md import (
     fcc_positions,
     integrate,
     total_energy,
-    total_momentum,
 )
 from gridsweep.scenario import parse_scenario
 from gridsweep.stats import (
@@ -67,7 +61,7 @@ def ideal_pop(n):
 
 def test_criterion_1_host_calibration():
     t0 = time.perf_counter()
-    params = default_registered_params()
+    params = PRESETS["registered"]
     pop = sample_hosts(params)
     g = pop.attribute("gflops")
     cpu_mean = float(np.mean([h.n_cpus for h in pop.hosts]))
@@ -83,7 +77,7 @@ def test_criterion_1_host_calibration():
 
 def test_criterion_2_lognormal_signature():
     t0 = time.perf_counter()
-    params = default_registered_params()
+    params = PRESETS["registered"]
     rng = np.random.default_rng(params.seed)
     skews = []
     for logmu, logsigma in ((params.cpu_logmu, params.cpu_logsigma),
@@ -105,8 +99,8 @@ def test_criterion_3_pool_scenario_properties():
                          policy=scn.policy, ref=scn.ref)
     shared = [t.name for t in scn.tasks if t.mode == "shared"]
     dedicated = [t.name for t in scn.tasks if t.mode == "dedicated"]
-    sp = {name: task_speedup(trace, name) for name in shared + dedicated}
-    total = total_speedup(trace)
+    sp = {r.name: r.speedup for r in speedup_table(trace)}
+    total = sp["TOTAL"]
     a = all(sp[d] > max(sp[s] for s in shared) for d in dedicated)
     b = 20.0 <= total <= 60.0
     c = True
@@ -125,7 +119,7 @@ def test_criterion_4_ideal_speedup():
     worst = 0.0
     for n in range(1, 33):
         trace = run_scenario([TaskSpec("t", 3600.0, n)], ideal_pop(n))
-        worst = max(worst, abs(task_speedup(trace, "t") - n))
+        worst = max(worst, abs(speedup_table(trace)[0].speedup - n))
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 and dt < 5.0
     report(4, ok, f"max |speedup - N| = {worst:.2e} over N=1..32, {dt:.1f} s")
@@ -138,7 +132,7 @@ def test_criterion_5_nve_conservation():
     e0 = total_energy(crystal, params)
     integrate(crystal, params, 1000)
     rel = abs((total_energy(crystal, params) - e0) / e0)
-    drift = float(np.linalg.norm(total_momentum(crystal)))
+    drift = float(np.linalg.norm(crystal.velocities.sum(axis=0)))
     dt = time.perf_counter() - t0
     ok = rel < 1e-4 and drift < 1e-10 and dt < 30.0
     report(5, ok, f"|dE/E0| = {rel:.2e}, |P| = {drift:.2e}, {dt:.1f} s")
@@ -150,7 +144,6 @@ def test_criterion_6_cna_correctness():
     fcc_ok = (cna_labels(fcc, np.array([4.0] * 3), (True,) * 3, 0.854)
               == FCC).all()
 
-    from gridsweep.cna import hcp_positions
     hcp, box = hcp_positions(4, 3, 3)
     hcp_ok = (cna_labels(hcp, box, (True,) * 3,
                          0.854 * math.sqrt(2.0)) == HCP).all()

@@ -16,6 +16,12 @@ TABLE2 = Path(__file__).resolve().parents[1] / "scenarios" / "table2.scenario"
 DATA = Path(__file__).parent / "data"
 #: sha256 of trace.csv from `sim run --scenario scenarios/table2.scenario`
 TABLE2_TRACE_SHA256 = "f6009efc5f68e9cb10989334ec79d49cf2f511004caad9efdb3205deb9b13711"
+#: sha256 of `hosts sample --preset NAME` at seed 0, recorded when each preset
+#: was built by its own function, so the hosts.PRESETS table cannot drift
+PRESET_POPULATION_SHA256 = {
+    "pool": "664ce4bec9f8a6ec43729424d64ce96824153b33f5035dd68ff6c1781ed0a805",
+    "registered": "4a9a792b1e0cbd2ccfef585540e899268a4aba7e3753e483a11c6bb5bc4593df",
+}
 
 
 def ideal_pop_csv(path, gflops=2.514, n_hosts=1):
@@ -44,6 +50,13 @@ def test_hosts_sample_is_byte_deterministic(tmp_path):
     main(["hosts", "sample", "--preset", "pool", "--n", "50", "--seed", "4",
           "--out", str(c)])
     assert c.read_bytes() != a.read_bytes()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_POPULATION_SHA256))
+def test_hosts_sample_preset_matches_golden_bytes(tmp_path, preset):
+    out = tmp_path / "pop.csv"
+    assert main(["hosts", "sample", "--preset", preset, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_POPULATION_SHA256[preset]
 
 
 def test_hosts_summary_stdout_and_file(tmp_path, capsys):

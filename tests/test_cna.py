@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
-from oracles import bond_signature, dense_table, oracle_cna_labels
+from oracles import bond_signature, dense_table, hcp_positions, oracle_cna_labels
 from scipy.spatial.transform import Rotation
 
 from gridsweep.cna import (
@@ -16,8 +16,6 @@ from gridsweep.cna import (
     cna_labels,
     defect_concentrations,
     defect_counts,
-    hcp_positions,
-    label_crystal,
 )
 from gridsweep.errors import ParameterError
 from gridsweep.md import build_crystal, fcc_positions, neighbor_pairs
@@ -103,7 +101,9 @@ def test_labels_are_rotation_and_translation_invariant():
 
 def test_label_crystal_default_cutoff_sees_perfect_lattice():
     crystal = build_crystal(4, 4, 4, temperature=0.0)
-    conc = defect_concentrations(label_crystal(crystal), crystal.grip_mask)
+    labels = cna_labels(crystal.positions, crystal.box, crystal.periodic,
+                        0.854 * crystal.lattice_constant)
+    conc = defect_concentrations(labels, crystal.grip_mask)
     assert conc == (1.0, 0.0, 0.0)
 
 

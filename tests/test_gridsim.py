@@ -27,8 +27,6 @@ from gridsweep.gridsim import (
     scaled_runtime,
     segment_regimes,
     speedup_table,
-    task_speedup,
-    total_speedup,
     write_regimes_csv,
     write_speedup_csv,
     write_trace_csv,
@@ -47,9 +45,14 @@ def pop_of(hosts):
     return HostPopulation(hosts=hosts, params=None)
 
 
+def row(trace, name):
+    """The speedup_table row of a task, or of 'Subtotal' or 'TOTAL'."""
+    return next(r for r in speedup_table(trace) if r.name == name)
+
+
 def makespan(trace, name):
-    """T_dg of one task: its window, read off its speedup_table row."""
-    return next(r.t_dg_s for r in speedup_table(trace) if r.name == name)
+    """T_dg of one task: its window."""
+    return row(trace, name).t_dg_s
 
 
 # --- runtime scaling -----------------------------------------------------
@@ -84,7 +87,7 @@ def test_single_job_single_host():
     assert [(e.time, e.kind) for e in trace.events] == [(0.0, DISPATCH),
                                                         (3600.0, COMPLETE)]
     assert makespan(trace, "t") == 3600.0
-    assert abs(task_speedup(trace, "t") - 1.0) < 1e-9
+    assert abs(row(trace, "t").speedup - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 8, 32])
@@ -94,7 +97,7 @@ def test_n_ideal_hosts_give_speedup_n(n):
     completes = [e for e in trace.events if e.kind == COMPLETE]
     assert len(completes) == n
     assert all(e.time == 3600.0 for e in completes)
-    assert task_speedup(trace, "t") == n
+    assert row(trace, "t").speedup == n
 
 
 def test_multi_cpu_host_runs_jobs_concurrently():
@@ -105,8 +108,6 @@ def test_multi_cpu_host_runs_jobs_concurrently():
 
 def test_incomplete_task_queries_raise():
     trace = run_scenario([TaskSpec("t", 3600, 1)], pop_of([ideal_host(0)]))
-    with pytest.raises(ParameterError, match="unknown task 'missing'"):
-        task_speedup(trace, "missing")
     with pytest.raises(ParameterError, match="unknown task 'missing'"):
         segment_regimes(trace, "missing")
 
@@ -254,7 +255,7 @@ def test_speedup_bound():
     trace = run_scenario(tasks, pop_of(hosts))
     slots = sum(h.n_cpus for h in hosts)
     bound = min(slots, 25) * max(h.gflops for h in hosts) / REF.gflops
-    assert task_speedup(trace, "a") <= bound + 1e-9
+    assert row(trace, "a").speedup <= bound + 1e-9
 
 
 def test_determinism_and_seed_sensitivity():
@@ -380,7 +381,7 @@ def test_total_speedup_uses_subtotal_convention(tmp_path):
     shared_dg = max(makespan(trace, "a"), makespan(trace, "b"))
     total_dg = shared_dg + makespan(trace, "d")
     total_seq = sum(t.n_jobs * t.t_job_ref_s for t in tasks)
-    assert total_speedup(trace) == pytest.approx(total_seq / total_dg)
+    assert row(trace, "TOTAL").speedup == pytest.approx(total_seq / total_dg)
     write_speedup_csv(trace, tmp_path / "speedup.csv")
     last = (tmp_path / "speedup.csv").read_text().splitlines()[-1].split(",")
     assert last[0] == "TOTAL"

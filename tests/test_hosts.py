@@ -1,7 +1,7 @@
 """Host population sampling, summaries, calibration, and file round trips."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,18 +11,16 @@ from hypothesis import strategies as st_h
 from gridsweep.errors import ParameterError, ScenarioParseError
 from gridsweep.hosts import (
     CPU_STEPS,
+    PRESETS,
     HostSpec,
     PopulationParams,
     calibrate_lognormal,
-    default_registered_params,
-    default_worker_pool_params,
     gibrat_trajectory,
     population_summary,
     read_params_file,
     read_population_csv,
     sample_hosts,
     snap_cpus,
-    write_params_file,
     write_population_csv,
 )
 
@@ -114,14 +112,14 @@ def test_gflops_floor_and_cpu_grid_always_hold():
 
 
 def test_registered_fleet_mean_gflops():
-    pop = sample_hosts(default_registered_params())
+    pop = sample_hosts(PRESETS["registered"])
     mean = pop.attribute("gflops").mean()
     # three standard errors of the n=4161 sample
     assert abs(mean - 2.25) < 3 * 0.76 / math.sqrt(4161)
 
 
 def test_worker_pool_summary_matches_published_band():
-    pop = sample_hosts(default_worker_pool_params())
+    pop = sample_hosts(PRESETS["pool"])
     summary = population_summary(pop)
     assert summary.count == 189
     assert 2.0 <= summary.attributes["gflops"].mean <= 2.6
@@ -221,7 +219,7 @@ def test_calibration_search_hits_unsnapped_targets():
 
 def test_frozen_registered_cpu_constants_match_search():
     mu, sig = calibrate_lognormal(4.30, 4.95, snap=True)
-    params = default_registered_params()
+    params = PRESETS["registered"]
     draws = snap_cpus(np.random.default_rng(1).lognormal(mu, sig, size=50_000))
     frozen = snap_cpus(np.random.default_rng(1).lognormal(
         params.cpu_logmu, params.cpu_logsigma, size=50_000))
@@ -231,7 +229,7 @@ def test_frozen_registered_cpu_constants_match_search():
 
 
 def test_frozen_pool_cpu_constants_reproduce_moments():
-    params = default_worker_pool_params()
+    params = PRESETS["pool"]
     draws = snap_cpus(np.random.default_rng(2).lognormal(
         params.cpu_logmu, params.cpu_logsigma, size=50_000))
     assert abs(draws.mean() - 6.7) < 0.15 * 6.7
@@ -255,9 +253,10 @@ def test_population_csv_round_trip(tmp_path):
 
 
 def test_params_file_round_trip(tmp_path):
-    params = default_worker_pool_params(seed=11)
+    params = replace(PRESETS["pool"], seed=11)
     path = tmp_path / "pool.params"
-    write_params_file(params, path)
+    path.write_text("".join(f"{f.name} = {getattr(params, f.name)}\n"
+                            for f in fields(params)))
     assert read_params_file(path) == params
 
 

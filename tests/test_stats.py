@@ -7,13 +7,13 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
+from oracles import weibull_log_likelihood
 
 from gridsweep.errors import DegenerateSampleError, DomainError, ParameterError
 from gridsweep.stats import (
     FitResult,
     Sample,
     bootstrap_cloud,
-    ecdf_eval,
     fit_normal,
     fit_weibull,
     kolmogorov_sf,
@@ -22,28 +22,11 @@ from gridsweep.stats import (
     moment_summary,
     qq_points,
     weibull_locus,
-    weibull_log_likelihood,
 )
 
 
 def std_normal_fit():
     return FitResult("normal", (0.0, 1.0), 0.0, True)
-
-
-# --- ECDF ----------------------------------------------------------------
-
-
-def test_ecdf_steps_are_right_continuous():
-    s = Sample(np.array([1.0, 2.0, 3.0]))
-    assert ecdf_eval(s, 0.5) == 0.0
-    assert ecdf_eval(s, 1.0) == pytest.approx(1 / 3)
-    assert ecdf_eval(s, 2.5) == pytest.approx(2 / 3)
-    assert ecdf_eval(s, 3.0) == 1.0
-
-
-def test_ecdf_empty_sample_is_an_error():
-    with pytest.raises(ParameterError):
-        ecdf_eval(np.array([]), 0.0)
 
 
 def test_sample_rejects_non_finite_and_2d():

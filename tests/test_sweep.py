@@ -2,6 +2,7 @@
 
 import csv
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from gridsweep import sweep
 from gridsweep.errors import ParameterError
-from gridsweep.gridsim import TRACE_CSV_HEADER, total_speedup
+from gridsweep.gridsim import TRACE_CSV_HEADER, speedup_table
 from gridsweep.md import DefectRecord, MDParams, run_tensile
 from gridsweep.stats import Sample
 from gridsweep.sweep import (
@@ -24,12 +25,12 @@ from gridsweep.sweep import (
     write_records_csv,
 )
 
-TINY_MD = MDParams(temperature=0.05, equilibration_steps=5)
+TINY_MD = MDParams(temperature=0.05, equilibration_steps=5, strain_rate=0.4,
+                   target_strain=0.02)
 
 
 def tiny_spec(out_dir, n=3, **kw):
-    defaults = dict(nx=2, ny=4, nz=2, strain_rate=0.4, target_strain=0.02,
-                    n_realizations=n, base_seed=10, parallelism=1,
+    defaults = dict(nx=2, ny=4, nz=2, n_realizations=n, base_seed=10, parallelism=1,
                     output_dir=str(out_dir), md=TINY_MD)
     defaults.update(kw)
     return SweepSpec(**defaults)
@@ -55,7 +56,7 @@ def test_tiny_sweep_completes_and_accounts(tmp_path):
     assert (tmp_path / "ledger.csv").exists()
     assert (tmp_path / "ledger_summary.csv").exists()
     # serial pool: estimated sequential time cannot beat the wall clock
-    assert 0.2 < total_speedup(ledger.trace) <= 1.01
+    assert 0.2 < speedup_table(ledger.trace)[-1].speedup <= 1.01
 
 
 def test_oversubscribed_sweep_speedup_is_bounded_by_cores(tmp_path):
@@ -65,7 +66,7 @@ def test_oversubscribed_sweep_speedup_is_bounded_by_cores(tmp_path):
     parallelism = cores + 2
     ledger = sweep_run(tiny_spec(tmp_path, n=2 * parallelism, parallelism=parallelism))
     assert [j.status for j in ledger.jobs] == ["ok"] * (2 * parallelism)
-    assert total_speedup(ledger.trace) <= 1.05 * cores
+    assert speedup_table(ledger.trace)[-1].speedup <= 1.05 * cores
 
 
 def test_sweep_trace_feeds_the_simulator_analysis(tmp_path):
@@ -83,7 +84,8 @@ def test_sweep_trace_feeds_the_simulator_analysis(tmp_path):
     assert [r[0] for r in rows("speedup.csv")[1:]] == ["S=2x4x2,V=0.4", "Subtotal", "TOTAL"]
     regimes = rows("regimes.csv")[1:]
     assert len(regimes) == 1 and int(regimes[0][8]) <= 2
-    assert rows("ledger.csv")[0] == ["job_id", "seed", "status", "wall_time_s", "cpu_time_s"]
+    assert rows("ledger.csv")[0] == ["job_id", "seed", "status", "wall_time_s", "cpu_time_s",
+                                     "error"]
     assert rows("ledger_summary.csv") == [["n_jobs", "n_ok", "n_failed"], ["3", "3", "0"]]
 
 
@@ -99,7 +101,7 @@ def test_sweep_jobs_differ_by_seed_but_rerun_identically(tmp_path):
 
 
 def test_blown_up_jobs_are_recorded_not_fatal(tmp_path):
-    bad_md = MDParams(dt=1.0, temperature=1.0, equilibration_steps=50)
+    bad_md = replace(TINY_MD, dt=1.0, temperature=1.0, equilibration_steps=50)
     ledger = sweep_run(tiny_spec(tmp_path, n=2, md=bad_md))
     assert [j.status for j in ledger.jobs] == ["failed", "failed"]
     assert all(j.error for j in ledger.jobs)
@@ -111,7 +113,7 @@ def test_blown_up_jobs_are_recorded_not_fatal(tmp_path):
 def test_any_job_exception_is_recorded_not_fatal(tmp_path, monkeypatch, parallelism):
     real = sweep.run_tensile
 
-    def out_of_memory_at_seed_11(params, geometry, seed=None):
+    def out_of_memory_at_seed_11(params, geometry, seed=0):
         if seed == 11:
             raise MemoryError("cannot allocate")
         return real(params, geometry, seed=seed)
@@ -123,13 +125,13 @@ def test_any_job_exception_is_recorded_not_fatal(tmp_path, monkeypatch, parallel
     assert ledger.jobs[1].error == "MemoryError: cannot allocate"
     with open(tmp_path / "ledger.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [(r["job_id"], r["status"]) for r in rows] == [
-        ("0", "ok"), ("1", "failed"), ("2", "ok")]
+    assert [(r["job_id"], r["status"], r["error"]) for r in rows] == [
+        ("0", "ok", ""), ("1", "failed", "MemoryError: cannot allocate"), ("2", "ok", "")]
     assert not job_csv_path(tmp_path, 1).exists()
 
 
 def test_interrupt_still_aborts_the_sweep(tmp_path, monkeypatch):
-    def interrupted(params, geometry, seed=None):
+    def interrupted(params, geometry, seed=0):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(sweep, "run_tensile", interrupted)
@@ -146,9 +148,9 @@ def test_default_spec_matches_golden_output(tmp_path):
     sigma_top may move in the last place, because the order of its force
     sum is free.
     """
-    spec = SweepSpec(target_strain=0.03)
+    spec = SweepSpec(md=MDParams(target_strain=0.03))
     path = tmp_path / "job.csv"
-    write_records_csv(run_tensile(spec.md_params(), (spec.nx, spec.ny, spec.nz),
+    write_records_csv(run_tensile(spec.md, (spec.nx, spec.ny, spec.nz),
                                   seed=spec.job_seed(0)), path)
     with open(Path(__file__).parent / "data" / "golden_job_seed0_eps0.03.csv") as fh:
         golden = list(csv.DictReader(fh))

@@ -7,6 +7,16 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gridsweep"
 
+#: public functions that no other package code calls, each kept on purpose
+UNCALLED_BY_DESIGN = {
+    "gridsim.segment_regimes": "one task's regimes, the query form of regimes.csv",
+    "hosts.calibrate_lognormal": "the search that produced the PRESETS log-normal pairs",
+    "hosts.gibrat_trajectory": "the multiplicative growth law behind the log-normal attributes",
+    "md.compute_forces": "forces, energy and closest pair of one configuration",
+    "md.total_energy": "a configuration's total energy, for conservation checks",
+    "stats.weibull_locus": "the Weibull curve on the Pearson (beta1, beta2) plane",
+}
+
 
 def unused_imports(source: str) -> list[str]:
     """Names a module imports (``from __future__`` aside) and never uses."""
@@ -22,6 +32,37 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def uncalled_public_functions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public top-level function that no code of the
+    package refers to outside the function's own body.
+
+    ``sources`` maps module names to source text.  A reference is a bare name
+    in the defining module, a ``from .module import name``, or an attribute
+    ``alias.name`` on a module bound by ``from . import module as alias``.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = set()
+    for mod, tree in trees.items():
+        alias = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .md import run_tensile
+                    used.update((node.module, a.name) for a in node.names)
+                else:  # from . import gridsim, stats as st
+                    alias.update((a.asname or a.name, a.name) for a in node.names)
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add((mod, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in alias):
+                    used.add((alias[node.value.id], node.attr))
+    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and (mod, node.name) not in used)
+
+
 def test_unused_import_scan_sees_unused_names():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from dataclasses import dataclass, field\nnp.take\n@dataclass\nclass A: pass\n")
@@ -32,3 +73,21 @@ def test_unused_import_scan_sees_unused_names():
                                           if p.name != "__init__.py"))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_uncalled_function_scan_sees_every_kind_of_reference():
+    sources = {
+        "a": "def f(): return g()\ndef g(): pass\ndef rec(): return rec()\ndef _p(): pass\n"
+             "def h(): pass\ndef k(): pass\ndef m(): pass\n",
+        "b": "from .a import h\nfrom . import a as mod_a\nx = mod_a.k\ndef m(): pass\n",
+    }
+    # f is never called, rec only by itself, and b.m is not a.m
+    assert uncalled_public_functions(sources) == ["a.f", "a.m", "a.rec", "b.m"]
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    uncalled = uncalled_public_functions(
+        {p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
+    assert [name for name in uncalled if name not in UNCALLED_BY_DESIGN] == []
+    # an entry that gained a caller, or whose function went, leaves the list
+    assert sorted(set(UNCALLED_BY_DESIGN) - set(uncalled)) == []
