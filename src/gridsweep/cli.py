@@ -122,13 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     wp = sub.add_parser("sweep", help="local MD ensemble sweeps")
     wsub = wp.add_subparsers(dest="subcommand", required=True)
     wr = wsub.add_parser("run", help="run a tensile sweep on the local pool")
-    wr.add_argument("--nx", type=int, default=4)
-    wr.add_argument("--ny", type=int, default=6)
-    wr.add_argument("--nz", type=int, default=4)
-    wr.add_argument("--strain-rate", type=float, default=0.1)
-    wr.add_argument("--target-strain", type=float, default=0.20)
-    wr.add_argument("--n-realizations", type=int, default=100)
-    wr.add_argument("--base-seed", type=int, default=0)
+    spec = sweep_mod.SweepSpec()  # every flag but --parallelism defaults to the spec's
+    wr.add_argument("--nx", type=int, default=spec.nx)
+    wr.add_argument("--ny", type=int, default=spec.ny)
+    wr.add_argument("--nz", type=int, default=spec.nz)
+    wr.add_argument("--strain-rate", type=float, default=spec.md.strain_rate)
+    wr.add_argument("--target-strain", type=float, default=spec.md.target_strain)
+    wr.add_argument("--n-realizations", type=int, default=spec.n_realizations)
+    wr.add_argument("--base-seed", type=int, default=spec.base_seed)
     wr.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
     wr.add_argument("--out-dir", required=True)
     wr.set_defaults(func=_cmd_sweep_run)

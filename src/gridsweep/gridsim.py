@@ -65,9 +65,6 @@ class ReferenceHost:
 @dataclass(frozen=True)
 class SimPolicy:
     dispatch_latency_s: float = 0.0
-    #: optional per-job log-normal report delay (seconds); None disables it
-    report_delay_logmu: float | None = None
-    report_delay_logsigma: float = 0.0
     horizon_s: float = 400 * SECONDS_PER_DAY
 
 
@@ -133,15 +130,17 @@ class _Sim:
         self.ref = ref
         self.shared_idx = [i for i, t in enumerate(self.tasks) if t.mode == "shared"]
         self.dedicated_idx = [i for i, t in enumerate(self.tasks) if t.mode == "dedicated"]
-        self.queues = [deque(range(t.n_jobs)) for t in self.tasks]
+        # job ids are global, task-major and stable across the run; each
+        # task's queue holds the ids of its jobs still to hand out
+        self.job_task = [ti for ti, t in enumerate(self.tasks) for _ in range(t.n_jobs)]
+        self.queues = [deque() for _ in self.tasks]
+        for gid, ti in enumerate(self.job_task):
+            self.queues[ti].append(gid)
+        self.attempt = [0] * len(self.job_task)
         self.rr = 0  # round-robin cursor into shared_idx
         self.shared_inflight = 0
-        self.job_attempt = [[0] * t.n_jobs for t in self.tasks]
-        # global job ids: task-major, stable across the run
-        self.gid_base = np.cumsum([0] + [t.n_jobs for t in self.tasks]).tolist()
-        self.total_jobs = sum(t.n_jobs for t in self.tasks)
+        self.total_jobs = len(self.job_task)
         self.completions = 0
-        self.seed = seed
         self.hosts = [
             _HostState(h, np.random.default_rng([seed & 0x7FFFFFFFFFFFFFFF, 1, i]))
             for i, h in enumerate(pop.hosts)
@@ -162,36 +161,35 @@ class _Sim:
     # -- scheduling policy ------------------------------------------------
 
     def _next_job(self):
-        """(task_idx, job_idx) of the next job to hand out, or None."""
+        """Global id of the next job to hand out, or None."""
         ns = len(self.shared_idx)
         for step in range(ns):
             ti = self.shared_idx[(self.rr + step) % ns]
             if self.queues[ti]:
                 self.rr = (self.rr + step + 1) % ns
-                return ti, self.queues[ti].popleft()
+                return self.queues[ti].popleft()
         if self.shared_inflight == 0:
             for ti in self.dedicated_idx:
                 if self.queues[ti]:
-                    return ti, self.queues[ti].popleft()
+                    return self.queues[ti].popleft()
         return None
 
     def _offer_work(self, hi: int, now: float):
         host = self.hosts[hi]
         while host.up and host.free > 0:
-            nxt = self._next_job()
-            if nxt is None:
+            gid = self._next_job()
+            if gid is None:
                 return
-            ti, ji = nxt
-            gid = self.gid_base[ti] + ji
-            attempt = self.job_attempt[ti][ji]
+            task = self.tasks[self.job_task[gid]]
+            attempt = self.attempt[gid]
             host.running[gid] = attempt
             host.free -= 1
-            if self.tasks[ti].mode == "shared":
+            if task.mode == "shared":
                 self.shared_inflight += 1
-            self._record(now, DISPATCH, gid, self.tasks[ti].name, hi)
-            runtime = scaled_runtime(self.tasks[ti], host.spec, self.ref)
+            self._record(now, DISPATCH, gid, task.name, hi)
+            runtime = scaled_runtime(task, host.spec, self.ref)
             finish = now + self.policy.dispatch_latency_s + runtime
-            self._push(finish, "finish", (hi, ti, ji, attempt))
+            self._push(finish, "finish", (hi, gid, attempt))
 
     def _offer_all(self, now: float):
         """Offer queued work to every up host with free slots, in host order.
@@ -203,19 +201,6 @@ class _Sim:
             host = self.hosts[hi]
             if host.up and host.free > 0:
                 self._offer_work(hi, now)
-
-    def _gid_split(self, gid: int) -> tuple[int, int]:
-        for ti in range(len(self.tasks) - 1, -1, -1):
-            if gid >= self.gid_base[ti]:
-                return ti, gid - self.gid_base[ti]
-        raise AssertionError(gid)
-
-    def _report_delay(self, gid: int, attempt: int) -> float:
-        mu = self.policy.report_delay_logmu
-        if mu is None:
-            return 0.0
-        rng = np.random.default_rng([self.seed & 0x7FFFFFFFFFFFFFFF, 2, gid, attempt])
-        return float(rng.lognormal(mu, self.policy.report_delay_logsigma))
 
     # -- event handlers ---------------------------------------------------
 
@@ -232,11 +217,12 @@ class _Sim:
         host = self.hosts[hi]
         host.up = False
         self._record(now, HOST_DOWN, -1, "", hi)
-        # restart-from-zero: requeue everything this host was running
-        for gid in list(host.running):
-            ti, ji = self._gid_split(gid)
-            self.job_attempt[ti][ji] += 1  # invalidates the pending finish
-            self.queues[ti].append(ji)
+        # restart-from-zero: requeue everything this host was running, in
+        # dispatch order (host.running is insertion-ordered)
+        for gid in host.running:
+            ti = self.job_task[gid]
+            self.attempt[gid] += 1  # invalidates the pending finish
+            self.queues[ti].append(gid)
             if self.tasks[ti].mode == "shared":
                 self.shared_inflight -= 1
         requeued = bool(host.running)
@@ -249,20 +235,19 @@ class _Sim:
             self._offer_all(now)
 
     def _handle_finish(self, data, now):
-        hi, ti, ji, attempt = data
-        if self.job_attempt[ti][ji] != attempt:
+        hi, gid, attempt = data
+        if self.attempt[gid] != attempt:
             return  # stale: the host detached mid-run and the job was requeued
         host = self.hosts[hi]
-        gid = self.gid_base[ti] + ji
         del host.running[gid]
         host.free += 1
-        if self.tasks[ti].mode == "shared":
+        task = self.tasks[self.job_task[gid]]
+        if task.mode == "shared":
             self.shared_inflight -= 1
-        self.job_attempt[ti][ji] += 1  # mark done; never requeued again
+        self.attempt[gid] += 1  # mark done; never requeued again
         self.completions += 1
-        self._record(now + self._report_delay(gid, attempt), COMPLETE, gid,
-                     self.tasks[ti].name, hi)
-        gate_opened = (self.tasks[ti].mode == "shared" and self.shared_inflight == 0
+        self._record(now, COMPLETE, gid, task.name, hi)
+        gate_opened = (task.mode == "shared" and self.shared_inflight == 0
                        and not any(self.queues[s] for s in self.shared_idx))
         self._offer_work(hi, now)
         if gate_opened:
@@ -311,9 +296,6 @@ class _Sim:
                 self._handle_host_down(data, now)
             else:
                 self._handle_finish(data, now)
-
-        # report delays can reorder completions relative to host events
-        self.events.sort(key=lambda e: e.time)
         return SimTrace(events=self.events, tasks=self.tasks)
 
 
@@ -355,8 +337,8 @@ def _accounts(trace: SimTrace) -> dict[str, RegimeSegmentation]:
     A task's window runs from its first dispatch to its last completion.  Its
     initial regime ends when its in-flight job count first reaches its
     maximum, its active regime at its last dispatch, and its final regime at
-    the window's end.  A job leaves flight when it completes (a report delay
-    only shifts the record) or when its host goes down.  Raises
+    the window's end.  A job leaves flight when it completes or when its host
+    goes down, whichever is recorded first.  Raises
     ParameterError if any task did not complete all of its jobs.
     """
     tasks = {t.name: t for t in trace.tasks}

@@ -97,7 +97,6 @@ class HostPopulation:
     """A sampled set of hosts, kept in sampling order."""
 
     hosts: list[HostSpec]
-    params: PopulationParams | None = None
 
     def __len__(self):
         return len(self.hosts)
@@ -169,7 +168,7 @@ def sample_hosts(params: PopulationParams) -> HostPopulation:
         )
         for i in range(n)
     ]
-    return HostPopulation(hosts=hosts, params=params)
+    return HostPopulation(hosts=hosts)
 
 
 def gibrat_trajectory(

@@ -14,7 +14,7 @@ order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
 for bit: r2 adds (x^2 + z^2) + y^2, as numpy's einsum("ij,ij->i") does on
 3-wide rows, and each force bin ax*n + atom sums its pair terms in list order.
 
-The default lattice constant is the 0 K equilibrium spacing of the
+The lattice constant is the 0 K equilibrium spacing of the
 truncated-shifted potential (a ~ 1.5496, slightly tighter than the
 isolated-pair value 2^(1/6) * sqrt(2) because of the attractive second and
 third shells inside the cutoff).  A perfect lattice is force-free by
@@ -33,12 +33,22 @@ import numpy as np
 
 from .errors import BlowUpError, ParameterError
 
-#: default reduced lattice constant: the 0 K equilibrium spacing of the
+#: reduced lattice constant: the 0 K equilibrium spacing of the
 #: truncated-shifted potential (cutoff 2.5), where a gripped slab carries no
 #: stress.  Close to the nearest-neighbour pair minimum 2^(1/6)*sqrt(2); the
 #: longer shells pull the lattice in by ~2.4%.  Physical anchor: 0.4049 nm
 #: for aluminum.
 A0_DEFAULT = 1.5496034240894725
+
+#: LJ truncation radius and Verlet skin, in sigma
+CUTOFF = 2.5
+SKIN = 0.4
+#: strain between two recorded checkpoints
+CHECKPOINT_DSTRAIN = 0.01
+#: equilibration steps between two velocity rescales
+RESCALE_INTERVAL = 10
+#: the truncated-shifted potential is U_LJ(r) - U_LJ(CUTOFF)
+_SHIFT = 4.0 * ((1.0 / CUTOFF) ** 12 - (1.0 / CUTOFF) ** 6)
 
 
 @dataclass
@@ -47,24 +57,15 @@ class MDParams:
     temperature: float = 0.05
     strain_rate: float = 0.1  # lattice spacings per reduced time
     target_strain: float = 0.20
-    checkpoint_dstrain: float = 0.01
-    lj_epsilon: float = 1.0
-    lj_sigma: float = 1.0
-    cutoff: float = 2.5
     equilibration_steps: int = 500
-    rescale_interval: int = 10
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ParameterError("dt must be > 0")
         if not (0 <= self.target_strain <= 1):
             raise ParameterError("target_strain must lie in [0, 1]")
-        if self.cutoff <= self.lj_sigma:
-            raise ParameterError("cutoff must exceed lj_sigma")
         if self.temperature < 0:
             raise ParameterError("temperature must be >= 0")
-        if self.target_strain > 0 and self.checkpoint_dstrain <= 0:
-            raise ParameterError("checkpoint_dstrain must be > 0")
 
 
 @dataclass
@@ -118,21 +119,20 @@ def fcc_positions(nx: int, ny: int, nz: int, a: float = A0_DEFAULT) -> np.ndarra
     return pos
 
 
-def build_crystal(nx: int, ny: int, nz: int, a: float = A0_DEFAULT,
-                  temperature: float = 0.0, seed: int = 0,
+def build_crystal(nx: int, ny: int, nz: int, temperature: float = 0.0, seed: int = 0,
                   grip_planes: int = 3) -> Crystal:
-    """FCC crystal with Maxwell-Boltzmann velocities and zeroed net momentum.
+    """FCC crystal of lattice constant A0_DEFAULT with Maxwell-Boltzmann
+    velocities and zeroed net momentum.
 
     ``grip_planes`` atomic (y) planes at each end are marked as the bottom
     (-1) and top (+1) grips in ``grip_side`` and y becomes an open direction;
     ``grip_planes=0`` gives a fully periodic box (the NVE configuration).
-    At the default cutoff the interaction reaches three (010) planes, so
+    At CUTOFF the interaction reaches three (010) planes, so
     three grip planes fully screen the free region from the slab ends.
     """
     if min(nx, ny, nz) < 2:
         raise ParameterError("nx, ny, nz must all be >= 2")
-    if a <= 0:
-        raise ParameterError("lattice constant must be > 0")
+    a = A0_DEFAULT
     n_planes = 2 * ny  # FCC (010) planes are a/2 apart
     if grip_planes < 0 or 2 * grip_planes >= n_planes:
         raise ParameterError("grip layers would cover the whole crystal")
@@ -229,7 +229,7 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     return np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
 
 
-def _cutoff_pairs(crystal: Crystal, params: MDParams, pairs=None):
+def _cutoff_pairs(crystal: Crystal, pairs=None):
     """(i, j, delta = r_i - r_j min-imaged as (3, m), r2) of the pairs of the
     sorted list ``pairs``, or of a fresh search, inside the cutoff; BlowUpError
     if a listed pair is closer than 0.5 sigma.  On a skin list this gives
@@ -239,46 +239,44 @@ def _cutoff_pairs(crystal: Crystal, params: MDParams, pairs=None):
     sums).  r2 sums x, z, y, as the (m, 3) oracle does (see the module doc)."""
     pos = crystal.positions
     if pairs is None:
-        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
+        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, CUTOFF)
     i, j = pairs
     delta = pos.T.take(i, axis=1) - pos.T.take(j, axis=1)
     r2 = _min_image_r2(delta, crystal.box, crystal.periodic)
-    if r2.size and r2.min() < (0.5 * params.lj_sigma) ** 2:
+    if r2.size and r2.min() < 0.5 ** 2:
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
-    inside = np.flatnonzero(r2 < params.cutoff * params.cutoff)
+    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
     return i.take(inside), j.take(inside), delta.take(inside, axis=1), r2.take(inside)
 
 
-def _lj_coeff(params: MDParams, r2: np.ndarray) -> np.ndarray:
+def _lj_coeff(r2: np.ndarray) -> np.ndarray:
     """Truncated-shifted LJ dU/dr * (1/r) per pair inside the cutoff."""
-    inv_r6 = (params.lj_sigma * params.lj_sigma / r2) ** 3
-    return 24.0 * params.lj_epsilon * (2.0 * inv_r6**2 - inv_r6) / r2
+    inv_r6 = (1.0 / r2) ** 3
+    return 24.0 * (2.0 * inv_r6**2 - inv_r6) / r2
 
 
-def _potential_energy(params: MDParams, r2: np.ndarray) -> float:
+def _potential_energy(r2: np.ndarray) -> float:
     """Truncated-shifted LJ energy summed over pairs inside the cutoff."""
-    eps, sig, rc = params.lj_epsilon, params.lj_sigma, params.cutoff
-    inv_r6 = (sig * sig / r2) ** 3
-    shift = 4.0 * eps * ((sig / rc) ** 12 - (sig / rc) ** 6)
-    return float(np.sum(4.0 * eps * (inv_r6**2 - inv_r6) - shift))
+    inv_r6 = (1.0 / r2) ** 3
+    return float(np.sum(4.0 * (inv_r6**2 - inv_r6) - _SHIFT))
 
 
-def _pair_forces(params: MDParams, n: int, i, j, delta, r2) -> np.ndarray:
+def _pair_forces(n: int, i, j, delta, r2) -> np.ndarray:
     """Forces (n, 3) from cutoff pairs: +f to i and -f to j, so momentum is
     conserved to round-off; one bincount per side over bins ax*n + atom."""
-    fpair = (delta * _lj_coeff(params, r2)).ravel()
+    fpair = (delta * _lj_coeff(r2)).ravel()
     bins = np.arange(0, 3 * n, n)[:, None]
     forces = (np.bincount((i + bins).ravel(), fpair, 3 * n)
               - np.bincount((j + bins).ravel(), fpair, 3 * n))
     return forces.reshape(3, n).T
 
 
-def compute_forces(crystal: Crystal, params: MDParams):
+def compute_forces(crystal: Crystal):
     """Truncated-shifted LJ forces; returns (forces, potential_energy, r2_min)."""
-    i, j, delta, r2 = _cutoff_pairs(crystal, params)
-    forces = _pair_forces(params, crystal.n_atoms, i, j, delta, r2)
-    return forces, _potential_energy(params, r2), float(r2.min()) if r2.size else math.inf
+    i, j, delta, r2 = _cutoff_pairs(crystal)
+    forces = _pair_forces(crystal.n_atoms, i, j, delta, r2)
+    return forces, _potential_energy(r2), float(r2.min()) if r2.size else math.inf
 
 
 def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
@@ -286,8 +284,8 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
     return 0.5 * float(np.sum(v * v))
 
 
-def total_energy(crystal: Crystal, params: MDParams) -> float:
-    return _potential_energy(params, _cutoff_pairs(crystal, params)[3]) + kinetic_energy(crystal)
+def total_energy(crystal: Crystal) -> float:
+    return _potential_energy(_cutoff_pairs(crystal)[3]) + kinetic_energy(crystal)
 
 
 #: what one `integrate` call hands the next: the skin pair list (i, j), the
@@ -308,8 +306,7 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     the skin test fires.  Raises BlowUpError once positions stop being finite.
     """
     dt = params.dt
-    skin = 0.4 * params.lj_sigma
-    rmax = params.cutoff + skin
+    rmax = CUTOFF + SKIN
     side = crystal.grip_side
     crystal.velocities[side > 0] = [0.0, grip_speed, 0.0]
     crystal.velocities[side < 0] = [0.0, -grip_speed, 0.0]
@@ -318,26 +315,25 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
 
     if state is None:
         i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)
-        pairs = _cutoff_pairs(crystal, params, (i, j))
+        pairs = _cutoff_pairs(crystal, (i, j))
         state = PairState(i, j, crystal.positions.copy(),
-                          _pair_forces(params, crystal.n_atoms, *pairs),
-                          _potential_energy(params, pairs[3]))
+                          _pair_forces(crystal.n_atoms, *pairs), _potential_energy(pairs[3]))
     i, j, ref_pos, forces, potential = state
     for step in range(n_steps):
         crystal.velocities += kick * forces
         crystal.positions += dt * crystal.velocities
         crystal.positions[:, per] %= crystal.box[per]
         moved = _min_image_r2((crystal.positions - ref_pos).T, crystal.box, per).max()
-        if not moved <= (0.5 * skin) ** 2:
+        if not moved <= (0.5 * SKIN) ** 2:
             if not math.isfinite(moved):
                 raise BlowUpError("positions are no longer finite; dt too large?")
             i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)
             ref_pos = crystal.positions.copy()
-        pairs = _cutoff_pairs(crystal, params, (i, j))
-        forces = _pair_forces(params, crystal.n_atoms, *pairs)
+        pairs = _cutoff_pairs(crystal, (i, j))
+        forces = _pair_forces(crystal.n_atoms, *pairs)
         crystal.velocities += kick * forces
         if step == n_steps - 1:  # the energy sum only once per call
-            potential = _potential_energy(params, pairs[3])
+            potential = _potential_energy(pairs[3])
     return PairState(i, j, ref_pos, forces, potential)
 
 
@@ -350,7 +346,7 @@ def equilibrate(crystal: Crystal, params: MDParams) -> PairState:
     """Equilibration with periodic velocity rescaling to the target temperature;
     raises BlowUpError when a chunk between rescales drifts by more than
     MAX_CHUNK_DRIFT per atom.  Returns the state for the next `integrate`."""
-    steps, interval = params.equilibration_steps, max(1, params.rescale_interval)
+    steps, interval = params.equilibration_steps, RESCALE_INTERVAL
     state = integrate(crystal, params, 0)
     for done in range(0, steps, interval):
         chunk = min(interval, steps - done)
@@ -377,7 +373,7 @@ def grip_separation(crystal: Crystal) -> float:
     return float(y[side > 0].mean() - y[side < 0].mean())
 
 
-def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
+def grip_stress(crystal: Crystal, pairs=None) -> float:
     """Normal stress at the top grip, tension positive.
 
     Sum of y-forces exerted by free atoms on top-grip atoms, divided by the
@@ -390,8 +386,8 @@ def grip_stress(crystal: Crystal, params: MDParams, pairs=None) -> float:
         raise ParameterError("crystal has no grip layers")
     top = crystal.grip_side > 0
     free = crystal.free_mask
-    i, j, delta, r2 = _cutoff_pairs(crystal, params, pairs)
-    f_y = _lj_coeff(params, r2) * delta[1]  # y-force of j on i
+    i, j, delta, r2 = _cutoff_pairs(crystal, pairs)
+    f_y = _lj_coeff(r2) * delta[1]  # y-force of j on i
     # force of free j on top-grip i, then of free i on top-grip j
     f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
@@ -402,7 +398,8 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     """Equilibrate, then strain to target, emitting a record per checkpoint.
 
     Strain is the relative change of grip separation; records land on the
-    exact checkpoint grid 0, d, 2d, ... target (nearest integration step).
+    exact checkpoint grid 0, d, 2d, ... target (d = CHECKPOINT_DSTRAIN,
+    nearest integration step).
     """
     from .cna import cna_labels, defect_concentrations  # local import: cna imports md
 
@@ -414,13 +411,13 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     cna_cutoff = 0.854 * a
 
     def record(strain: float) -> DefectRecord:
-        # the CNA shell pairs among the cutoff pairs of the current skin list
-        i, j, _, r2 = _cutoff_pairs(crystal, params, (state.i, state.j))
+        # the CNA shell (0.854 a < CUTOFF) among the cutoff pairs of the skin list
+        i, j, _, r2 = _cutoff_pairs(crystal, (state.i, state.j))
         shell = r2 < cna_cutoff * cna_cutoff
         labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, cna_cutoff,
-                            (i[shell], j[shell]) if cna_cutoff <= params.cutoff else None)
+                            (i[shell], j[shell]))
         return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
-                            sigma_top=grip_stress(crystal, params, (i, j)),
+                            sigma_top=grip_stress(crystal, (i, j)),
                             energy=(state.potential + kinetic_energy(crystal)) / crystal.n_atoms)
 
     records = [record(0.0)]
@@ -429,10 +426,10 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
 
     grip_speed = 0.5 * params.strain_rate * a  # per grip; separation rate is 2x
     dl_per_step = 2.0 * grip_speed * params.dt
-    n_checkpoints = int(round(params.target_strain / params.checkpoint_dstrain))
+    n_checkpoints = int(round(params.target_strain / CHECKPOINT_DSTRAIN))
     steps_done = 0
     for k in range(1, n_checkpoints + 1):
-        strain_k = k * params.checkpoint_dstrain
+        strain_k = k * CHECKPOINT_DSTRAIN
         steps_target = int(round(strain_k * l0 / dl_per_step))
         state = integrate(crystal, params, steps_target - steps_done,
                           grip_speed=grip_speed, state=state)

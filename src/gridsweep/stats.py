@@ -135,6 +135,8 @@ def fit_normal(sample) -> FitResult:
     _require_varied(v)
     mu = float(v.mean())
     sigma = float(v.std())
+    if sigma == 0.0:  # spread below float resolution
+        raise DegenerateSampleError("sample variance underflows to zero")
     n = v.size
     loglik = -0.5 * n * math.log(2 * math.pi) - n * math.log(sigma) - 0.5 * n
     return FitResult("normal", (mu, sigma), loglik, True)

@@ -7,14 +7,13 @@ T_seq / T_dg table and regime segmentation apply to it unchanged.
 
 The analysis side pools one observable at one strain checkpoint across all
 job files and runs the full statistics chain: normal and Weibull fits, KS
-tests in both p-value modes, moment summary, bootstrap cloud, QQ points,
-and a one-line verdict on which family describes the ensemble.
+tests in both p-value modes, bootstrap cloud, QQ points, and a one-line
+verdict on which family describes the ensemble.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +44,9 @@ OBSERVABLES = ("c_hcp", "c_unk", "sigma_top")
 VERDICT_MODE = "parametric_bootstrap"
 P_FLOOR = 0.05
 TIE_FACTOR = 2.0
+
+#: a job file's row is the checkpoint asked for when its strain is this close
+STRAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,18 +177,13 @@ def write_ledger(ledger: SweepLedger, output_dir) -> None:
 
 @dataclass
 class AnalysisResult:
-    sample: st.Sample
-    strain: float
-    observable: str
     verdict: str  # 'normal' | 'weibull' | 'indistinguishable' | 'degenerate'
     fits: dict[str, st.FitResult] = field(default_factory=dict)
     ks: dict[tuple[str, str], st.KsOutcome] = field(default_factory=dict)
-    moments: st.MomentSummary | None = None
     cloud: st.BootstrapCloud | None = None
 
 
-def collect_observable(input_dir, strain: float, observable: str,
-                       tol: float = 1e-9) -> st.Sample:
+def collect_observable(input_dir, strain: float, observable: str) -> st.Sample:
     """Pool one observable at one strain checkpoint across all job files.
 
     Files are taken in sorted job-id order so the result is independent of
@@ -204,7 +201,7 @@ def collect_observable(input_dir, strain: float, observable: str,
         hit = None
         for row in rows:
             available.add(row["strain"])
-            if abs(row["strain"] - strain) <= tol:
+            if abs(row["strain"] - strain) <= STRAIN_TOL:
                 hit = row
         if hit is not None:
             values.append(hit[observable])
@@ -218,9 +215,9 @@ def collect_observable(input_dir, strain: float, observable: str,
 def classify_sample(sample: st.Sample, seed: int = 0,
                     n_resamples: int = 999) -> AnalysisResult:
     """Fit both families, KS-test in both modes, and pick a verdict (see
-    VERDICT_MODE); a constant sample is 'degenerate' and gets no fits."""
-    res = AnalysisResult(sample=sample, strain=math.nan, observable=sample.label,
-                         verdict="degenerate")
+    VERDICT_MODE); a constant sample, or one whose variance underflows to 0,
+    is 'degenerate' and gets no fits."""
+    res = AnalysisResult(verdict="degenerate")
     v = sample.values
     try:
         fits = {"normal": st.fit_normal(v)}
@@ -235,7 +232,6 @@ def classify_sample(sample: st.Sample, seed: int = 0,
         res.ks[(family, "asymptotic")] = st.ks_test(v, fit, "asymptotic")
         res.ks[(family, "parametric_bootstrap")] = st.ks_test(
             v, fit, "parametric_bootstrap", n_resamples=n_resamples, seed=seed)
-    res.moments = st.moment_summary(v)
     res.cloud = st.bootstrap_cloud(v, n_resamples=1000, seed=seed)
 
     p_n = res.ks.get(("normal", VERDICT_MODE))
@@ -260,8 +256,6 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
     """Full ensemble analysis; writes report/cloud/QQ/verdict CSVs atomically."""
     sample = collect_observable(input_dir, strain, observable)
     res = classify_sample(sample, seed=seed, n_resamples=n_resamples)
-    res.strain = strain
-    res.observable = observable
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

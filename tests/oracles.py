@@ -25,7 +25,7 @@ import numpy as np
 from gridsweep.cna import FCC, HCP, UNK
 from gridsweep.errors import BlowUpError, DomainError, ParameterError
 from gridsweep.gridsim import COMPLETE, DISPATCH, HOST_DOWN, RegimeSegmentation, SpeedupRow
-from gridsweep.md import _lj_coeff, _potential_energy, neighbor_pairs
+from gridsweep.md import CUTOFF, _lj_coeff, _potential_energy, neighbor_pairs
 
 
 def dense_table(positions, box, periodic, cutoff):
@@ -135,25 +135,25 @@ def _min_image(vec, box, periodic):
     return vec
 
 
-def rows_cutoff_pairs(crystal, params, pairs=None):
+def rows_cutoff_pairs(crystal, pairs=None):
     """(i, j, delta as (m, 3), r2) of the listed or searched pairs inside the cutoff."""
     pos = crystal.positions
     if pairs is None:
-        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, params.cutoff)
+        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, CUTOFF)
     i, j = pairs
     delta = np.take(pos, i, axis=0)
     delta -= np.take(pos, j, axis=0)
     _min_image(delta, crystal.box, crystal.periodic)
     r2 = np.einsum("ij,ij->i", delta, delta)
-    if r2.size and r2.min() < (0.5 * params.lj_sigma) ** 2:
+    if r2.size and r2.min() < 0.5 ** 2:
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
-    inside = np.flatnonzero(r2 < params.cutoff * params.cutoff)
+    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
     return i.take(inside), j.take(inside), delta.take(inside, axis=0), r2.take(inside)
 
 
-def rows_pair_forces(params, n, i, j, delta, r2):
-    fpair = _lj_coeff(params, r2)[:, None] * delta
+def rows_pair_forces(n, i, j, delta, r2):
+    fpair = _lj_coeff(r2)[:, None] * delta
     forces = np.empty((n, 3))
     for ax in range(3):
         forces[:, ax] = (np.bincount(i, weights=fpair[:, ax], minlength=n)
@@ -161,19 +161,19 @@ def rows_pair_forces(params, n, i, j, delta, r2):
     return forces
 
 
-def rows_compute_forces(crystal, params):
-    i, j, delta, r2 = rows_cutoff_pairs(crystal, params)
-    forces = rows_pair_forces(params, crystal.n_atoms, i, j, delta, r2)
-    return forces, _potential_energy(params, r2), float(r2.min()) if r2.size else math.inf
+def rows_compute_forces(crystal):
+    i, j, delta, r2 = rows_cutoff_pairs(crystal)
+    forces = rows_pair_forces(crystal.n_atoms, i, j, delta, r2)
+    return forces, _potential_energy(r2), float(r2.min()) if r2.size else math.inf
 
 
-def rows_grip_stress(crystal, params, pairs=None):
+def rows_grip_stress(crystal, pairs=None):
     grips = crystal.grip_mask
     y = crystal.positions[:, 1]
     top = grips & (y > y[grips].mean())
     free = crystal.free_mask
-    i, j, delta, r2 = rows_cutoff_pairs(crystal, params, pairs)
-    f_y = _lj_coeff(params, r2) * delta[:, 1]
+    i, j, delta, r2 = rows_cutoff_pairs(crystal, pairs)
+    f_y = _lj_coeff(r2) * delta[:, 1]
     f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 
@@ -259,7 +259,7 @@ def oracle_segment_regimes(trace, task_name):
                 t_initial_end = e.time
         elif e.kind == COMPLETE and e.task == task_name:
             completion_times.append(e.time)
-            # the slot was freed at finish time; report delay only shifts the record
+            # a completion after its host went down left flight with the host
             running = running_on.get(e.host_id)
             if running and e.job_id in running:
                 running.remove(e.job_id)

@@ -55,8 +55,7 @@ def ideal_pop(n):
     return HostPopulation(
         hosts=[HostSpec(id=i, gflops=ReferenceHost().gflops, n_cpus=1,
                         ram_gb=8, hdd_gb=100, on_rate=0.0, off_rate=0.0)
-               for i in range(n)],
-        params=None)
+               for i in range(n)])
 
 
 def test_criterion_1_host_calibration():
@@ -129,9 +128,9 @@ def test_criterion_5_nve_conservation():
     t0 = time.perf_counter()
     params = MDParams(dt=0.005)
     crystal = build_crystal(4, 4, 4, temperature=0.05, seed=0, grip_planes=0)
-    e0 = total_energy(crystal, params)
+    e0 = total_energy(crystal)
     integrate(crystal, params, 1000)
-    rel = abs((total_energy(crystal, params) - e0) / e0)
+    rel = abs((total_energy(crystal) - e0) / e0)
     drift = float(np.linalg.norm(crystal.velocities.sum(axis=0)))
     dt = time.perf_counter() - t0
     ok = rel < 1e-4 and drift < 1e-10 and dt < 30.0

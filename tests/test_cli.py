@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridsweep import gridsim
-from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from gridsweep import gridsim, sweep as sweep_mod
+from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from gridsweep.hosts import HostPopulation, HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
 from gridsweep.sweep import job_csv_path, write_records_csv
@@ -27,7 +27,7 @@ PRESET_POPULATION_SHA256 = {
 def ideal_pop_csv(path, gflops=2.514, n_hosts=1):
     hosts = [HostSpec(id=i, gflops=gflops, n_cpus=1, ram_gb=8, hdd_gb=100,
                       on_rate=0.0, off_rate=0.0) for i in range(n_hosts)]
-    write_population_csv(HostPopulation(hosts=hosts, params=None), path)
+    write_population_csv(HostPopulation(hosts=hosts), path)
 
 
 def one_task_scenario(path, pop_csv):
@@ -206,6 +206,31 @@ def test_analyze_missing_checkpoint_exits_1(tmp_path):
                  "--observable", "c_unk", "--out-dir", str(out)])
     assert code == EXIT_RUNTIME
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_analyze_underflowing_variance_is_degenerate(tmp_path, capsys):
+    for i, sigma in enumerate((0.0, 1e-170, 0.0)):
+        write_records_csv([DefectRecord(0.0, 1.0, 0.0, 0.0, sigma, -1.0)],
+                          job_csv_path(tmp_path, i))
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--input-dir", str(tmp_path), "--strain", "0.0",
+                 "--observable", "sigma_top", "--out-dir", str(out)])
+    assert code == EXIT_OK
+    assert "verdict: degenerate" in capsys.readouterr().out
+    assert (out / "verdict.csv").read_text().splitlines()[1].split(",")[3] == "degenerate"
+
+
+def test_sweep_run_flag_defaults_are_the_spec_defaults(tmp_path, monkeypatch):
+    built = []
+
+    def capture(spec):
+        built.append(spec)
+        return sweep_mod.SweepLedger([sweep_mod.JobResult(0, 0, "ok", 0.0, 0.0, 0.0, 0)], None)
+
+    monkeypatch.setattr(sweep_mod, "sweep_run", capture)
+    assert main(["sweep", "run", "--out-dir", str(tmp_path)]) == EXIT_OK
+    parallelism = build_parser().parse_args(["sweep", "run", "--out-dir", "x"]).parallelism
+    assert built == [sweep_mod.SweepSpec(output_dir=str(tmp_path), parallelism=parallelism)]
 
 
 def test_unknown_observable_is_a_usage_error(tmp_path):

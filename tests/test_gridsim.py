@@ -42,7 +42,7 @@ def ideal_host(i, gflops=REF.gflops, n_cpus=1, on_rate=0.0, off_rate=0.0):
 
 
 def pop_of(hosts):
-    return HostPopulation(hosts=hosts, params=None)
+    return HostPopulation(hosts=hosts)
 
 
 def row(trace, name):
@@ -300,23 +300,6 @@ def test_shared_tasks_interleave_round_robin():
     assert order == ["a", "b", "a", "b", "a", "b"]
 
 
-def test_report_delay_shifts_records_not_slots():
-    tasks = [TaskSpec("a", 3600, 4)]
-    pop = pop_of([ideal_host(0)])
-    base = run_scenario(tasks, pop, seed=1)
-    delayed = run_scenario(tasks, pop, seed=1,
-                           policy=SimPolicy(report_delay_logmu=5.0,
-                                            report_delay_logsigma=0.5))
-    # records arrive later, but the slot was freed on time: dispatch times equal
-    assert [e.time for e in base.events if e.kind == DISPATCH] == \
-        [e.time for e in delayed.events if e.kind == DISPATCH]
-    assert makespan(delayed, "a") > makespan(base, "a")
-    again = run_scenario(tasks, pop, seed=1,
-                         policy=SimPolicy(report_delay_logmu=5.0,
-                                          report_delay_logsigma=0.5))
-    assert delayed.events == again.events
-
-
 # --- regimes -------------------------------------------------------------
 
 
@@ -391,25 +374,39 @@ def test_total_speedup_uses_subtotal_convention(tmp_path):
 # --- one-pass accounting against the per-task rescans ---------------------
 
 
+def assert_accounts_match_oracle(trace):
+    for t in trace.tasks:
+        assert segment_regimes(trace, t.name) == oracle_segment_regimes(trace, t.name)
+    assert speedup_table(trace) == oracle_speedup_table(trace)
+
+
 @settings(max_examples=60, deadline=None)
 @given(jobs=st_h.lists(st_h.integers(1, 12), min_size=1, max_size=4),
        last_dedicated=st_h.booleans(),
        n_hosts=st_h.integers(2, 12),
        churn=st_h.floats(0.2, 4.0),
-       delays=st_h.booleans(),
        seed=st_h.integers(0, 2**31 - 1))
-def test_one_pass_accounts_match_rescanning_oracle(jobs, last_dedicated, n_hosts, churn,
-                                                   delays, seed):
+def test_one_pass_accounts_match_rescanning_oracle(jobs, last_dedicated, n_hosts, churn, seed):
     tasks = [TaskSpec(f"t{k}", 600.0 * (k + 1), n,
                       mode="dedicated" if last_dedicated and k == len(jobs) - 1 else "shared")
              for k, n in enumerate(jobs)]
     pop = pop_of([ideal_host(i, gflops=1.0 + (i % 5) * 0.8, n_cpus=(1, 2, 4)[i % 3],
                              on_rate=churn, off_rate=churn) for i in range(n_hosts)])
-    policy = SimPolicy(report_delay_logmu=6.0 if delays else None, report_delay_logsigma=1.0)
-    trace = run_scenario(tasks, pop, seed=seed, policy=policy)
-    for t in tasks:
-        assert segment_regimes(trace, t.name) == oracle_segment_regimes(trace, t.name)
-    assert speedup_table(trace) == oracle_speedup_table(trace)
+    assert_accounts_match_oracle(run_scenario(tasks, pop, seed=seed))
+
+
+def test_completion_recorded_after_its_host_went_down_matches_oracle():
+    # job 0 left flight when host 0 went down, so its later completion does
+    # not leave flight again: the dispatch at t=5 is the 3-in-flight peak
+    events = [TraceEvent(t, kind, job, "" if job < 0 else "t", host)
+              for t, kind, job, host in (
+                  (0.0, DISPATCH, 0, 0), (1.0, DISPATCH, 1, 1), (2.0, HOST_DOWN, -1, 0),
+                  (3.0, COMPLETE, 0, 0), (4.0, DISPATCH, 2, 1), (5.0, DISPATCH, 3, 2),
+                  (6.0, COMPLETE, 1, 1), (7.0, COMPLETE, 2, 1), (8.0, COMPLETE, 3, 2))]
+    trace = SimTrace(events, [TaskSpec("t", 1.0, 4)])
+    assert_accounts_match_oracle(trace)
+    r = segment_regimes(trace, "t")
+    assert (r.max_inflight, r.t_initial_end) == (3, 5.0)
 
 
 def test_first_regime_counts_completions_at_the_window_start():

@@ -187,7 +187,7 @@ def _pop_of(gflops_values):
                       on_rate=0.0, off_rate=0.0)
              for i, g in enumerate(gflops_values)]
     from gridsweep.hosts import HostPopulation
-    return HostPopulation(hosts=hosts, params=None)
+    return HostPopulation(hosts=hosts)
 
 
 def test_summary_two_point_closed_form():

@@ -151,35 +151,34 @@ KERNEL_CRYSTALS = {"slab": (4, 6, 4, 3), "bulk": (3, 3, 3, 0), "narrow": (4, 4, 
        seed=hs.integers(0, 2**32 - 1))
 def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed):
     nx, ny, nz, grip_planes = KERNEL_CRYSTALS[kind]
-    params = MDParams()
     crystal = build_crystal(nx, ny, nz, grip_planes=grip_planes)
     # the integrator's skin list, built before the atoms moved
-    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, params.cutoff + 0.4)
+    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, md.CUTOFF + md.SKIN)
     rng = np.random.default_rng(seed)
     crystal.positions += rng.uniform(-jitter, jitter, crystal.positions.shape)
     crystal.positions[:, axis] *= 1.0 + strain
     crystal.box[axis] *= 1.0 + strain
 
-    forces, potential, r2_min = compute_forces(crystal, params)
-    want_forces, want_potential, want_r2_min = rows_compute_forces(crystal, params)
+    forces, potential, r2_min = compute_forces(crystal)
+    want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
     assert np.array_equal(forces, want_forces)
     assert (potential, r2_min) == (want_potential, want_r2_min)
     n = crystal.n_atoms
-    assert np.array_equal(md._pair_forces(params, n, *md._cutoff_pairs(crystal, params, skin)),
-                          rows_pair_forces(params, n, *rows_cutoff_pairs(crystal, params, skin)))
+    assert np.array_equal(md._pair_forces(n, *md._cutoff_pairs(crystal, skin)),
+                          rows_pair_forces(n, *rows_cutoff_pairs(crystal, skin)))
     if grip_planes:
-        assert grip_stress(crystal, params) == rows_grip_stress(crystal, params)
-        assert grip_stress(crystal, params, skin) == rows_grip_stress(crystal, params, skin)
+        assert grip_stress(crystal) == rows_grip_stress(crystal)
+        assert grip_stress(crystal, skin) == rows_grip_stress(crystal, skin)
 
 
 @pytest.mark.parametrize("evaluate", [compute_forces, rows_compute_forces,
-                                      lambda crystal, params: integrate(crystal, params, 0)])
+                                      lambda crystal: integrate(crystal, MDParams(), 0)])
 def test_close_pair_across_a_periodic_face_blows_up(evaluate):
     crystal = build_crystal(4, 4, 4, grip_planes=0)
     # the last atom 0.45 sigma from atom 0 (at the origin), across the x face
     crystal.positions[-1] = (crystal.positions[0] - [0.45, 0.0, 0.0]) % crystal.box
     with pytest.raises(BlowUpError, match="r = 0.45 < 0.5 sigma"):
-        evaluate(crystal, MDParams())
+        evaluate(crystal)
 
 
 # --- integration ---------------------------------------------------------
@@ -243,7 +242,7 @@ def test_checkpoint_record_matches_public_observables():
     def observables(crystal):
         labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, 0.854 * A0_DEFAULT)
         return (*defect_concentrations(labels, crystal.grip_mask),
-                grip_stress(crystal, params), total_energy(crystal, params) / crystal.n_atoms)
+                grip_stress(crystal), total_energy(crystal) / crystal.n_atoms)
 
     crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=4)
     state = equilibrate(crystal, params)
@@ -273,9 +272,9 @@ def test_non_finite_state_raises():
 def test_nve_energy_and_momentum_conservation():
     params = MDParams(dt=0.005)
     crystal = build_crystal(4, 4, 4, temperature=0.05, seed=0, grip_planes=0)
-    e0 = total_energy(crystal, params)
+    e0 = total_energy(crystal)
     integrate(crystal, params, 1000)
-    e1 = total_energy(crystal, params)
+    e1 = total_energy(crystal)
     assert abs((e1 - e0) / e0) < 1e-4
     assert np.linalg.norm(crystal.velocities.sum(axis=0)) < 1e-10
 
@@ -283,7 +282,7 @@ def test_nve_energy_and_momentum_conservation():
 def test_close_pair_blows_up():
     crystal = two_atom_crystal(0.3)
     with pytest.raises(BlowUpError):
-        compute_forces(crystal, MDParams())
+        compute_forces(crystal)
 
 
 def test_params_validation():
@@ -291,8 +290,6 @@ def test_params_validation():
         MDParams(dt=0.0)
     with pytest.raises(ParameterError):
         MDParams(target_strain=1.5)
-    with pytest.raises(ParameterError):
-        MDParams(cutoff=0.5)
 
 
 # --- stress --------------------------------------------------------------
@@ -306,7 +303,7 @@ def stretched(crystal, strain):
     return out
 
 
-def fd_stress_oracle(crystal, params, delta=1e-5):
+def fd_stress_oracle(crystal, delta=1e-5):
     """Central difference of potential energy under a rigid top-grip shift."""
     y = crystal.positions[:, 1]
     top = crystal.grip_mask & (y > y[crystal.grip_mask].mean())
@@ -314,7 +311,7 @@ def fd_stress_oracle(crystal, params, delta=1e-5):
     for sign in (+1.0, -1.0):
         probe = crystal.copy()
         probe.positions[top, 1] += sign * delta
-        _, pe, _ = compute_forces(probe, params)
+        _, pe, _ = compute_forces(probe)
         energies.append(pe)
     dU_dh = (energies[0] - energies[1]) / (2 * delta)
     area = float(crystal.box[0] * crystal.box[2])
@@ -323,16 +320,15 @@ def fd_stress_oracle(crystal, params, delta=1e-5):
 
 def test_unstrained_stress_vanishes():
     crystal = build_crystal(4, 6, 4, temperature=0.0)
-    assert abs(grip_stress(crystal, MDParams())) < 1e-6
+    assert abs(grip_stress(crystal)) < 1e-6
 
 
 @pytest.mark.parametrize("strain,sign", [(0.02, 1), (-0.02, -1)])
 def test_stress_sign_and_energy_derivative(strain, sign):
-    params = MDParams()
     crystal = stretched(build_crystal(4, 6, 4, temperature=0.0), strain)
-    sigma = grip_stress(crystal, params)
+    sigma = grip_stress(crystal)
     assert sign * sigma > 0
-    assert sigma == pytest.approx(fd_stress_oracle(crystal, params), rel=1e-4)
+    assert sigma == pytest.approx(fd_stress_oracle(crystal), rel=1e-4)
 
 
 # --- tensile runs --------------------------------------------------------

@@ -233,9 +233,11 @@ def test_negative_values_skip_the_weibull_fit():
 
 
 def test_constant_sample_is_degenerate():
-    res = classify_sample(Sample(np.full(50, 0.25)))
-    assert res.verdict == "degenerate"
-    assert res.fits == {}
+    # the last two vary, but their population variance underflows to 0
+    for values in (np.full(50, 0.25), [0.0, 1e-170], [1e-300, 2e-300, 3e-300]):
+        res = classify_sample(Sample(np.asarray(values)))
+        assert res.verdict == "degenerate"
+        assert res.fits == {}
 
 
 # --- analyze_ensemble ----------------------------------------------------

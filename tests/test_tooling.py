@@ -14,6 +14,7 @@ UNCALLED_BY_DESIGN = {
     "hosts.gibrat_trajectory": "the multiplicative growth law behind the log-normal attributes",
     "md.compute_forces": "forces, energy and closest pair of one configuration",
     "md.total_energy": "a configuration's total energy, for conservation checks",
+    "stats.moment_summary": "an ensemble's point on the Pearson (beta1, beta2) plane",
     "stats.weibull_locus": "the Weibull curve on the Pearson (beta1, beta2) plane",
 }
 
