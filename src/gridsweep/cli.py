@@ -47,9 +47,8 @@ def _cmd_hosts_sample(args) -> int:
 
 
 def _cmd_hosts_summary(args) -> int:
-    pop = hosts.read_population_csv(args.pop)
-    summary = hosts.population_summary(pop)
-    rows = [[name, repr(a.mean), repr(a.sd), repr(a.min), repr(a.max), a.count]
+    summary = hosts.population_summary(hosts.read_population_csv(args.pop))
+    rows = [[name, repr(a.mean), repr(a.sd), repr(a.min), repr(a.max), summary.count]
             for name, a in summary.attributes.items()]
     if args.out:
         with staged_outputs() as stage:

@@ -24,8 +24,6 @@ FCC = 0
 HCP = 1
 UNK = 2
 
-LABEL_NAMES = {FCC: "FCC", HCP: "HCP", UNK: "UNK"}
-
 
 def cna_labels(positions, box, periodic, cutoff: float, pairs=None) -> np.ndarray:
     """Per-atom labels FCC/HCP/UNK via bond signatures within the cutoff.

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SimulationStallError
-from .hosts import HostPopulation, HostSpec
+from .hosts import HostSpec
 from .outputs import write_csv
 
 DISPATCH = "dispatch"
@@ -107,20 +107,19 @@ def scaled_runtime(task: TaskSpec, host: HostSpec, ref: ReferenceHost = Referenc
 
 
 class _HostState:
-    __slots__ = ("spec", "up", "free", "running", "rng")
+    __slots__ = ("spec", "up", "running", "rng")
 
     def __init__(self, spec: HostSpec, rng: np.random.Generator):
         self.spec = spec
         self.up = False
-        self.free = spec.n_cpus
-        self.running: dict[int, int] = {}  # job gid -> attempt
+        self.running: list[int] = []  # job gids in dispatch order
         self.rng = rng
 
 
 class _Sim:
-    def __init__(self, tasks, pop: HostPopulation, seed, policy: SimPolicy,
+    def __init__(self, tasks, hosts: list[HostSpec], seed, policy: SimPolicy,
                  ref: ReferenceHost):
-        if not pop.hosts:
+        if not hosts:
             raise ParameterError("population must contain at least one host")
         names = [t.name for t in tasks]
         if len(set(names)) != len(names):
@@ -138,12 +137,13 @@ class _Sim:
             self.queues[ti].append(gid)
         self.attempt = [0] * len(self.job_task)
         self.rr = 0  # round-robin cursor into shared_idx
-        self.shared_inflight = 0
-        self.total_jobs = len(self.job_task)
-        self.completions = 0
+        # jobs not yet completed: all of them, and the shared ones, whose
+        # completion opens the dedicated tasks
+        self.jobs_left = len(self.job_task)
+        self.shared_left = sum(self.tasks[ti].n_jobs for ti in self.shared_idx)
         self.hosts = [
             _HostState(h, np.random.default_rng([seed & 0x7FFFFFFFFFFFFFFF, 1, i]))
-            for i, h in enumerate(pop.hosts)
+            for i, h in enumerate(hosts)
         ]
         self.heap: list = []
         self.seq = 0
@@ -158,6 +158,14 @@ class _Sim:
     def _record(self, time, kind, job_gid, task_name, host_id):
         self.events.append(TraceEvent(time, kind, job_gid, task_name, host_id))
 
+    def _schedule_transition(self, hi, now):
+        """Draw when host ``hi`` next leaves its current state, if it ever does."""
+        host = self.hosts[hi]
+        rate = host.spec.off_rate if host.up else host.spec.on_rate
+        if rate > 0:
+            self._push(now + host.rng.exponential(SECONDS_PER_HOUR / rate),
+                       "down" if host.up else "up", hi)
+
     # -- scheduling policy ------------------------------------------------
 
     def _next_job(self):
@@ -168,7 +176,7 @@ class _Sim:
             if self.queues[ti]:
                 self.rr = (self.rr + step + 1) % ns
                 return self.queues[ti].popleft()
-        if self.shared_inflight == 0:
+        if self.shared_left == 0:
             for ti in self.dedicated_idx:
                 if self.queues[ti]:
                     return self.queues[ti].popleft()
@@ -176,41 +184,35 @@ class _Sim:
 
     def _offer_work(self, hi: int, now: float):
         host = self.hosts[hi]
-        while host.up and host.free > 0:
+        while host.up and len(host.running) < host.spec.n_cpus:
             gid = self._next_job()
             if gid is None:
                 return
             task = self.tasks[self.job_task[gid]]
-            attempt = self.attempt[gid]
-            host.running[gid] = attempt
-            host.free -= 1
-            if task.mode == "shared":
-                self.shared_inflight += 1
+            host.running.append(gid)
             self._record(now, DISPATCH, gid, task.name, hi)
             runtime = scaled_runtime(task, host.spec, self.ref)
             finish = now + self.policy.dispatch_latency_s + runtime
-            self._push(finish, "finish", (hi, gid, attempt))
+            self._push(finish, "finish", (hi, gid, self.attempt[gid]))
 
     def _offer_all(self, now: float):
         """Offer queued work to every up host with free slots, in host order.
 
-        Needed whenever work (re)appears outside a host's own event: requeues
-        after a detach, and the shared -> dedicated phase transition.
+        Needed whenever work (re)appears outside a host's own event: the
+        start, requeues after a detach, and the shared -> dedicated phase
+        transition.
         """
         for hi in range(len(self.hosts)):
             host = self.hosts[hi]
-            if host.up and host.free > 0:
+            if host.up and len(host.running) < host.spec.n_cpus:
                 self._offer_work(hi, now)
 
     # -- event handlers ---------------------------------------------------
 
     def _handle_host_up(self, hi, now):
-        host = self.hosts[hi]
-        host.up = True
+        self.hosts[hi].up = True
         self._record(now, HOST_UP, -1, "", hi)
-        off = host.spec.off_rate
-        if off > 0:
-            self._push(now + host.rng.exponential(SECONDS_PER_HOUR / off), "down", hi)
+        self._schedule_transition(hi, now)
         self._offer_work(hi, now)
 
     def _handle_host_down(self, hi, now):
@@ -218,19 +220,13 @@ class _Sim:
         host.up = False
         self._record(now, HOST_DOWN, -1, "", hi)
         # restart-from-zero: requeue everything this host was running, in
-        # dispatch order (host.running is insertion-ordered)
+        # dispatch order
         for gid in host.running:
-            ti = self.job_task[gid]
             self.attempt[gid] += 1  # invalidates the pending finish
-            self.queues[ti].append(gid)
-            if self.tasks[ti].mode == "shared":
-                self.shared_inflight -= 1
+            self.queues[self.job_task[gid]].append(gid)
         requeued = bool(host.running)
         host.running.clear()
-        host.free = host.spec.n_cpus
-        on = host.spec.on_rate
-        if on > 0:
-            self._push(now + host.rng.exponential(SECONDS_PER_HOUR / on), "up", hi)
+        self._schedule_transition(hi, now)
         if requeued:
             self._offer_all(now)
 
@@ -239,18 +235,15 @@ class _Sim:
         if self.attempt[gid] != attempt:
             return  # stale: the host detached mid-run and the job was requeued
         host = self.hosts[hi]
-        del host.running[gid]
-        host.free += 1
+        host.running.remove(gid)
         task = self.tasks[self.job_task[gid]]
-        if task.mode == "shared":
-            self.shared_inflight -= 1
         self.attempt[gid] += 1  # mark done; never requeued again
-        self.completions += 1
+        self.jobs_left -= 1
+        if task.mode == "shared":
+            self.shared_left -= 1
         self._record(now, COMPLETE, gid, task.name, hi)
-        gate_opened = (task.mode == "shared" and self.shared_inflight == 0
-                       and not any(self.queues[s] for s in self.shared_idx))
         self._offer_work(hi, now)
-        if gate_opened:
+        if task.mode == "shared" and self.shared_left == 0:
             self._offer_all(now)  # dedicated work just became eligible everywhere
 
     # -- main loop --------------------------------------------------------
@@ -259,29 +252,13 @@ class _Sim:
         # Hosts begin in the stationary state of their on/off process; being
         # up at t=0 is an initial condition, not a transition, so it leaves
         # no host_up record (an always-up host contributes no host events).
-        initial_up = []
         for hi, host in enumerate(self.hosts):
             on, off = host.spec.on_rate, host.spec.off_rate
-            if off == 0:
-                initial_up.append(hi)
-            elif on == 0:
-                continue  # down forever
-            else:
-                p_up = on / (on + off)
-                if host.rng.random() < p_up:
-                    initial_up.append(hi)
-                else:
-                    self._push(host.rng.exponential(SECONDS_PER_HOUR / on), "up", hi)
-        for hi in initial_up:
-            host = self.hosts[hi]
-            host.up = True
-            off = host.spec.off_rate
-            if off > 0:
-                self._push(host.rng.exponential(SECONDS_PER_HOUR / off), "down", hi)
-        for hi in initial_up:
-            self._offer_work(hi, 0.0)
+            host.up = off == 0 or (on > 0 and host.rng.random() < on / (on + off))
+            self._schedule_transition(hi, 0.0)
+        self._offer_all(0.0)
 
-        while self.completions < self.total_jobs:
+        while self.jobs_left:
             if not self.heap:
                 raise SimulationStallError(
                     "no future events but work is pending (no host ever up?)")
@@ -289,7 +266,7 @@ class _Sim:
             if now > self.policy.horizon_s:
                 raise SimulationStallError(
                     f"simulation passed horizon {self.policy.horizon_s} s with "
-                    f"{self.total_jobs - self.completions} jobs unfinished")
+                    f"{self.jobs_left} jobs unfinished")
             if kind == "up":
                 self._handle_host_up(data, now)
             elif kind == "down":
@@ -299,11 +276,11 @@ class _Sim:
         return SimTrace(events=self.events, tasks=self.tasks)
 
 
-def run_scenario(tasks, pop: HostPopulation, seed: int = 0,
+def run_scenario(tasks, hosts: list[HostSpec], seed: int = 0,
                  policy: SimPolicy = SimPolicy(),
                  ref: ReferenceHost = ReferenceHost()) -> SimTrace:
     """Simulate the full scenario and return its event trace."""
-    return _Sim(tasks, pop, seed, policy, ref).run()
+    return _Sim(tasks, hosts, seed, policy, ref).run()
 
 
 # --- trace analysis ------------------------------------------------------

@@ -92,29 +92,12 @@ class PopulationParams:
             raise ParameterError("churn rates must be >= 0")
 
 
-@dataclass
-class HostPopulation:
-    """A sampled set of hosts, kept in sampling order."""
-
-    hosts: list[HostSpec]
-
-    def __len__(self):
-        return len(self.hosts)
-
-    def __iter__(self):
-        return iter(self.hosts)
-
-    def attribute(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(h, name) for h in self.hosts], dtype=float)
-
-
 @dataclass(frozen=True)
 class AttributeSummary:
     mean: float
     sd: float
     min: float
     max: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -135,7 +118,7 @@ def snap_cpus(values) -> np.ndarray:
     return _CPU_STEP_ARR[idx].astype(int)
 
 
-def sample_hosts(params: PopulationParams) -> HostPopulation:
+def sample_hosts(params: PopulationParams) -> list[HostSpec]:
     """Draw a host population; bit-identical for identical params (incl. seed).
 
     GFLOPs are normal truncated below at ``gflops_floor`` (resampling the
@@ -156,7 +139,7 @@ def sample_hosts(params: PopulationParams) -> HostPopulation:
     ram = rng.lognormal(params.ram_logmu, params.ram_logsigma, size=n)
     hdd = rng.lognormal(params.hdd_logmu, params.hdd_logsigma, size=n)
 
-    hosts = [
+    return [
         HostSpec(
             id=i,
             gflops=float(gflops[i]),
@@ -168,7 +151,6 @@ def sample_hosts(params: PopulationParams) -> HostPopulation:
         )
         for i in range(n)
     ]
-    return HostPopulation(hosts=hosts)
 
 
 def gibrat_trajectory(
@@ -204,23 +186,21 @@ def gibrat_trajectory(
     return path
 
 
-def population_summary(pop: HostPopulation) -> PopulationSummary:
+def population_summary(hosts: list[HostSpec]) -> PopulationSummary:
     """Sample mean/sd/min/max per attribute (population variance: divide by n)."""
-    count = len(pop)
     attrs: dict[str, AttributeSummary] = {}
     for name in SUMMARY_ATTRIBUTES:
-        if count == 0:
-            attrs[name] = AttributeSummary(math.nan, math.nan, math.nan, math.nan, 0)
+        if not hosts:
+            attrs[name] = AttributeSummary(math.nan, math.nan, math.nan, math.nan)
             continue
-        v = pop.attribute(name)
+        v = np.asarray([getattr(h, name) for h in hosts], dtype=float)
         attrs[name] = AttributeSummary(
             mean=float(v.mean()),
             sd=float(v.std()),  # ddof=0
             min=float(v.min()),
             max=float(v.max()),
-            count=count,
         )
-    return PopulationSummary(count=count, attributes=attrs)
+    return PopulationSummary(count=len(hosts), attributes=attrs)
 
 
 def calibrate_lognormal(
@@ -297,13 +277,13 @@ PRESETS = {
 POPULATION_CSV_HEADER = ["id", "gflops", "n_cpus", "ram_gb", "hdd_gb", "on_rate", "off_rate"]
 
 
-def write_population_csv(pop: HostPopulation, path) -> None:
+def write_population_csv(hosts: list[HostSpec], path) -> None:
     write_csv(path, POPULATION_CSV_HEADER,
               ([h.id, repr(h.gflops), h.n_cpus, repr(h.ram_gb), repr(h.hdd_gb),
-                repr(h.on_rate), repr(h.off_rate)] for h in pop.hosts))
+                repr(h.on_rate), repr(h.off_rate)] for h in hosts))
 
 
-def read_population_csv(path) -> HostPopulation:
+def read_population_csv(path) -> list[HostSpec]:
     path = Path(path)
     hosts = []
     with open(path, newline="") as fh:
@@ -328,7 +308,7 @@ def read_population_csv(path) -> HostPopulation:
                 )
             except (ValueError, IndexError, ParameterError) as exc:
                 raise ScenarioParseError(f"{path}:{lineno}: {exc}") from exc
-    return HostPopulation(hosts=hosts)
+    return hosts
 
 
 def read_params_file(path) -> PopulationParams:

@@ -62,6 +62,8 @@ class MDParams:
     def __post_init__(self):
         if self.dt <= 0:
             raise ParameterError("dt must be > 0")
+        if self.strain_rate <= 0:
+            raise ParameterError("strain_rate must be > 0")
         if not (0 <= self.target_strain <= 1):
             raise ParameterError("target_strain must lie in [0, 1]")
         if self.temperature < 0:
@@ -74,7 +76,6 @@ class Crystal:
     velocities: np.ndarray  # (n, 3)
     box: np.ndarray  # (3,) lengths
     periodic: tuple[bool, bool, bool]
-    lattice_constant: float
     grip_side: np.ndarray  # (n,) int8: -1 bottom grip, +1 top grip, 0 free
 
     @property
@@ -92,7 +93,7 @@ class Crystal:
 
     def copy(self) -> "Crystal":
         return Crystal(self.positions.copy(), self.velocities.copy(), self.box.copy(),
-                       self.periodic, self.lattice_constant, self.grip_side.copy())
+                       self.periodic, self.grip_side.copy())
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def build_crystal(nx: int, ny: int, nz: int, temperature: float = 0.0, seed: int
         vel[~free] = 0.0
         vel[free] -= vel[free].mean(axis=0)
         periodic = (True, False, True)
-    return Crystal(pos, vel, box, periodic, a, side)
+    return Crystal(pos, vel, box, periodic, side)
 
 
 def _min_image_r2(delta: np.ndarray, box, periodic) -> np.ndarray:
@@ -407,8 +408,7 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
     state = equilibrate(crystal, params)
     l0 = grip_separation(crystal)
-    a = crystal.lattice_constant
-    cna_cutoff = 0.854 * a
+    cna_cutoff = 0.854 * A0_DEFAULT
 
     def record(strain: float) -> DefectRecord:
         # the CNA shell (0.854 a < CUTOFF) among the cutoff pairs of the skin list
@@ -424,7 +424,7 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     if params.target_strain == 0:
         return records
 
-    grip_speed = 0.5 * params.strain_rate * a  # per grip; separation rate is 2x
+    grip_speed = 0.5 * params.strain_rate * A0_DEFAULT  # per grip; separation rate is 2x
     dl_per_step = 2.0 * grip_speed * params.dt
     n_checkpoints = int(round(params.target_strain / CHECKPOINT_DSTRAIN))
     steps_done = 0

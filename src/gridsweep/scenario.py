@@ -29,13 +29,13 @@ from pathlib import Path
 from . import hosts as hosts_mod
 from .errors import ScenarioParseError
 from .gridsim import ReferenceHost, SimPolicy, TaskSpec, SECONDS_PER_DAY
-from .hosts import HostPopulation
+from .hosts import HostSpec
 
 
 @dataclass
 class Scenario:
     tasks: list[TaskSpec]
-    population: HostPopulation
+    population: list[HostSpec]
     seed: int
     policy: SimPolicy
     ref: ReferenceHost
@@ -77,7 +77,7 @@ def parse_scenario(path) -> Scenario:
     else:
         raise ScenarioParseError(
             f"{path}: [hosts] needs a 'csv', 'params' or 'preset' key")
-    if not pop.hosts:
+    if not pop:
         raise ScenarioParseError(f"{path}: empty host population")
 
     sim = cp["sim"] if "sim" in cp else {}

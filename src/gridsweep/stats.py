@@ -25,25 +25,11 @@ _WEIBULL_TOL = 1e-10
 _WEIBULL_MAX_ITER = 100
 
 
-@dataclass
-class Sample:
-    """A labelled ensemble of scalar observations."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ParameterError("sample values must be one-dimensional")
-        if not np.isfinite(self.values).all():
-            raise ParameterError("sample contains non-finite values")
-
-
 def _as_values(sample) -> np.ndarray:
-    if isinstance(sample, Sample):
-        return sample.values
+    """The sample as a 1-D float array of finite values."""
     v = np.asarray(sample, dtype=float)
+    if v.ndim != 1:
+        raise ParameterError("sample values must be one-dimensional")
     if not np.isfinite(v).all():
         raise ParameterError("sample contains non-finite values")
     return v
@@ -91,8 +77,6 @@ class FitResult:
 class KsOutcome:
     statistic: float
     p_value: float
-    n: int
-    mode: str  # 'asymptotic' | 'parametric_bootstrap'
 
 
 @dataclass(frozen=True)
@@ -114,8 +98,6 @@ class MomentSummary:
 @dataclass
 class BootstrapCloud:
     points: np.ndarray  # (n_resamples, 2) columns beta1, beta2
-    n_resamples: int
-    seed: int
     n_redrawn: int = 0
 
 
@@ -269,9 +251,11 @@ def ks_test(sample, fit: FitResult, mode: str = "asymptotic",
     if mode == "asymptotic":
         lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
         p = kolmogorov_sf(lam)
-        return KsOutcome(d, p, n, "asymptotic")
+        return KsOutcome(d, p)
     if mode != "parametric_bootstrap":
         raise ParameterError(f"unknown ks mode {mode!r}")
+    if n_resamples < 1:
+        raise ParameterError("n_resamples must be >= 1")
 
     fitter = fit_normal if fit.family == "normal" else fit_weibull
     rng = np.random.default_rng(seed)
@@ -288,7 +272,7 @@ def ks_test(sample, fit: FitResult, mode: str = "asymptotic",
         if ks_statistic(resample, refit) >= d:
             exceed += 1
     p = (1.0 + exceed) / (n_resamples + 1.0)
-    return KsOutcome(d, float(p), n, "parametric_bootstrap")
+    return KsOutcome(d, float(p))
 
 
 # --- moments and the Pearson plane --------------------------------------
@@ -363,8 +347,7 @@ def bootstrap_cloud(sample, n_resamples: int, seed: int = 0) -> BootstrapCloud:
         if guard > 1000:
             raise DegenerateSampleError("cannot draw non-degenerate resamples")
     points = np.column_stack([g1**2, beta2])
-    return BootstrapCloud(points=points, n_resamples=n_resamples, seed=seed,
-                          n_redrawn=n_redrawn)
+    return BootstrapCloud(points=points, n_redrawn=n_redrawn)
 
 
 def qq_points(sample, fit: FitResult) -> np.ndarray:

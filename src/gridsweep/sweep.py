@@ -183,7 +183,7 @@ class AnalysisResult:
     cloud: st.BootstrapCloud | None = None
 
 
-def collect_observable(input_dir, strain: float, observable: str) -> st.Sample:
+def collect_observable(input_dir, strain: float, observable: str) -> np.ndarray:
     """Pool one observable at one strain checkpoint across all job files.
 
     Files are taken in sorted job-id order so the result is independent of
@@ -209,30 +209,29 @@ def collect_observable(input_dir, strain: float, observable: str) -> st.Sample:
         raise ParameterError(
             f"checkpoint strain={strain} found in {len(values)} files; "
             f"available strains: {sorted(available)}")
-    return st.Sample(np.asarray(values), label=f"{observable}@eps={strain}")
+    return np.asarray(values)
 
 
-def classify_sample(sample: st.Sample, seed: int = 0,
+def classify_sample(sample: np.ndarray, seed: int = 0,
                     n_resamples: int = 999) -> AnalysisResult:
     """Fit both families, KS-test in both modes, and pick a verdict (see
     VERDICT_MODE); a constant sample, or one whose variance underflows to 0,
     is 'degenerate' and gets no fits."""
     res = AnalysisResult(verdict="degenerate")
-    v = sample.values
     try:
-        fits = {"normal": st.fit_normal(v)}
-        if np.all(v > 0):
-            fits["weibull"] = st.fit_weibull(v)
+        fits = {"normal": st.fit_normal(sample)}
+        if np.all(sample > 0):
+            fits["weibull"] = st.fit_weibull(sample)
     except DegenerateSampleError:
         return res
     res.fits = fits
     for family, fit in fits.items():
         if not fit.converged:
             continue
-        res.ks[(family, "asymptotic")] = st.ks_test(v, fit, "asymptotic")
+        res.ks[(family, "asymptotic")] = st.ks_test(sample, fit, "asymptotic")
         res.ks[(family, "parametric_bootstrap")] = st.ks_test(
-            v, fit, "parametric_bootstrap", n_resamples=n_resamples, seed=seed)
-    res.cloud = st.bootstrap_cloud(v, n_resamples=1000, seed=seed)
+            sample, fit, "parametric_bootstrap", n_resamples=n_resamples, seed=seed)
+    res.cloud = st.bootstrap_cloud(sample, n_resamples=1000, seed=seed)
 
     p_n = res.ks.get(("normal", VERDICT_MODE))
     p_w = res.ks.get(("weibull", VERDICT_MODE))
@@ -262,7 +261,7 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
     with staged_outputs() as stage:
         # res.ks holds each converged family's two modes, in res.fits order
         write_csv(stage(out / "report.csv"), REPORT_CSV_HEADER,
-                  ([sample.label, family, repr(res.fits[family].params[0]),
+                  ([f"{observable}@eps={strain}", family, repr(res.fits[family].params[0]),
                     repr(res.fits[family].params[1]), repr(res.fits[family].log_likelihood),
                     repr(ks.statistic), repr(ks.p_value), mode]
                    for (family, mode), ks in res.ks.items()))
@@ -273,11 +272,11 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
             if fit.converged:
                 write_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
                           ([repr(float(tq)), repr(float(eq))]
-                           for tq, eq in st.qq_points(sample.values, fit)))
+                           for tq, eq in st.qq_points(sample, fit)))
         kn = res.ks.get(("normal", VERDICT_MODE))
         kw = res.ks.get(("weibull", VERDICT_MODE))
         write_csv(stage(out / "verdict.csv"), VERDICT_CSV_HEADER,
-                  [[repr(strain), observable, sample.values.size, res.verdict,
+                  [[repr(strain), observable, sample.size, res.verdict,
                     repr(kn.p_value) if kn else "", repr(kw.p_value) if kw else "",
                     VERDICT_MODE]])
     return res

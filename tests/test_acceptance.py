@@ -18,7 +18,7 @@ from gridsweep.gridsim import (
     segment_regimes,
     speedup_table,
 )
-from gridsweep.hosts import PRESETS, HostPopulation, HostSpec, sample_hosts
+from gridsweep.hosts import PRESETS, HostSpec, sample_hosts
 from gridsweep.md import (
     DefectRecord,
     MDParams,
@@ -52,18 +52,17 @@ def report(n, ok, detail):
 
 
 def ideal_pop(n):
-    return HostPopulation(
-        hosts=[HostSpec(id=i, gflops=ReferenceHost().gflops, n_cpus=1,
-                        ram_gb=8, hdd_gb=100, on_rate=0.0, off_rate=0.0)
-               for i in range(n)])
+    return [HostSpec(id=i, gflops=ReferenceHost().gflops, n_cpus=1,
+                     ram_gb=8, hdd_gb=100, on_rate=0.0, off_rate=0.0)
+            for i in range(n)]
 
 
 def test_criterion_1_host_calibration():
     t0 = time.perf_counter()
     params = PRESETS["registered"]
     pop = sample_hosts(params)
-    g = pop.attribute("gflops")
-    cpu_mean = float(np.mean([h.n_cpus for h in pop.hosts]))
+    g = np.array([h.gflops for h in pop])
+    cpu_mean = float(np.mean([h.n_cpus for h in pop]))
     dt = time.perf_counter() - t0
     ok = (len(pop) == 4161
           and abs(g.mean() - 2.25) < 0.05

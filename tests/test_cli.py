@@ -8,7 +8,7 @@ import pytest
 
 from gridsweep import gridsim, sweep as sweep_mod
 from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
-from gridsweep.hosts import HostPopulation, HostSpec, write_population_csv
+from gridsweep.hosts import HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
 from gridsweep.sweep import job_csv_path, write_records_csv
 
@@ -27,7 +27,7 @@ PRESET_POPULATION_SHA256 = {
 def ideal_pop_csv(path, gflops=2.514, n_hosts=1):
     hosts = [HostSpec(id=i, gflops=gflops, n_cpus=1, ram_gb=8, hdd_gb=100,
                       on_rate=0.0, off_rate=0.0) for i in range(n_hosts)]
-    write_population_csv(HostPopulation(hosts=hosts), path)
+    write_population_csv(hosts, path)
 
 
 def one_task_scenario(path, pop_csv):
@@ -218,6 +218,75 @@ def test_analyze_underflowing_variance_is_degenerate(tmp_path, capsys):
     assert code == EXIT_OK
     assert "verdict: degenerate" in capsys.readouterr().out
     assert (out / "verdict.csv").read_text().splitlines()[1].split(",")[3] == "degenerate"
+
+
+#: sha256 of every `analyze --n-resamples 199` output on the seeded ensemble of
+#: write_pinned_ensemble, per observable, recorded before the stats types
+#: were slimmed, so any drift in the analysis chain shows here
+PINNED_ANALYZE_SHA256 = {
+    "c_unk": {
+        "cloud.csv": "44e411d1df3defbe4b5abc29df7514bf1620ac28020e320d3d268582bf228521",
+        "qq_normal.csv": "e7e5c1a731a76a85d0894cfc08722c529e6f106c1ce81d1a094229f3c35f1656",
+        "qq_weibull.csv": "a670ffff6caeb2fdd3f5973341b72aba91d676733d510d3bcc3a14e24363d875",
+        "report.csv": "5a890261b4c451613ba1d839468f40e34ac4fc006a034d24dec8c891e043196d",
+        "verdict.csv": "fdb4bd539047f98a1d94f6d0f99da5b1db7a90c6c8fb5a9077027cd4ecf8ad8b",
+    },
+    "sigma_top": {
+        "cloud.csv": "b0c33ca095fe5375e0b3560f711105e2d90ca73cff97e8cc903b00d815bad23f",
+        "qq_normal.csv": "67f95ae799abda9b8971ded17e4c60fed0be5479f3e06ab133553d05f2bc1868",
+        "qq_weibull.csv": "8bc628729e0ee2d8f714433653fdba7ac1608e1951ecb956637257f77d8a7c8b",
+        "report.csv": "f7ea1c29fb2f38051061e8d862b6b543cdfe593820acc4b60fab2d6bf29d37fb",
+        "verdict.csv": "726b6b5417a84df3fcf911ec87203e2c8df755cca1c3d1e0c7d534fd53f265ee",
+    },
+}
+
+
+def write_pinned_ensemble(jobs_dir):
+    """40 job files at strains 0 and 0.1; at 0.1 c_unk is Weibull and
+    sigma_top normal, both strictly positive so both families get fitted."""
+    jobs_dir.mkdir()
+    rng = np.random.default_rng(2024)
+    for job in range(40):
+        unk = 0.2 * rng.weibull(1.5)
+        hcp = 0.05 * rng.weibull(2.0)
+        sigma = rng.normal(5.0, 0.5)
+        write_records_csv([DefectRecord(0.0, 1.0, 0.0, 0.0, 0.0, -5.0),
+                           DefectRecord(0.1, 1.0 - unk - hcp, hcp, unk, sigma, -4.9)],
+                          job_csv_path(jobs_dir, job))
+
+
+def test_analyze_outputs_match_pinned_bytes(tmp_path):
+    write_pinned_ensemble(tmp_path / "jobs")
+    for observable, digests in PINNED_ANALYZE_SHA256.items():
+        out = tmp_path / observable
+        assert main(["analyze", "--input-dir", str(tmp_path / "jobs"), "--strain", "0.1",
+                     "--observable", observable, "--out-dir", str(out),
+                     "--n-resamples", "199"]) == EXIT_OK
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("n_resamples", ["0", "-1", "-5"])
+def test_analyze_non_positive_n_resamples_exits_1(tmp_path, capsys, n_resamples):
+    write_pinned_ensemble(tmp_path / "jobs")
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--input-dir", str(tmp_path / "jobs"), "--strain", "0.1",
+                 "--observable", "c_unk", "--out-dir", str(out),
+                 "--n-resamples", n_resamples])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["-0.1", "0"])
+def test_sweep_non_positive_strain_rate_exits_1(tmp_path, capsys, rate):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2",
+                 "--strain-rate", rate, "--target-strain", "0.02",
+                 "--n-realizations", "1", "--parallelism", "1", "--out-dir", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.glob("job_*.csv"))
 
 
 def test_sweep_run_flag_defaults_are_the_spec_defaults(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from gridsweep.cna import (
     defect_counts,
 )
 from gridsweep.errors import ParameterError
-from gridsweep.md import build_crystal, fcc_positions, neighbor_pairs
+from gridsweep.md import A0_DEFAULT, build_crystal, fcc_positions, neighbor_pairs
 
 FCC_CUTOFF = 0.854  # between the first (0.707a) and second (a) FCC shells
 HCP_CUTOFF = 0.854 * math.sqrt(2.0)  # same ratio for nn distance 1
@@ -102,7 +102,7 @@ def test_labels_are_rotation_and_translation_invariant():
 def test_label_crystal_default_cutoff_sees_perfect_lattice():
     crystal = build_crystal(4, 4, 4, temperature=0.0)
     labels = cna_labels(crystal.positions, crystal.box, crystal.periodic,
-                        0.854 * crystal.lattice_constant)
+                        0.854 * A0_DEFAULT)
     conc = defect_concentrations(labels, crystal.grip_mask)
     assert conc == (1.0, 0.0, 0.0)
 
@@ -117,7 +117,7 @@ def _lattice(kind):
         pos, box = hcp_positions(4, 3, 3)
         return pos, box, (True,) * 3, math.sqrt(2.0)
     crystal = build_crystal(3, 4, 3)  # gripped slab, open along y
-    return crystal.positions, crystal.box, crystal.periodic, crystal.lattice_constant
+    return crystal.positions, crystal.box, crystal.periodic, A0_DEFAULT
 
 
 @settings(max_examples=40, deadline=None)

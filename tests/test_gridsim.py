@@ -1,7 +1,6 @@
 """Discrete-event grid simulator: scheduling, speedups, regimes, traces."""
 
 import heapq
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,7 @@ from gridsweep.gridsim import (
     write_speedup_csv,
     write_trace_csv,
 )
-from gridsweep.hosts import HostPopulation, HostSpec
+from gridsweep.hosts import HostSpec
 
 REF = ReferenceHost()
 
@@ -39,10 +38,6 @@ REF = ReferenceHost()
 def ideal_host(i, gflops=REF.gflops, n_cpus=1, on_rate=0.0, off_rate=0.0):
     return HostSpec(id=i, gflops=gflops, n_cpus=n_cpus, ram_gb=8, hdd_gb=100,
                     on_rate=on_rate, off_rate=off_rate)
-
-
-def pop_of(hosts):
-    return HostPopulation(hosts=hosts)
 
 
 def row(trace, name):
@@ -83,7 +78,7 @@ def test_published_total_row_arithmetic():
 
 
 def test_single_job_single_host():
-    trace = run_scenario([TaskSpec("t", 3600, 1)], pop_of([ideal_host(0)]))
+    trace = run_scenario([TaskSpec("t", 3600, 1)], [ideal_host(0)])
     assert [(e.time, e.kind) for e in trace.events] == [(0.0, DISPATCH),
                                                         (3600.0, COMPLETE)]
     assert makespan(trace, "t") == 3600.0
@@ -93,7 +88,7 @@ def test_single_job_single_host():
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_n_ideal_hosts_give_speedup_n(n):
     hosts = [ideal_host(i) for i in range(n)]
-    trace = run_scenario([TaskSpec("t", 3600, n)], pop_of(hosts))
+    trace = run_scenario([TaskSpec("t", 3600, n)], hosts)
     completes = [e for e in trace.events if e.kind == COMPLETE]
     assert len(completes) == n
     assert all(e.time == 3600.0 for e in completes)
@@ -102,12 +97,12 @@ def test_n_ideal_hosts_give_speedup_n(n):
 
 def test_multi_cpu_host_runs_jobs_concurrently():
     trace = run_scenario([TaskSpec("t", 3600, 4)],
-                         pop_of([ideal_host(0, n_cpus=4)]))
+                         [ideal_host(0, n_cpus=4)])
     assert makespan(trace, "t") == 3600.0
 
 
 def test_incomplete_task_queries_raise():
-    trace = run_scenario([TaskSpec("t", 3600, 1)], pop_of([ideal_host(0)]))
+    trace = run_scenario([TaskSpec("t", 3600, 1)], [ideal_host(0)])
     with pytest.raises(ParameterError, match="unknown task 'missing'"):
         segment_regimes(trace, "missing")
 
@@ -151,7 +146,7 @@ def oracle_makespan(n_jobs, t_ref_s, hosts):
 def test_always_up_schedule_matches_oracle(n_jobs, speeds, cpus):
     hosts = [ideal_host(i, gflops=g, n_cpus=c)
              for i, (g, c) in enumerate(zip(speeds, cpus))]
-    trace = run_scenario([TaskSpec("t", 3600, n_jobs)], pop_of(hosts))
+    trace = run_scenario([TaskSpec("t", 3600, n_jobs)], hosts)
     assert makespan(trace, "t") == pytest.approx(
         oracle_makespan(n_jobs, 3600, hosts), rel=1e-12)
 
@@ -184,8 +179,7 @@ def test_optimal_schedule_is_monotone_and_bounds_the_sim(n_jobs, speeds, extra):
     opt_grown = exhaustive_optimal_makespan(n_jobs, 3600, more)
     assert opt_grown <= opt_base + 1e-9
     for pool, opt in ((hosts, opt_base), (more, opt_grown)):
-        sim = makespan(run_scenario([TaskSpec("t", 3600, n_jobs)],
-                                         pop_of(pool)), "t")
+        sim = makespan(run_scenario([TaskSpec("t", 3600, n_jobs)], pool), "t")
         assert sim >= opt - 1e-9
 
 
@@ -198,12 +192,12 @@ def churny_population(n=12, seed_gflops=None):
         g = 1.0 + (i % 5) * 0.8
         hosts.append(ideal_host(i, gflops=g, n_cpus=(1, 2, 4)[i % 3],
                                 on_rate=0.5, off_rate=0.5))
-    return pop_of(hosts)
+    return hosts
 
 
 def validate_trace(trace, pop):
     """Replay the event list and check the scheduling contract."""
-    cpus = {h.id: h.n_cpus for h in pop.hosts}
+    cpus = {h.id: h.n_cpus for h in pop}
     down = set()
     running = {}  # host_id -> {job_id}
     dispatches = {t.name: 0 for t in trace.tasks}
@@ -252,7 +246,7 @@ def test_churny_trace_respects_contract():
 def test_speedup_bound():
     tasks = [TaskSpec("a", 1800, 25)]
     hosts = [ideal_host(i, gflops=1.0 + i, n_cpus=2) for i in range(4)]
-    trace = run_scenario(tasks, pop_of(hosts))
+    trace = run_scenario(tasks, hosts)
     slots = sum(h.n_cpus for h in hosts)
     bound = min(slots, 25) * max(h.gflops for h in hosts) / REF.gflops
     assert row(trace, "a").speedup <= bound + 1e-9
@@ -269,13 +263,13 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_stall_when_no_host_ever_up():
-    dead = pop_of([ideal_host(0, on_rate=0.0, off_rate=1.0)])
+    dead = [ideal_host(0, on_rate=0.0, off_rate=1.0)]
     with pytest.raises(SimulationStallError):
         run_scenario([TaskSpec("t", 3600, 1)], dead)
 
 
 def test_stall_past_horizon():
-    slow = pop_of([ideal_host(0, gflops=0.001)])
+    slow = [ideal_host(0, gflops=0.001)]
     policy = SimPolicy(horizon_s=3600.0)
     with pytest.raises(SimulationStallError):
         run_scenario([TaskSpec("t", 3600, 1)], slow, policy=policy)
@@ -284,8 +278,7 @@ def test_stall_past_horizon():
 def test_dedicated_waits_for_all_shared_work():
     tasks = [TaskSpec("a", 1800, 6), TaskSpec("b", 900, 6),
              TaskSpec("d", 600, 4, mode="dedicated")]
-    trace = run_scenario(tasks, pop_of([ideal_host(0, n_cpus=2),
-                                        ideal_host(1)]))
+    trace = run_scenario(tasks, [ideal_host(0, n_cpus=2), ideal_host(1)])
     last_shared_complete = max(e.time for e in trace.events
                                if e.kind == COMPLETE and e.task in ("a", "b"))
     first_dedicated = min(e.time for e in trace.events
@@ -295,7 +288,7 @@ def test_dedicated_waits_for_all_shared_work():
 
 def test_shared_tasks_interleave_round_robin():
     tasks = [TaskSpec("a", 600, 3), TaskSpec("b", 600, 3)]
-    trace = run_scenario(tasks, pop_of([ideal_host(0)]))
+    trace = run_scenario(tasks, [ideal_host(0)])
     order = [e.task for e in trace.events if e.kind == DISPATCH]
     assert order == ["a", "b", "a", "b", "a", "b"]
 
@@ -304,7 +297,7 @@ def test_shared_tasks_interleave_round_robin():
 
 
 def test_regimes_single_job_degenerate():
-    trace = run_scenario([TaskSpec("t", 3600, 1)], pop_of([ideal_host(0)]))
+    trace = run_scenario([TaskSpec("t", 3600, 1)], [ideal_host(0)])
     r = segment_regimes(trace, "t")
     assert r.degenerate
     assert r.t_start == r.t_initial_end == r.t_active_end == 0.0
@@ -313,7 +306,7 @@ def test_regimes_single_job_degenerate():
 
 def test_regimes_ten_jobs_five_hosts():
     hosts = [ideal_host(i) for i in range(5)]
-    trace = run_scenario([TaskSpec("t", 3600, 10)], pop_of(hosts))
+    trace = run_scenario([TaskSpec("t", 3600, 10)], hosts)
     r = segment_regimes(trace, "t")
     # initial ends at the 5th dispatch (t=0), active at the 10th (t=3600)
     assert r.t_initial_end == 0.0
@@ -338,7 +331,7 @@ def test_regime_boundaries_are_ordered():
 def test_csv_writers(tmp_path):
     tasks = [TaskSpec("a", 1800, 5), TaskSpec("b", 900, 5),
              TaskSpec("d", 600, 2, mode="dedicated")]
-    trace = run_scenario(tasks, pop_of([ideal_host(0, n_cpus=2)]))
+    trace = run_scenario(tasks, [ideal_host(0, n_cpus=2)])
 
     write_trace_csv(trace, tmp_path / "trace.csv")
     lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -360,7 +353,7 @@ def test_csv_writers(tmp_path):
 def test_total_speedup_uses_subtotal_convention(tmp_path):
     tasks = [TaskSpec("a", 1800, 4), TaskSpec("b", 900, 4),
              TaskSpec("d", 600, 2, mode="dedicated")]
-    trace = run_scenario(tasks, pop_of([ideal_host(0)]))
+    trace = run_scenario(tasks, [ideal_host(0)])
     shared_dg = max(makespan(trace, "a"), makespan(trace, "b"))
     total_dg = shared_dg + makespan(trace, "d")
     total_seq = sum(t.n_jobs * t.t_job_ref_s for t in tasks)
@@ -390,8 +383,8 @@ def test_one_pass_accounts_match_rescanning_oracle(jobs, last_dedicated, n_hosts
     tasks = [TaskSpec(f"t{k}", 600.0 * (k + 1), n,
                       mode="dedicated" if last_dedicated and k == len(jobs) - 1 else "shared")
              for k, n in enumerate(jobs)]
-    pop = pop_of([ideal_host(i, gflops=1.0 + (i % 5) * 0.8, n_cpus=(1, 2, 4)[i % 3],
-                             on_rate=churn, off_rate=churn) for i in range(n_hosts)])
+    pop = [ideal_host(i, gflops=1.0 + (i % 5) * 0.8, n_cpus=(1, 2, 4)[i % 3],
+                      on_rate=churn, off_rate=churn) for i in range(n_hosts)]
     assert_accounts_match_oracle(run_scenario(tasks, pop, seed=seed))
 
 
@@ -428,7 +421,7 @@ def cut_before_last_completion(trace):
 
 def test_unfinished_task_makes_every_query_raise(tmp_path):
     tasks = [TaskSpec("a", 1800, 3), TaskSpec("b", 900, 3)]
-    whole = run_scenario(tasks, pop_of([ideal_host(0), ideal_host(1)]))
+    whole = run_scenario(tasks, [ideal_host(0), ideal_host(1)])
     trace, unfinished = cut_before_last_completion(whole)
     message = f"task {unfinished!r} incomplete"
     with pytest.raises(ParameterError, match=message):

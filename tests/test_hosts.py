@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st_h
 
 from gridsweep.errors import ParameterError, ScenarioParseError
@@ -91,29 +91,29 @@ def test_sampling_is_deterministic():
     params = PopulationParams(n_hosts=64, seed=7)
     a = sample_hosts(params)
     b = sample_hosts(params)
-    assert a.hosts == b.hosts
+    assert a == b
     c = sample_hosts(replace(params, seed=8))
-    assert c.hosts != a.hosts
+    assert c != a
 
 
 def test_degenerate_cpu_lognormal_snaps_to_constant():
     params = PopulationParams(n_hosts=50, cpu_logmu=math.log(4), cpu_logsigma=0.0)
     pop = sample_hosts(params)
-    assert all(h.n_cpus == 4 for h in pop.hosts)
+    assert all(h.n_cpus == 4 for h in pop)
 
 
 def test_gflops_floor_and_cpu_grid_always_hold():
     params = PopulationParams(n_hosts=2000, gflops_mean=1.0, gflops_sd=1.5,
                               gflops_floor=0.3, seed=5)
     pop = sample_hosts(params)
-    g = pop.attribute("gflops")
+    g = np.array([h.gflops for h in pop])
     assert (g >= 0.3).all()
-    assert all(h.n_cpus in CPU_STEPS for h in pop.hosts)
+    assert all(h.n_cpus in CPU_STEPS for h in pop)
 
 
 def test_registered_fleet_mean_gflops():
     pop = sample_hosts(PRESETS["registered"])
-    mean = pop.attribute("gflops").mean()
+    mean = np.array([h.gflops for h in pop]).mean()
     # three standard errors of the n=4161 sample
     assert abs(mean - 2.25) < 3 * 0.76 / math.sqrt(4161)
 
@@ -128,7 +128,7 @@ def test_worker_pool_summary_matches_published_band():
 def test_gflops_mean_converges_at_large_n():
     params = PopulationParams(n_hosts=10_000, seed=2)
     pop = sample_hosts(params)
-    mean = pop.attribute("gflops").mean()
+    mean = np.array([h.gflops for h in pop]).mean()
     assert abs(mean - params.gflops_mean) < 4 * params.gflops_sd / math.sqrt(10_000)
 
 
@@ -136,8 +136,8 @@ def test_log_of_presnap_attributes_is_symmetric():
     params = PopulationParams(n_hosts=10_000, seed=3)
     pop = sample_hosts(params)
     # ram/hdd are emitted un-snapped; cpu is checked pre-snap from the same law
-    assert abs(_skew(np.log(pop.attribute("ram_gb")))) < 0.1
-    assert abs(_skew(np.log(pop.attribute("hdd_gb")))) < 0.1
+    assert abs(_skew(np.log(np.array([h.ram_gb for h in pop])))) < 0.1
+    assert abs(_skew(np.log(np.array([h.hdd_gb for h in pop])))) < 0.1
     rng = np.random.default_rng(3)
     cpu_raw = rng.lognormal(params.cpu_logmu, params.cpu_logsigma, size=10_000)
     assert abs(_skew(np.log(cpu_raw))) < 0.1
@@ -183,11 +183,9 @@ def test_gibrat_log_of_products_is_normal_shaped():
 
 
 def _pop_of(gflops_values):
-    hosts = [HostSpec(id=i, gflops=g, n_cpus=4, ram_gb=8, hdd_gb=100,
-                      on_rate=0.0, off_rate=0.0)
-             for i, g in enumerate(gflops_values)]
-    from gridsweep.hosts import HostPopulation
-    return HostPopulation(hosts=hosts)
+    return [HostSpec(id=i, gflops=g, n_cpus=4, ram_gb=8, hdd_gb=100,
+                     on_rate=0.0, off_rate=0.0)
+            for i, g in enumerate(gflops_values)]
 
 
 def test_summary_two_point_closed_form():
@@ -249,7 +247,7 @@ def test_population_csv_round_trip(tmp_path):
     path = tmp_path / "pop.csv"
     write_population_csv(pop, path)
     back = read_population_csv(path)
-    assert back.hosts == pop.hosts
+    assert back == pop
 
 
 def test_params_file_round_trip(tmp_path):

@@ -1,7 +1,6 @@
 """MD payload: lattice construction, integration, tensile runs, stress."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from gridsweep.md import (
     grip_separation,
     grip_stress,
     integrate,
-    kinetic_energy,
     neighbor_pairs,
     run_tensile,
     total_energy,
@@ -41,7 +39,6 @@ def two_atom_crystal(separation, box_side=30.0):
                     [10.0 + separation, 10.0, 10.0]])
     return Crystal(positions=pos, velocities=np.zeros((2, 3)),
                    box=np.array([box_side] * 3), periodic=(True, True, True),
-                   lattice_constant=A0_DEFAULT,
                    grip_side=np.zeros(2, dtype=np.int8))
 
 
@@ -290,6 +287,9 @@ def test_params_validation():
         MDParams(dt=0.0)
     with pytest.raises(ParameterError):
         MDParams(target_strain=1.5)
+    for rate in (0.0, -0.1):
+        with pytest.raises(ParameterError):
+            MDParams(strain_rate=rate)
 
 
 # --- stress --------------------------------------------------------------
@@ -373,7 +373,7 @@ def test_strain_tracks_grip_separation():
     crystal = build_crystal(2, 4, 2, temperature=0.0)
     l0 = grip_separation(crystal)
     params = MDParams(temperature=0.0)
-    v_grip = 0.5 * 0.2 * crystal.lattice_constant
+    v_grip = 0.5 * 0.2 * A0_DEFAULT
     integrate(crystal, params, 100, grip_speed=v_grip)
     expect = l0 + 2 * v_grip * 100 * params.dt
     assert grip_separation(crystal) == pytest.approx(expect, rel=1e-12)

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st_h
 from oracles import weibull_log_likelihood
 
 from gridsweep.errors import DegenerateSampleError, DomainError, ParameterError
 from gridsweep.stats import (
     FitResult,
-    Sample,
     bootstrap_cloud,
     fit_normal,
     fit_weibull,
@@ -30,10 +29,14 @@ def std_normal_fit():
 
 
 def test_sample_rejects_non_finite_and_2d():
-    with pytest.raises(ParameterError):
-        Sample(np.array([1.0, np.nan]))
-    with pytest.raises(ParameterError):
-        Sample(np.zeros((2, 2)))
+    for check in (fit_normal, fit_weibull, moment_summary,
+                  lambda v: ks_statistic(v, std_normal_fit()),
+                  lambda v: bootstrap_cloud(v, 10),
+                  lambda v: qq_points(v, std_normal_fit())):
+        with pytest.raises(ParameterError):
+            check(np.array([1.0, 2.0, np.nan]))
+        with pytest.raises(ParameterError):
+            check(np.arange(1.0, 5.0).reshape(2, 2))
 
 
 # --- normal fit ----------------------------------------------------------
@@ -150,9 +153,15 @@ def test_ks_test_asymptotic_accepts_its_own_family():
     rng = np.random.default_rng(12)
     values = rng.normal(0.0, 1.0, size=500)
     out = ks_test(values, fit_normal(values))
-    assert out.mode == "asymptotic"
-    assert out.n == 500
     assert out.p_value > 0.05  # fitted-parameter bias makes this conservative
+
+
+@pytest.mark.parametrize("n_resamples", [0, -1, -5])
+def test_ks_bootstrap_rejects_non_positive_n_resamples(n_resamples):
+    values = np.random.default_rng(4).normal(0.0, 1.0, size=50)
+    with pytest.raises(ParameterError, match="n_resamples"):
+        ks_test(values, fit_normal(values), mode="parametric_bootstrap",
+                n_resamples=n_resamples)
 
 
 def test_ks_bootstrap_rejects_wrong_family():

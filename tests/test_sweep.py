@@ -12,9 +12,7 @@ from gridsweep import sweep
 from gridsweep.errors import ParameterError
 from gridsweep.gridsim import TRACE_CSV_HEADER, speedup_table
 from gridsweep.md import DefectRecord, MDParams, run_tensile
-from gridsweep.stats import Sample
 from gridsweep.sweep import (
-    JOB_CSV_HEADER,
     SweepSpec,
     analyze_ensemble,
     classify_sample,
@@ -189,8 +187,7 @@ def test_collect_pools_in_job_order(tmp_path):
     for i, v in [(2, 0.3), (0, 0.1), (1, 0.2)]:
         fake_job(job_csv_path(tmp_path, i), [0.0, 0.01], [0.0, v])
     sample = collect_observable(tmp_path, 0.01, "c_unk")
-    assert list(sample.values) == [0.1, 0.2, 0.3]
-    assert sample.label == "c_unk@eps=0.01"
+    assert list(sample) == [0.1, 0.2, 0.3]
 
 
 def test_collect_missing_checkpoint_lists_available(tmp_path):
@@ -210,7 +207,7 @@ def test_collect_missing_checkpoint_lists_available(tmp_path):
 
 def test_weibull_ensemble_gets_weibull_verdict():
     rng = np.random.default_rng(1)
-    sample = Sample(0.2 * rng.weibull(1.0, 300), label="c_unk")
+    sample = 0.2 * rng.weibull(1.0, 300)
     res = classify_sample(sample, seed=0, n_resamples=199)
     assert res.verdict == "weibull"
     assert set(res.fits) == {"normal", "weibull"}
@@ -219,14 +216,14 @@ def test_weibull_ensemble_gets_weibull_verdict():
 
 def test_normal_ensemble_gets_normal_verdict():
     rng = np.random.default_rng(2)
-    sample = Sample(rng.normal(5.0, 0.5, 583), label="sigma_top")
+    sample = rng.normal(5.0, 0.5, 583)
     res = classify_sample(sample, seed=0, n_resamples=199)
     assert res.verdict == "normal"
 
 
 def test_negative_values_skip_the_weibull_fit():
     rng = np.random.default_rng(3)
-    sample = Sample(rng.normal(0.0, 1.0, 200), label="sigma_top")
+    sample = rng.normal(0.0, 1.0, 200)
     res = classify_sample(sample, seed=0, n_resamples=99)
     assert set(res.fits) == {"normal"}
     assert res.verdict == "normal"
@@ -235,7 +232,7 @@ def test_negative_values_skip_the_weibull_fit():
 def test_constant_sample_is_degenerate():
     # the last two vary, but their population variance underflows to 0
     for values in (np.full(50, 0.25), [0.0, 1e-170], [1e-300, 2e-300, 3e-300]):
-        res = classify_sample(Sample(np.asarray(values)))
+        res = classify_sample(np.asarray(values))
         assert res.verdict == "degenerate"
         assert res.fits == {}
 
@@ -253,6 +250,7 @@ def test_analyze_writes_all_artifacts(tmp_path):
     assert res.verdict == "weibull"
     report = (out / "report.csv").read_text().splitlines()
     assert len(report) == 1 + 4  # 2 families x 2 ks modes
+    assert all(row.startswith("c_unk@eps=0.02,") for row in report[1:])
     assert len((out / "cloud.csv").read_text().splitlines()) == 1 + 1000
     assert (out / "qq_normal.csv").exists()
     assert (out / "qq_weibull.csv").exists()

@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gridsweep"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gridsweep"
+#: every module scanned for unused imports: the package's by file name, the
+#: tests' as tests/NAME
+SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+           | {f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
 #: public functions that no other package code calls, each kept on purpose
 UNCALLED_BY_DESIGN = {
@@ -70,10 +75,9 @@ def test_unused_import_scan_sees_unused_names():
     assert unused_imports(source) == ["field", "os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
-                                          if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(SCANNED))
 def test_module_has_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(SCANNED[module].read_text()) == []
 
 
 def test_uncalled_function_scan_sees_every_kind_of_reference():
