@@ -65,7 +65,7 @@ class FitResult:
         k, lam = a, b
         return lam * (-np.log1p(-p)) ** (1.0 / k)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, int]) -> np.ndarray:
         a, b = self.params
         if self.family == "normal":
             return rng.normal(a, b, size=size)
@@ -124,70 +124,82 @@ def fit_normal(sample) -> FitResult:
     return FitResult("normal", (mu, sigma), loglik, True)
 
 
-def _weibull_profile(k: float, y: np.ndarray, ln_y: np.ndarray, mean_ln: float):
-    """Profile shape equation g(k) and g'(k); y is the sample scaled by its max."""
-    yk = y**k
+def _weibull_profile(k: np.ndarray, y: np.ndarray, ln_y: np.ndarray, mean_ln: np.ndarray):
+    """Row-wise profile shape equation g(k) and g'(k); y holds samples scaled by their max."""
+    yk = y ** k[:, None]
     yk_ln = yk * ln_y
-    s0 = yk.sum()
-    s1 = yk_ln.sum()
-    s2 = (yk_ln * ln_y).sum()
+    s0 = yk.sum(axis=1)
+    s1 = yk_ln.sum(axis=1)
+    s2 = (yk_ln * ln_y).sum(axis=1)
     g = s1 / s0 - 1.0 / k - mean_ln
-    gprime = s2 / s0 - (s1 / s0) ** 2 + 1.0 / (k * k)
+    # stays a scalar ** (libm pow): numpy's SIMD array ** differs in the last bit
+    gprime = s2 / s0 - np.array([r ** 2 for r in s1 / s0]) + 1.0 / (k * k)
     return g, gprime
 
 
-def fit_weibull(sample) -> FitResult:
-    """Two-parameter Weibull MLE.
+def _weibull_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-parameter Weibull MLE (k, lambda, converged) of every row of v.
 
-    The profile equation for the shape k is solved by Newton iteration with
-    a bisection safeguard, started from the coefficient-of-variation
-    heuristic; the scale follows in closed form.  The ``converged`` flag is
-    honest: on non-convergence the best iterate is returned.
+    The profile equation for the shape k is solved by Newton iteration with a
+    bisection safeguard, started from the coefficient-of-variation heuristic;
+    the scale follows in closed form.  Each row takes its own bracket and
+    Newton steps, as if fitted alone; on non-convergence it keeps its last iterate.
     """
+    vmax = v.max(axis=1)
+    # scale by the max: the profile equation is invariant and y**k stays bounded
+    y = v / vmax[:, None]
+    ln_y = np.log(y)
+    mean_ln = ln_y.mean(axis=1)
+    cv = v.std(axis=1) / v.mean(axis=1)
+    k = np.ones(len(v))
+    # stays a scalar ** (libm pow): numpy's SIMD array ** differs in the last bit
+    k[cv > 0] = np.clip(np.array([c ** -1.086 for c in cv[cv > 0]]), 1e-2, 1e3)
+
+    # g(k) is increasing; bracket a sign change for the safeguard by stepping
+    # lo down while g(lo) > 0, or hi up while g(hi) < 0
+    lo, hi = k.copy(), k.copy()
+    g = _weibull_profile(k, y, ln_y, mean_ln)[0]
+    down = g > 0
+    active = np.flatnonzero(down | (g < 0))
+    for _ in range(200):
+        if not active.size:
+            break
+        d = down[active]
+        lo[active[d]] /= 1.5
+        hi[active[~d]] *= 1.5
+        g = _weibull_profile(np.where(d, lo[active], hi[active]), y[active],
+                             ln_y[active], mean_ln[active])[0]
+        active = active[np.where(d, g > 0, g < 0)]
+
+    converged = np.zeros(len(v), dtype=bool)
+    active = np.arange(len(v))
+    for _ in range(_WEIBULL_MAX_ITER):
+        if not active.size:
+            break
+        k_a, lo_a, hi_a = k[active], lo[active], hi[active]
+        g, gp = _weibull_profile(k_a, y[active], ln_y[active], mean_ln[active])
+        hi_a = np.where(g > 0, np.minimum(hi_a, k_a), hi_a)
+        lo_a = np.where(g > 0, lo_a, np.maximum(lo_a, k_a))
+        k_new = k_a - g / gp
+        k_new = np.where((lo_a < k_new) & (k_new < hi_a), k_new, 0.5 * (lo_a + hi_a))
+        done = np.abs(k_new - k_a) <= _WEIBULL_TOL * np.maximum(1.0, k_a)
+        k[active], lo[active], hi[active] = k_new, lo_a, hi_a
+        converged[active[done]] = True
+        active = active[~done]
+
+    # stays a scalar ** (libm pow): numpy's SIMD array ** differs in the last bit
+    scale = np.array([m ** (1.0 / kk) for m, kk in zip((y ** k[:, None]).mean(axis=1), k)])
+    return k, vmax * scale, converged
+
+
+def fit_weibull(sample) -> FitResult:
+    """Two-parameter Weibull MLE, the one-row call of ``_weibull_rows``; the
+    ``converged`` flag is honest: on non-convergence the best iterate is returned."""
     v = _as_values(sample)
     if np.any(v <= 0):
         raise DomainError("weibull fit requires strictly positive values")
     _require_varied(v)
-
-    # scale by the max: the profile equation is invariant and x**k stays bounded
-    y = v / v.max()
-    ln_y = np.log(y)
-    mean_ln = float(ln_y.mean())
-
-    cv = v.std() / v.mean()
-    k = float(np.clip(cv**-1.086, 1e-2, 1e3)) if cv > 0 else 1.0
-
-    # g(k) is increasing; bracket a sign change for the safeguard
-    lo, hi = k, k
-    glo, _ = _weibull_profile(lo, y, ln_y, mean_ln)
-    ghi = glo
-    for _ in range(200):
-        if glo > 0:
-            lo /= 1.5
-            glo, _ = _weibull_profile(lo, y, ln_y, mean_ln)
-        elif ghi < 0:
-            hi *= 1.5
-            ghi, _ = _weibull_profile(hi, y, ln_y, mean_ln)
-        else:
-            break
-    converged = False
-    for _ in range(_WEIBULL_MAX_ITER):
-        g, gp = _weibull_profile(k, y, ln_y, mean_ln)
-        if g > 0:
-            hi = min(hi, k)
-        else:
-            lo = max(lo, k)
-        step = g / gp
-        k_new = k - step
-        if not (lo < k_new < hi):
-            k_new = 0.5 * (lo + hi)
-        if abs(k_new - k) <= _WEIBULL_TOL * max(1.0, k):
-            k = k_new
-            converged = True
-            break
-        k = k_new
-
-    lam = float(v.max() * (np.mean(y**k)) ** (1.0 / k))
+    (k,), (lam,), (converged,) = _weibull_rows(v[None, :])
     n = v.size
     loglik = float(
         n * math.log(k)
@@ -195,10 +207,19 @@ def fit_weibull(sample) -> FitResult:
         + (k - 1) * np.log(v).sum()
         - ((v / lam) ** k).sum()
     )
-    return FitResult("weibull", (float(k), lam), loglik, converged)
+    return FitResult("weibull", (float(k), float(lam)), loglik, bool(converged))
 
 
 # --- Kolmogorov-Smirnov --------------------------------------------------
+
+
+def _ks_distance(cdf: np.ndarray) -> np.ndarray:
+    """sup |ECDF - CDF| along the last axis, from the CDF at the sorted values."""
+    n = cdf.shape[-1]
+    i = np.arange(1, n + 1)
+    d_plus = np.max(i / n - cdf, axis=-1)
+    d_minus = np.max(cdf - (i - 1) / n, axis=-1)
+    return np.maximum(np.maximum(d_plus, d_minus), 0.0)
 
 
 def ks_statistic(sample, fit: FitResult) -> float:
@@ -206,12 +227,7 @@ def ks_statistic(sample, fit: FitResult) -> float:
     v = np.sort(_as_values(sample))
     if v.size == 0:
         raise ParameterError("ks statistic of an empty sample is undefined")
-    n = v.size
-    cdf = fit.cdf(v)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus, 0.0))
+    return float(_ks_distance(fit.cdf(v)))
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -239,12 +255,13 @@ def ks_test(sample, fit: FitResult, mode: str = "asymptotic",
     Kolmogorov series.  Because the fit was estimated from the same data
     that p is biased upward; ``parametric_bootstrap`` re-fits on resamples
     drawn from the fitted law and reports the resampling p-value instead.
+    All resamples are drawn, refit and KS-tested at once, row by row of one
+    (n_resamples, n) array; the result equals the sequential per-resample
+    procedure bit for bit.
     """
     if not fit.converged:
         raise ParameterError("ks_test requires a converged fit")
     v = _as_values(sample)
-    if v.size == 0:
-        raise ParameterError("ks test of an empty sample is undefined")
     n = v.size
     d = ks_statistic(v, fit)
 
@@ -257,22 +274,32 @@ def ks_test(sample, fit: FitResult, mode: str = "asymptotic",
     if n_resamples < 1:
         raise ParameterError("n_resamples must be >= 1")
 
-    fitter = fit_normal if fit.family == "normal" else fit_weibull
-    rng = np.random.default_rng(seed)
-    exceed = 0
-    for _ in range(n_resamples):
-        resample = fit.sample(rng, n)
-        if fit.family == "weibull":
-            resample = np.maximum(resample, 1e-300)
-        try:
-            refit = fitter(resample)
-        except DegenerateSampleError:
-            exceed += 1  # conservative: count pathological resamples as extreme
-            continue
-        if ks_statistic(resample, refit) >= d:
-            exceed += 1
+    # degenerate resamples have D = inf: conservatively counted as extreme
+    exceed = np.count_nonzero(_resample_distances(fit, n, n_resamples, seed) >= d)
     p = (1.0 + exceed) / (n_resamples + 1.0)
     return KsOutcome(d, float(p))
+
+
+def _resample_distances(fit: FitResult, n: int, n_resamples: int, seed: int) -> np.ndarray:
+    """KS distance of each parametric resample, drawn as one (n_resamples, n)
+    array, to its own row-wise refit; D = inf where the family's fit rejects
+    the resample as degenerate (constant, or a normal spread underflowing to 0)."""
+    x = fit.sample(np.random.default_rng(seed), (n_resamples, n))
+    if fit.family == "weibull":
+        x = np.maximum(x, 1e-300)
+    if not np.isfinite(x).all():
+        raise ParameterError("sample contains non-finite values")
+    ok = x.max(axis=1) != x.min(axis=1)
+    if fit.family == "normal":
+        mu, sigma = x.mean(axis=1), x.std(axis=1)
+        ok &= sigma != 0.0
+        cdf = ndtr((np.sort(x[ok], axis=1) - mu[ok, None]) / sigma[ok, None])
+    else:
+        k, lam, _ = _weibull_rows(x[ok])
+        cdf = -np.expm1(-((np.sort(x[ok], axis=1) / lam[:, None]) ** k[:, None]))
+    d = np.full(n_resamples, np.inf)
+    d[ok] = _ks_distance(cdf)
+    return d
 
 
 # --- moments and the Pearson plane --------------------------------------

@@ -217,6 +217,8 @@ def classify_sample(sample: np.ndarray, seed: int = 0,
     """Fit both families, KS-test in both modes, and pick a verdict (see
     VERDICT_MODE); a constant sample, or one whose variance underflows to 0,
     is 'degenerate' and gets no fits."""
+    if n_resamples < 1:
+        raise ParameterError("n_resamples must be >= 1")
     res = AnalysisResult(verdict="degenerate")
     try:
         fits = {"normal": st.fit_normal(sample)}

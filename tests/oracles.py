@@ -16,6 +16,10 @@ for its regimes, and a scan of the completion times per regime rate) that
 ``hcp_positions`` builds the ideal HCP lattice the CNA must label all HCP,
 and ``weibull_log_likelihood`` is the closed-form likelihood a Weibull fit
 must maximise.
+``oracle_fit_weibull`` is the one-sample scalar Newton/bisection Weibull fit
+and ``oracle_ks_bootstrap`` the resample-by-resample parametric bootstrap
+loop; ``gridsweep.stats``'s row-wise solver and all-at-once bootstrap must
+reproduce both bit for bit.
 """
 
 import math
@@ -23,9 +27,10 @@ import math
 import numpy as np
 
 from gridsweep.cna import FCC, HCP, UNK
-from gridsweep.errors import BlowUpError, DomainError, ParameterError
+from gridsweep.errors import BlowUpError, DegenerateSampleError, DomainError, ParameterError
 from gridsweep.gridsim import COMPLETE, DISPATCH, HOST_DOWN, RegimeSegmentation, SpeedupRow
 from gridsweep.md import CUTOFF, _lj_coeff, _potential_energy, neighbor_pairs
+from gridsweep.stats import FitResult, fit_normal
 
 
 def dense_table(positions, box, periodic, cutoff):
@@ -303,3 +308,115 @@ def weibull_log_likelihood(sample, k, lam):
     return float(
         n * math.log(k) - n * k * math.log(lam) + (k - 1) * np.log(v).sum() - ((v / lam) ** k).sum()
     )
+
+
+def _scalar_weibull_profile(k, y, ln_y, mean_ln):
+    """Profile shape equation g(k) and g'(k); y is the sample scaled by its max."""
+    yk = y**k
+    yk_ln = yk * ln_y
+    s0 = yk.sum()
+    s1 = yk_ln.sum()
+    s2 = (yk_ln * ln_y).sum()
+    g = s1 / s0 - 1.0 / k - mean_ln
+    gprime = s2 / s0 - (s1 / s0) ** 2 + 1.0 / (k * k)
+    return g, gprime
+
+
+def oracle_fit_weibull(sample, max_iter=100):
+    """Two-parameter Weibull MLE of one sample, one Newton step at a time.
+
+    The profile equation for the shape k is solved by Newton iteration with
+    a bisection safeguard, started from the coefficient-of-variation
+    heuristic; the scale follows in closed form.  On non-convergence the best
+    iterate is returned with ``converged`` False.
+    """
+    v = np.asarray(sample, dtype=float)
+    if np.any(v <= 0):
+        raise DomainError("weibull fit requires strictly positive values")
+    if v.size < 2 or v.max() == v.min():
+        raise DegenerateSampleError("need at least two distinct values")
+
+    y = v / v.max()
+    ln_y = np.log(y)
+    mean_ln = float(ln_y.mean())
+
+    cv = v.std() / v.mean()
+    k = float(np.clip(cv**-1.086, 1e-2, 1e3)) if cv > 0 else 1.0
+
+    lo, hi = k, k
+    glo, _ = _scalar_weibull_profile(lo, y, ln_y, mean_ln)
+    ghi = glo
+    for _ in range(200):
+        if glo > 0:
+            lo /= 1.5
+            glo, _ = _scalar_weibull_profile(lo, y, ln_y, mean_ln)
+        elif ghi < 0:
+            hi *= 1.5
+            ghi, _ = _scalar_weibull_profile(hi, y, ln_y, mean_ln)
+        else:
+            break
+    converged = False
+    for _ in range(max_iter):
+        g, gp = _scalar_weibull_profile(k, y, ln_y, mean_ln)
+        if g > 0:
+            hi = min(hi, k)
+        else:
+            lo = max(lo, k)
+        step = g / gp
+        k_new = k - step
+        if not (lo < k_new < hi):
+            k_new = 0.5 * (lo + hi)
+        if abs(k_new - k) <= 1e-10 * max(1.0, k):
+            k = k_new
+            converged = True
+            break
+        k = k_new
+
+    lam = float(v.max() * (np.mean(y**k)) ** (1.0 / k))
+    n = v.size
+    loglik = float(
+        n * math.log(k)
+        - n * k * math.log(lam)
+        + (k - 1) * np.log(v).sum()
+        - ((v / lam) ** k).sum()
+    )
+    return FitResult("weibull", (float(k), lam), loglik, converged)
+
+
+def oracle_ks_statistic(sample, fit):
+    """sup |ECDF - fitted CDF| at both sides of every step of the sorted sample."""
+    v = np.sort(np.asarray(sample, dtype=float))
+    n = v.size
+    cdf = fit.cdf(v)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n), 0.0))
+
+
+def oracle_ks_bootstrap(sample, fit, n_resamples, seed):
+    """The parametric-bootstrap KS p-value, one resample at a time.
+
+    Returns (refits, p): per resample, None when its fit rejects it as
+    degenerate (it counts as extreme), else (params, converged, D).
+    """
+    d = oracle_ks_statistic(sample, fit)
+    n = np.asarray(sample).size
+    fitter = fit_normal if fit.family == "normal" else oracle_fit_weibull
+    rng = np.random.default_rng(seed)
+    refits = []
+    exceed = 0
+    for _ in range(n_resamples):
+        resample = fit.sample(rng, n)
+        if fit.family == "weibull":
+            resample = np.maximum(resample, 1e-300)
+        if not np.isfinite(resample).all():
+            raise ParameterError("sample contains non-finite values")
+        try:
+            refit = fitter(resample)
+        except DegenerateSampleError:
+            refits.append(None)
+            exceed += 1
+            continue
+        d_star = oracle_ks_statistic(resample, refit)
+        refits.append((refit.params, refit.converged, d_star))
+        exceed += d_star >= d
+    return refits, (1.0 + exceed) / (n_resamples + 1.0)

@@ -278,6 +278,21 @@ def test_analyze_non_positive_n_resamples_exits_1(tmp_path, capsys, n_resamples)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_resamples", ["0", "-5"])
+def test_analyze_non_positive_n_resamples_on_degenerate_ensemble_exits_1(
+        tmp_path, capsys, n_resamples):
+    for i in range(3):
+        write_records_csv([DefectRecord(0.0, 1.0, 0.0, 0.0, 0.5, -1.0)],
+                          job_csv_path(tmp_path, i))
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--input-dir", str(tmp_path), "--strain", "0.0",
+                 "--observable", "sigma_top", "--out-dir", str(out),
+                 "--n-resamples", n_resamples])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["-0.1", "0"])
 def test_sweep_non_positive_strain_rate_exits_1(tmp_path, capsys, rate):
     out = tmp_path / "sweep"

@@ -5,13 +5,20 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st_h
-from oracles import weibull_log_likelihood
+from oracles import (
+    oracle_fit_weibull,
+    oracle_ks_bootstrap,
+    weibull_log_likelihood,
+)
 
+from gridsweep import stats
 from gridsweep.errors import DegenerateSampleError, DomainError, ParameterError
 from gridsweep.stats import (
     FitResult,
+    _resample_distances,
+    _weibull_rows,
     bootstrap_cloud,
     fit_normal,
     fit_weibull,
@@ -183,10 +190,124 @@ def test_ks_bootstrap_accepts_right_family_and_is_deterministic():
     assert a.p_value > 0.05
 
 
+def test_ks_bootstrap_counts_degenerate_resamples_as_extreme():
+    # every resample is constant ((1, 1e-300)) or its spread underflows ((0, 1e-170))
+    for params in [(1.0, 1e-300), (0.0, 1e-170)]:
+        out = ks_test([0.5, 1.5, 2.0], FitResult("normal", params, 0.0, True),
+                      mode="parametric_bootstrap", n_resamples=99, seed=0)
+        assert out.p_value == 1.0
+
+
+def test_ks_bootstrap_rejects_non_finite_resamples():
+    fit = FitResult("weibull", (0.01, 1e300), 0.0, True)
+    with pytest.raises(ParameterError, match="non-finite"):
+        ks_test([1.0, 2.0, 3.0], fit, mode="parametric_bootstrap", n_resamples=50, seed=0)
+
+
+def campaign_cell(strain_index, column, seed=0, n_jobs=100, n_free=192):
+    """One observable at one checkpoint of the synthetic 100-job ensemble the
+    benchmark's campaign workload writes (columns: c_hcp, c_unk, sigma_top)."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(n_jobs):
+        yield_strain, stiffness = rng.normal(0.09, 0.01), rng.normal(14.0, 0.7)
+        for e in [i * 0.01 for i in range(21)]:
+            plastic = max(0.0, e - yield_strain)
+            unk = 1 + int(rng.binomial(n_free - 2, min(0.9, 0.02 + 2.0 * plastic)))
+            hcp = 1 + int(rng.binomial(n_free - 1 - unk, min(0.9, 0.005 + 1.5 * plastic)))
+            sigma = stiffness * min(e, yield_strain) - 5.0 * plastic + rng.normal(0.0, 0.02)
+            rng.normal(0.0, 0.5)  # the energy column
+            cells.append((hcp / n_free, unk / n_free, sigma))
+    return np.array(cells).reshape(n_jobs, 21, 3)[:, strain_index, column]
+
+
+@pytest.mark.parametrize("strain_index, column, fitter, p_repr", [
+    (15, 2, fit_weibull, "0.729"),  # sigma_top at strain 0.15
+    (20, 1, fit_normal, "0.354"),  # c_unk at strain 0.20
+])
+def test_ks_bootstrap_pinned_campaign_p_values(strain_index, column, fitter, p_repr):
+    # recorded with the resample-by-resample loop; any drift in a refit shows here
+    v = campaign_cell(strain_index, column)
+    out = ks_test(v, fitter(v), mode="parametric_bootstrap", n_resamples=999, seed=0)
+    assert repr(out.p_value) == p_repr
+
+
+def assert_bootstrap_matches_the_loop(v, fit, n_resamples, seed):
+    """Per resample: the same degenerate rows, D and Weibull (k, lambda,
+    converged) as the resample-by-resample oracle; and the same p."""
+    refits, p = oracle_ks_bootstrap(v, fit, n_resamples, seed)
+    d = _resample_distances(fit, v.size, n_resamples, seed)
+    kept = [refit for refit in refits if refit is not None]
+    assert [refit is None for refit in refits] == list(np.isinf(d))
+    assert np.array_equal([refit[2] for refit in kept], d[np.isfinite(d)], equal_nan=True)
+    if fit.family == "weibull":
+        x = np.maximum(fit.sample(np.random.default_rng(seed), (n_resamples, v.size)), 1e-300)
+        k, lam, converged = _weibull_rows(x[np.isfinite(d)])
+        assert [(params, conv) for params, conv, _ in kept] == list(
+            zip(zip(k, lam), converged))
+    out = ks_test(v, fit, mode="parametric_bootstrap", n_resamples=n_resamples, seed=seed)
+    assert out.p_value == p
+    return refits
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st_h.sampled_from(["normal", "weibull"]), n=st_h.integers(2, 600),
+       log_k=st_h.floats(-3.0, 5.5), seed=st_h.integers(0, 2**32 - 1))
+def test_batched_bootstrap_equals_the_per_resample_loop(family, n, log_k, seed):
+    rng = np.random.default_rng(seed)
+    if family == "weibull":  # k from 0.05 to 245
+        v = np.maximum(2.0 * rng.weibull(math.exp(log_k), n), 1e-300)
+    else:
+        v = rng.normal(log_k, 1.0 + abs(log_k), n)
+    assume(v.max() > v.min())
+    if family == "weibull":
+        fit, ref = fit_weibull(v), oracle_fit_weibull(v)
+        assert (fit.params, fit.converged, fit.log_likelihood) == (
+            ref.params, ref.converged, ref.log_likelihood)
+    else:
+        fit = fit_normal(v)
+    assume(fit.converged)
+    assert_bootstrap_matches_the_loop(v, fit, 25, seed)
+
+
+@pytest.mark.parametrize("params", [(0.05, 1e-290), (1.0, 1e-310)])
+def test_batched_bootstrap_degenerate_weibull_resamples_match_the_loop(params):
+    # many (the first law) or all (the second) resamples clamp to 1e-300 throughout
+    fit = FitResult("weibull", params, 0.0, True)
+    refits = assert_bootstrap_matches_the_loop(np.array([1e-300, 2e-300]), fit, 200, 3)
+    assert None in refits
+
+
+@pytest.mark.parametrize("seed, k, n", [(204, 0.7, 150), (339, 4.0, 60), (1364, 1.5, 100)])
+def test_weibull_rows_equal_one_sample_fits(seed, k, n):
+    # each batch holds a row whose k or lambda moves by one ulp if g'(k)'s
+    # (s1 / s0) ** 2 is taken as an array power instead of libm pow
+    v = np.random.default_rng(seed).weibull(k, size=(50, n))
+    rows = list(zip(*_weibull_rows(v)))
+    fits = [fit_weibull(row) for row in v]
+    refs = [oracle_fit_weibull(row) for row in v]
+    assert rows == [(*r.params, r.converged) for r in refs]
+    assert [(f.params, f.log_likelihood) for f in fits] == [
+        (r.params, r.log_likelihood) for r in refs]
+
+
+def test_weibull_rows_keep_the_last_iterate_when_not_converged(monkeypatch):
+    monkeypatch.setattr(stats, "_WEIBULL_MAX_ITER", 3)
+    rng = np.random.default_rng(21)
+    v = rng.weibull(1.5, size=(40, 60)) * rng.uniform(0.5, 2.0, size=(40, 1))
+    v[::3] = rng.weibull(30.0, size=(14, 60))  # rows that need few Newton steps
+    k, lam, converged = _weibull_rows(v)
+    refs = [oracle_fit_weibull(row, max_iter=3) for row in v]
+    assert list(zip(k, lam, converged)) == [(*r.params, r.converged) for r in refs]
+    assert 0 < converged.sum() < len(v)
+
+
 def test_ks_test_input_validation():
     fit = std_normal_fit()
     with pytest.raises(ParameterError):
         ks_test([0.1, 0.2], fit, mode="wat")
+    with pytest.raises(ParameterError):
+        ks_test([], fit)
     bad = FitResult("normal", (0.0, 1.0), 0.0, False)
     with pytest.raises(ParameterError):
         ks_test([0.1, 0.2], bad)
