@@ -12,11 +12,15 @@ Times are seconds throughout; churn rates on HostSpec are per hour.
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +72,7 @@ class SimPolicy:
     horizon_s: float = 400 * SECONDS_PER_DAY
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     kind: str
     job_id: int  # -1 for host events
@@ -81,6 +84,11 @@ class TraceEvent:
 class SimTrace:
     events: list[TraceEvent]
     tasks: list[TaskSpec]
+
+    @cached_property
+    def accounts(self) -> dict[str, RegimeSegmentation]:
+        """Every task's window and regimes (see :func:`_accounts`), computed on first use."""
+        return _accounts(self)
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,6 @@ class RegimeSegmentation:
 
 def scaled_runtime(task: TaskSpec, host: HostSpec, ref: ReferenceHost = ReferenceHost()) -> float:
     """Job runtime on a host under linear FLOPs scaling, in seconds."""
-    if host.gflops <= 0:
-        raise ParameterError("host gflops must be > 0")
     return task.t_job_ref_s * ref.gflops / host.gflops
 
 
@@ -155,9 +161,6 @@ class _Sim:
         heapq.heappush(self.heap, (time, self.seq, kind, data))
         self.seq += 1
 
-    def _record(self, time, kind, job_gid, task_name, host_id):
-        self.events.append(TraceEvent(time, kind, job_gid, task_name, host_id))
-
     def _schedule_transition(self, hi, now):
         """Draw when host ``hi`` next leaves its current state, if it ever does."""
         host = self.hosts[hi]
@@ -182,43 +185,44 @@ class _Sim:
                     return self.queues[ti].popleft()
         return None
 
-    def _offer_work(self, hi: int, now: float):
+    def _offer_work(self, hi: int, now: float) -> bool:
+        """Fill host ``hi``'s free slots; False once no job is left to hand out."""
         host = self.hosts[hi]
         while host.up and len(host.running) < host.spec.n_cpus:
             gid = self._next_job()
             if gid is None:
-                return
+                return False
             task = self.tasks[self.job_task[gid]]
             host.running.append(gid)
-            self._record(now, DISPATCH, gid, task.name, hi)
+            self.events.append(TraceEvent(now, DISPATCH, gid, task.name, hi))
             runtime = scaled_runtime(task, host.spec, self.ref)
             finish = now + self.policy.dispatch_latency_s + runtime
             self._push(finish, "finish", (hi, gid, self.attempt[gid]))
+        return True
 
     def _offer_all(self, now: float):
         """Offer queued work to every up host with free slots, in host order.
 
         Needed whenever work (re)appears outside a host's own event: the
         start, requeues after a detach, and the shared -> dedicated phase
-        transition.
+        transition.  Hosts after the first that finds nothing left are skipped.
         """
-        for hi in range(len(self.hosts)):
-            host = self.hosts[hi]
-            if host.up and len(host.running) < host.spec.n_cpus:
-                self._offer_work(hi, now)
+        for hi, host in enumerate(self.hosts):
+            if host.up and len(host.running) < host.spec.n_cpus and not self._offer_work(hi, now):
+                return
 
     # -- event handlers ---------------------------------------------------
 
     def _handle_host_up(self, hi, now):
         self.hosts[hi].up = True
-        self._record(now, HOST_UP, -1, "", hi)
+        self.events.append(TraceEvent(now, HOST_UP, -1, "", hi))
         self._schedule_transition(hi, now)
         self._offer_work(hi, now)
 
     def _handle_host_down(self, hi, now):
         host = self.hosts[hi]
         host.up = False
-        self._record(now, HOST_DOWN, -1, "", hi)
+        self.events.append(TraceEvent(now, HOST_DOWN, -1, "", hi))
         # restart-from-zero: requeue everything this host was running, in
         # dispatch order
         for gid in host.running:
@@ -241,7 +245,7 @@ class _Sim:
         self.jobs_left -= 1
         if task.mode == "shared":
             self.shared_left -= 1
-        self._record(now, COMPLETE, gid, task.name, hi)
+        self.events.append(TraceEvent(now, COMPLETE, gid, task.name, hi))
         self._offer_work(hi, now)
         if task.mode == "shared" and self.shared_left == 0:
             self._offer_all(now)  # dedicated work just became eligible everywhere
@@ -324,21 +328,21 @@ def _accounts(trace: SimTrace) -> dict[str, RegimeSegmentation]:
     inflight = dict.fromkeys(tasks, 0)
     peak = dict.fromkeys(tasks, (0, 0.0))  # (max in flight, when first reached)
     running_on: dict[int, set] = {}  # host -> (task, job_id) in flight there
-    for e in trace.events:
-        if e.kind == DISPATCH and e.task in tasks:
-            running_on.setdefault(e.host_id, set()).add((e.task, e.job_id))
-            dispatched[e.task].append(e.time)
-            inflight[e.task] += 1
-            if inflight[e.task] > peak[e.task][0]:
-                peak[e.task] = (inflight[e.task], e.time)
-        elif e.kind == COMPLETE and e.task in tasks:
-            done[e.task].append(e.time)
-            running = running_on.get(e.host_id)
-            if running and (e.task, e.job_id) in running:
-                running.remove((e.task, e.job_id))
-                inflight[e.task] -= 1
-        elif e.kind == HOST_DOWN:
-            for name, _ in running_on.pop(e.host_id, ()):
+    for time, kind, job_id, task, host_id in trace.events:
+        if kind == DISPATCH and task in tasks:
+            running_on.setdefault(host_id, set()).add((task, job_id))
+            dispatched[task].append(time)
+            inflight[task] += 1
+            if inflight[task] > peak[task][0]:
+                peak[task] = (inflight[task], time)
+        elif kind == COMPLETE and task in tasks:
+            done[task].append(time)
+            running = running_on.get(host_id)
+            if running and (task, job_id) in running:
+                running.remove((task, job_id))
+                inflight[task] -= 1
+        elif kind == HOST_DOWN:
+            for name, _ in running_on.pop(host_id, ()):
                 inflight[name] -= 1
 
     accounts = {}
@@ -369,9 +373,8 @@ def speedup_table(trace: SimTrace) -> list[SpeedupRow]:
     T_dg is the max of their windows; dedicated tasks ran on their own and
     add their windows in TOTAL.
     """
-    accounts = _accounts(trace)
     rows = {t.name: SpeedupRow(t.name, t.t_job_ref_s, t.n_jobs, t.n_jobs * t.t_job_ref_s,
-                               accounts[t.name].t_end - accounts[t.name].t_start)
+                               trace.accounts[t.name].t_end - trace.accounts[t.name].t_start)
             for t in trace.tasks}
     shared = [rows[t.name] for t in trace.tasks if t.mode == "shared"]
     dedicated = [rows[t.name] for t in trace.tasks if t.mode == "dedicated"]
@@ -386,18 +389,6 @@ def speedup_table(trace: SimTrace) -> list[SpeedupRow]:
                    sum(t.n_jobs * t.t_job_ref_s for t in trace.tasks), t_dg)]
 
 
-def segment_regimes(trace: SimTrace, task_name: str) -> RegimeSegmentation:
-    """One task's initial / active / final regimes (see :func:`_accounts`).
-
-    Per-regime rates are completions per second, 0 for an empty or
-    zero-length regime.
-    """
-    accounts = _accounts(trace)
-    if task_name not in accounts:
-        raise ParameterError(f"unknown task {task_name!r}")
-    return accounts[task_name]
-
-
 # --- external interfaces -------------------------------------------------
 
 TRACE_CSV_HEADER = ["time_s", "kind", "job_id", "task", "host_id"]
@@ -407,10 +398,20 @@ REGIMES_CSV_HEADER = ["task", "t_start_s", "t_initial_end_s", "t_active_end_s", 
                       "max_inflight", "degenerate"]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row: quoted only where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", text))
+    return buf.getvalue()[1:-2]
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
-    write_csv(path, TRACE_CSV_HEADER,
-              ([repr(e.time), e.kind, "" if e.job_id < 0 else e.job_id, e.task, e.host_id]
-               for e in trace.events))
+    """The event log, formatted in bulk to the bytes ``write_csv`` would give."""
+    task_field = {name: _csv_field(name) for name in {e.task for e in trace.events}}
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(TRACE_CSV_HEADER)
+        fh.writelines([f"{t!r},{kind},{job if job >= 0 else ''},{task_field[task]},{host}\r\n"
+                       for t, kind, job, task, host in trace.events])
 
 
 def write_speedup_csv(trace: SimTrace, path) -> None:
@@ -422,11 +423,10 @@ def write_speedup_csv(trace: SimTrace, path) -> None:
 
 
 def write_regimes_csv(trace: SimTrace, path) -> None:
-    regimes = _accounts(trace).values()
     write_csv(path, REGIMES_CSV_HEADER,
               ([r.task, repr(r.t_start), repr(r.t_initial_end), repr(r.t_active_end),
                 repr(r.t_end), repr(r.rate_initial), repr(r.rate_active), repr(r.rate_final),
-                r.max_inflight, int(r.degenerate)] for r in regimes))
+                r.max_inflight, int(r.degenerate)] for r in trace.accounts.values()))
 
 
 def write_trace_csvs(trace: SimTrace, stage, out_dir) -> None:

@@ -12,7 +12,10 @@ the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
 ``oracle_speedup_table`` and ``oracle_segment_regimes`` are the per-task
 trace rescans (one pass over the events for each task's window, one more
 for its regimes, and a scan of the completion times per regime rate) that
-``gridsim``'s one-pass accounting must reproduce exactly.
+``gridsim``'s one-pass accounting must reproduce exactly, and
+``segment_regimes`` is the one-task query of that accounting.
+``oracle_write_trace_csv`` writes trace.csv one ``csv.writer`` row per event;
+``gridsim.write_trace_csv``'s bulk formatting must give the same bytes.
 ``hcp_positions`` builds the ideal HCP lattice the CNA must label all HCP,
 and ``weibull_log_likelihood`` is the closed-form likelihood a Weibull fit
 must maximise.
@@ -28,8 +31,16 @@ import numpy as np
 
 from gridsweep.cna import FCC, HCP, UNK
 from gridsweep.errors import BlowUpError, DegenerateSampleError, DomainError, ParameterError
-from gridsweep.gridsim import COMPLETE, DISPATCH, HOST_DOWN, RegimeSegmentation, SpeedupRow
+from gridsweep.gridsim import (
+    COMPLETE,
+    DISPATCH,
+    HOST_DOWN,
+    TRACE_CSV_HEADER,
+    RegimeSegmentation,
+    SpeedupRow,
+)
 from gridsweep.md import CUTOFF, _lj_coeff, _potential_energy, neighbor_pairs
+from gridsweep.outputs import write_csv
 from gridsweep.stats import FitResult, fit_normal
 
 
@@ -297,6 +308,24 @@ def oracle_segment_regimes(trace, task_name):
         max_inflight=max_inflight,
         degenerate=degenerate,
     )
+
+
+def segment_regimes(trace, task_name):
+    """One task's initial / active / final regimes, looked up in ``trace.accounts``.
+
+    Per-regime rates are completions per second, 0 for an empty or
+    zero-length regime.
+    """
+    if task_name not in trace.accounts:
+        raise ParameterError(f"unknown task {task_name!r}")
+    return trace.accounts[task_name]
+
+
+def oracle_write_trace_csv(trace, path):
+    """trace.csv through ``csv.writer``: one row per event, times as ``repr``."""
+    write_csv(path, TRACE_CSV_HEADER,
+              ([repr(e.time), e.kind, "" if e.job_id < 0 else e.job_id, e.task, e.host_id]
+               for e in trace.events))
 
 
 def weibull_log_likelihood(sample, k, lam):

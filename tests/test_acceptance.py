@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import hcp_positions
+from oracles import hcp_positions, segment_regimes
 
 from gridsweep.cli import EXIT_OK, main
 from gridsweep.cna import FCC, HCP, cna_labels
@@ -15,7 +15,6 @@ from gridsweep.gridsim import (
     ReferenceHost,
     TaskSpec,
     run_scenario,
-    segment_regimes,
     speedup_table,
 )
 from gridsweep.hosts import PRESETS, HostSpec, sample_hosts

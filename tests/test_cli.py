@@ -142,6 +142,36 @@ def test_sim_failing_writer_leaves_no_files(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def count_accounts_calls(monkeypatch):
+    """Count calls of gridsim's one-pass trace accounting from here on."""
+    calls = []
+    accounts = gridsim._accounts
+
+    def counted(trace):
+        calls.append(trace)
+        return accounts(trace)
+
+    monkeypatch.setattr(gridsim, "_accounts", counted)
+    return calls
+
+
+def test_sim_run_accounts_its_trace_once(tmp_path, monkeypatch):
+    calls = count_accounts_calls(monkeypatch)
+    assert main(["sim", "run", "--scenario", str(TABLE2),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_sweep_ledger_commit_accounts_its_trace_once(tmp_path, monkeypatch):
+    calls = count_accounts_calls(monkeypatch)
+    assert main(["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2",
+                 "--strain-rate", "0.4", "--target-strain", "0.02",
+                 "--n-realizations", "2", "--parallelism", "1",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+    assert (tmp_path / "regimes.csv").exists()
+
+
 def test_sim_unknown_preset_exits_2_without_outputs(tmp_path):
     scn = tmp_path / "bad.scenario"
     scn.write_text("[hosts]\npreset = nope\n\n"

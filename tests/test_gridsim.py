@@ -5,7 +5,12 @@ import heapq
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
-from oracles import oracle_segment_regimes, oracle_speedup_table
+from oracles import (
+    oracle_segment_regimes,
+    oracle_speedup_table,
+    oracle_write_trace_csv,
+    segment_regimes,
+)
 
 from gridsweep.errors import ParameterError, SimulationStallError
 from gridsweep.gridsim import (
@@ -24,7 +29,6 @@ from gridsweep.gridsim import (
     TraceEvent,
     run_scenario,
     scaled_runtime,
-    segment_regimes,
     speedup_table,
     write_regimes_csv,
     write_speedup_csv,
@@ -348,6 +352,34 @@ def test_csv_writers(tmp_path):
     lines = (tmp_path / "regimes.csv").read_text().splitlines()
     assert lines[0] == ",".join(REGIMES_CSV_HEADER)
     assert len(lines) == 1 + len(tasks)
+
+
+def assert_trace_csv_matches_oracle(trace, tmp_path):
+    write_trace_csv(trace, tmp_path / "bulk.csv")
+    oracle_write_trace_csv(trace, tmp_path / "oracle.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_trace_csv_quotes_names_like_csv_writer(tmp_path):
+    names = ["a,b", 'say "hi"', " lead", "trail ", "S=16x16x16,V=1", "plain"]
+    events = [TraceEvent(0.0, HOST_UP, -1, "", 3)]
+    for k, name in enumerate(names):
+        events += [TraceEvent(0.1 * k, DISPATCH, k, name, k % 2),
+                   TraceEvent(1e-5 + 3600.0 * k, COMPLETE, k, name, k % 2)]
+    events.append(TraceEvent(7286337.295507298, HOST_DOWN, -1, "", 0))
+    trace = SimTrace(events, [TaskSpec(name, 60.0, 1) for name in names])
+    assert_trace_csv_matches_oracle(trace, tmp_path)
+    text = (tmp_path / "bulk.csv").read_bytes().decode()
+    assert '"a,b"' in text and '"say ""hi"""' in text and ", lead," in text
+    assert text.endswith("7286337.295507298,host_down,,,0\r\n")
+
+
+def test_trace_csv_of_a_churny_run_matches_oracle(tmp_path):
+    tasks = [TaskSpec("S=4x6x4,V=0.1", 1800, 25), TaskSpec(' b "x"', 900, 25),
+             TaskSpec("d", 600, 5, mode="dedicated")]
+    trace = run_scenario(tasks, churny_population(), seed=2)
+    assert {e.kind for e in trace.events} == {DISPATCH, COMPLETE, HOST_UP, HOST_DOWN}
+    assert_trace_csv_matches_oracle(trace, tmp_path)
 
 
 def test_total_speedup_uses_subtotal_convention(tmp_path):

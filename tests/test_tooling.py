@@ -14,7 +14,6 @@ SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 
 #: public functions that no other package code calls, each kept on purpose
 UNCALLED_BY_DESIGN = {
-    "gridsim.segment_regimes": "one task's regimes, the query form of regimes.csv",
     "hosts.calibrate_lognormal": "the search that produced the PRESETS log-normal pairs",
     "hosts.gibrat_trajectory": "the multiplicative growth law behind the log-normal attributes",
     "md.compute_forces": "forces, energy and closest pair of one configuration",
