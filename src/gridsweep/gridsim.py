@@ -406,12 +406,18 @@ def _csv_field(text: str) -> str:
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    """The event log, formatted in bulk to the bytes ``write_csv`` would give."""
-    task_field = {name: _csv_field(name) for name in {e.task for e in trace.events}}
+    """The event log, formatted in bulk to the bytes ``write_csv`` would give.
+
+    Each distinct nonzero time is formatted once.  A zero is formatted per
+    event, because ``-0.0`` and ``0.0`` are one key of a dict but two reprs.
+    """
+    events = trace.events
+    task_field = {name: _csv_field(name) for name in {e.task for e in events}}
+    time_field = {t: repr(t) for t in {e.time for e in events} if t}
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(TRACE_CSV_HEADER)
-        fh.writelines([f"{t!r},{kind},{job if job >= 0 else ''},{task_field[task]},{host}\r\n"
-                       for t, kind, job, task, host in trace.events])
+        fh.writelines(f"{time_field[t] if t else repr(t)},{kind},{job if job >= 0 else ''},"
+                      f"{task_field[task]},{host}\r\n" for t, kind, job, task, host in events)
 
 
 def write_speedup_csv(trace: SimTrace, path) -> None:

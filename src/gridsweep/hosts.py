@@ -4,8 +4,7 @@ Measured desktop-grid fleets show roughly normal per-host floating-point
 performance (additive growth of clock rates) while core counts, RAM and
 disk sizes are long-tailed and close to log-normal -- the fingerprint of
 multiplicative (Gibrat) growth.  This module samples host populations with
-those laws, summarizes them, and provides the calibration search used to
-pick the shipped log-normal defaults.
+those laws and summarizes them.
 
 All sampling is seed-deterministic: the RNG state is derived from the
 parameters only, never from hidden globals.
@@ -62,8 +61,8 @@ class PopulationParams:
 
     The log-normal parameters are in log space (mean and sd of the
     underlying normal).  The field defaults are round placeholder values;
-    the calibrated populations are :data:`PRESETS`, whose log-normal pairs
-    :func:`calibrate_lognormal` produced from published fleet averages.
+    the calibrated populations are :data:`PRESETS`, whose log-normal pairs a
+    calibration search produced from published fleet averages.
     """
 
     n_hosts: int = 189
@@ -153,39 +152,6 @@ def sample_hosts(params: PopulationParams) -> list[HostSpec]:
     ]
 
 
-def gibrat_trajectory(
-    initial: float,
-    n_steps: int,
-    factor_logmu: float,
-    factor_logsigma: float,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Multiplicative-growth path: value_{t+1} = value_t * f_t, ln f_t normal.
-
-    Returns the full path of length ``n_steps + 1`` including the initial
-    value.  A zero ``factor_logsigma`` gives an exactly geometric sequence.
-    """
-    if initial <= 0:
-        raise ParameterError("initial must be > 0")
-    if n_steps < 0:
-        raise ParameterError("n_steps must be >= 0")
-    if factor_logsigma < 0:
-        raise ParameterError("factor_logsigma must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    log_factors = rng.normal(factor_logmu, factor_logsigma, size=n_steps)
-    path = np.empty(n_steps + 1)
-    path[0] = initial
-    if n_steps:
-        if factor_logsigma == 0:
-            # keep the sigma=0 case exactly geometric, not exp(cumsum(log))
-            factor = math.exp(factor_logmu)
-            for t in range(n_steps):
-                path[t + 1] = path[t] * factor
-        else:
-            path[1:] = initial * np.exp(np.cumsum(log_factors))
-    return path
-
-
 def population_summary(hosts: list[HostSpec]) -> PopulationSummary:
     """Sample mean/sd/min/max per attribute (population variance: divide by n)."""
     attrs: dict[str, AttributeSummary] = {}
@@ -203,56 +169,11 @@ def population_summary(hosts: list[HostSpec]) -> PopulationSummary:
     return PopulationSummary(count=len(hosts), attributes=attrs)
 
 
-def calibrate_lognormal(
-    target_mean: float,
-    target_sd: float,
-    snap: bool = False,
-    n_probe: int = 40000,
-    seed: int = 12345,
-    refine_rounds: int = 3,
-) -> tuple[float, float]:
-    """Grid-search (logmu, logsigma) so sampled mean/sd hit the targets.
-
-    With ``snap`` the draws are snapped to CPU_STEPS before the moments are
-    taken, which is what makes a closed-form moment match insufficient and
-    the search necessary.  Deterministic for fixed arguments; this is the
-    tool that produced the shipped defaults.
-    """
-    if target_mean <= 0 or target_sd < 0:
-        raise ParameterError("targets must be positive")
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=n_probe)
-
-    # closed-form moment match as the search center
-    ratio2 = (target_sd / target_mean) ** 2
-    sig0 = math.sqrt(math.log1p(ratio2))
-    mu0 = math.log(target_mean) - sig0**2 / 2
-
-    def loss(mu, sig):
-        draws = np.exp(mu + sig * z)
-        if snap:
-            draws = snap_cpus(draws).astype(float)
-        return ((draws.mean() - target_mean) / target_mean) ** 2 + (
-            (draws.std() - target_sd) / target_sd
-        ) ** 2
-
-    best = (mu0, sig0)
-    span_mu, span_sig = 0.6, 0.6
-    for _ in range(refine_rounds):
-        mus = np.linspace(best[0] - span_mu, best[0] + span_mu, 25)
-        sigs = np.linspace(max(best[1] - span_sig, 0.01), best[1] + span_sig, 25)
-        scores = [(loss(m, s), m, s) for m in mus for s in sigs]
-        _, bm, bs = min(scores)
-        best = (bm, bs)
-        span_mu /= 6
-        span_sig /= 6
-    return float(best[0]), float(best[1])
-
-
 #: the built-in populations by name (``hosts sample --preset``, scenario
 #: ``preset =``).  The log-normal (logmu, logsigma) pairs are frozen outputs of
-#: calibrate_lognormal for the fleet averages in the comments (CPU counts
-#: with ``snap=True``); tests/test_hosts.py re-runs the search against them.
+#: the search ``calibrate_lognormal`` in tests/oracles.py for the fleet
+#: averages in the comments (CPU counts with ``snap=True``); tests/test_hosts.py
+#: re-runs the search against them.
 PRESETS = {
     # the full registered fleet: GFLOPs 2.25+-0.76, CPUs 4.30+-4.95,
     # RAM 6.68+-12.15 GB, HDD 257+-371 GB

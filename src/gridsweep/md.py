@@ -7,7 +7,11 @@ rate.  The pair potential is LJ truncated and shifted at the cutoff --
 cheap enough for desk-scale ensembles while leaving the whole statistics
 chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
-call, and the checkpoint observables take their pairs from it.
+call, and the checkpoint observables take their pairs from it.  The force
+kernel skips the pairs with no free atom, as LAMMPS's ``neigh_modify
+exclude`` does for a rigid group: their forces land only on grip rows, which
+the integrator never applies.  The energy and the observables use the whole
+list.
 
 Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
 order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
@@ -289,9 +293,26 @@ def total_energy(crystal: Crystal) -> float:
     return _potential_energy(_cutoff_pairs(crystal)[3]) + kinetic_energy(crystal)
 
 
-#: what one `integrate` call hands the next: the skin pair list (i, j), the
-#: positions it was built at, and the current forces and potential energy
-PairState = namedtuple("PairState", "i j ref_pos forces potential")
+#: what one `integrate` call hands the next: the skin pair list (i, j), its
+#: pairs with a free atom (fi, fj; the same arrays when that is every pair),
+#: the positions both were built at, and the current forces and potential
+#: energy.  The forces come from (fi, fj) alone.  Their grip rows lack the
+#: grip-grip terms and only ever meet a zero kick, while a free atom's row
+#: gets the same terms in the same order as from (i, j): a subset of a sorted
+#: list keeps its order, and bincount adds in input order.  So trajectories
+#: are bit for bit those of the whole list.
+PairState = namedtuple("PairState", "i j fi fj ref_pos forces potential")
+
+
+def _skin_lists(crystal: Crystal):
+    """The skin list (i, j) and its pairs with a free atom (fi, fj), which are
+    (i, j) themselves when every pair has one."""
+    i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
+    free = crystal.free_mask
+    keep = free[i] | free[j]
+    if keep.all():
+        return i, j, i, j
+    return i, j, i[keep], j[keep]
 
 
 def integrate(crystal: Crystal, params: MDParams, n_steps: int,
@@ -304,22 +325,27 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     pair list holds the pairs within cutoff + skin until an atom has moved
     skin/2; given the last call's ``state`` (positions untouched since), list
     and forces carry over, so a run split into many calls rebuilds only when
-    the skin test fires.  Raises BlowUpError once positions stop being finite.
+    the skin test fires.  Each step's forces skip the pairs of two grip atoms
+    (see `PairState`); the potential energy, taken on the call's last step,
+    sums the whole list.  Raises BlowUpError once positions stop being finite.
     """
     dt = params.dt
-    rmax = CUTOFF + SKIN
     side = crystal.grip_side
     crystal.velocities[side > 0] = [0.0, grip_speed, 0.0]
     crystal.velocities[side < 0] = [0.0, -grip_speed, 0.0]
     kick = np.where(side != 0, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
     per = np.asarray(crystal.periodic)
 
+    def potential_energy(pairs) -> float:
+        # pairs are the cutoff pairs of (fi, fj); the energy needs all of (i, j)
+        return _potential_energy((pairs if fi is i else _cutoff_pairs(crystal, (i, j)))[3])
+
     if state is None:
-        i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)
-        pairs = _cutoff_pairs(crystal, (i, j))
-        state = PairState(i, j, crystal.positions.copy(),
-                          _pair_forces(crystal.n_atoms, *pairs), _potential_energy(pairs[3]))
-    i, j, ref_pos, forces, potential = state
+        i, j, fi, fj = _skin_lists(crystal)
+        pairs = _cutoff_pairs(crystal, (fi, fj))
+        state = PairState(i, j, fi, fj, crystal.positions.copy(),
+                          _pair_forces(crystal.n_atoms, *pairs), potential_energy(pairs))
+    i, j, fi, fj, ref_pos, forces, potential = state
     for step in range(n_steps):
         crystal.velocities += kick * forces
         crystal.positions += dt * crystal.velocities
@@ -328,14 +354,14 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
         if not moved <= (0.5 * SKIN) ** 2:
             if not math.isfinite(moved):
                 raise BlowUpError("positions are no longer finite; dt too large?")
-            i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)
+            i, j, fi, fj = _skin_lists(crystal)
             ref_pos = crystal.positions.copy()
-        pairs = _cutoff_pairs(crystal, (i, j))
+        pairs = _cutoff_pairs(crystal, (fi, fj))
         forces = _pair_forces(crystal.n_atoms, *pairs)
         crystal.velocities += kick * forces
         if step == n_steps - 1:  # the energy sum only once per call
-            potential = _potential_energy(pairs[3])
-    return PairState(i, j, ref_pos, forces, potential)
+            potential = potential_energy(pairs)
+    return PairState(i, j, fi, fj, ref_pos, forces, potential)
 
 
 #: total-energy drift per atom over one equilibration chunk (NVE: no rescale

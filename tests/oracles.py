@@ -9,6 +9,9 @@ among the common neighbours, so keep oracle inputs close to a lattice.
 ``rows_compute_forces`` and ``rows_grip_stress`` run the LJ pair kernel on
 (m, 3) rows -- row gathers, an einsum for r2 and one bincount per axis -- and
 the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
+``oracle_verlet`` integrates with forces from a fresh search over all pairs
+at every step; ``md.integrate``, which skips grip-grip pairs, must follow
+its trajectory bit for bit.
 ``oracle_speedup_table`` and ``oracle_segment_regimes`` are the per-task
 trace rescans (one pass over the events for each task's window, one more
 for its regimes, and a scan of the completion times per regime rate) that
@@ -18,7 +21,9 @@ for its regimes, and a scan of the completion times per regime rate) that
 ``gridsim.write_trace_csv``'s bulk formatting must give the same bytes.
 ``hcp_positions`` builds the ideal HCP lattice the CNA must label all HCP,
 and ``weibull_log_likelihood`` is the closed-form likelihood a Weibull fit
-must maximise.
+must maximise.  ``calibrate_lognormal`` is the search that produced the
+log-normal pairs of ``hosts.PRESETS``, and ``gibrat_trajectory`` the
+multiplicative growth law behind the log-normal host attributes.
 ``oracle_fit_weibull`` is the one-sample scalar Newton/bisection Weibull fit
 and ``oracle_ks_bootstrap`` the resample-by-resample parametric bootstrap
 loop; ``gridsweep.stats``'s row-wise solver and all-at-once bootstrap must
@@ -39,6 +44,7 @@ from gridsweep.gridsim import (
     RegimeSegmentation,
     SpeedupRow,
 )
+from gridsweep.hosts import snap_cpus
 from gridsweep.md import CUTOFF, _lj_coeff, _potential_energy, neighbor_pairs
 from gridsweep.outputs import write_csv
 from gridsweep.stats import FitResult, fit_normal
@@ -194,6 +200,25 @@ def rows_grip_stress(crystal, pairs=None):
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 
 
+def oracle_verlet(crystal, dt, n_steps, grip_speed=0.0):
+    """Plain velocity-Verlet in place: every step takes all forces from a fresh
+    search over all pairs, and the free atoms alone get kicked.  Returns the
+    potential energy after the last step."""
+    side = crystal.grip_side
+    crystal.velocities[side > 0] = [0.0, grip_speed, 0.0]
+    crystal.velocities[side < 0] = [0.0, -grip_speed, 0.0]
+    free = side == 0
+    per = np.asarray(crystal.periodic)
+    forces, potential, _ = rows_compute_forces(crystal)
+    for _ in range(n_steps):
+        crystal.velocities[free] += 0.5 * dt * forces[free]
+        crystal.positions += dt * crystal.velocities
+        crystal.positions[:, per] %= crystal.box[per]
+        forces, potential, _ = rows_compute_forces(crystal)
+        crystal.velocities[free] += 0.5 * dt * forces[free]
+    return potential
+
+
 def _task_by_name(trace, task_name):
     for t in trace.tasks:
         if t.name == task_name:
@@ -326,6 +351,85 @@ def oracle_write_trace_csv(trace, path):
     write_csv(path, TRACE_CSV_HEADER,
               ([repr(e.time), e.kind, "" if e.job_id < 0 else e.job_id, e.task, e.host_id]
                for e in trace.events))
+
+
+def gibrat_trajectory(
+    initial: float,
+    n_steps: int,
+    factor_logmu: float,
+    factor_logsigma: float,
+    seed: int | np.random.Generator = 0,
+) -> np.ndarray:
+    """Multiplicative-growth path: value_{t+1} = value_t * f_t, ln f_t normal.
+
+    Returns the full path of length ``n_steps + 1`` including the initial
+    value.  A zero ``factor_logsigma`` gives an exactly geometric sequence.
+    """
+    if initial <= 0:
+        raise ParameterError("initial must be > 0")
+    if n_steps < 0:
+        raise ParameterError("n_steps must be >= 0")
+    if factor_logsigma < 0:
+        raise ParameterError("factor_logsigma must be >= 0")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    log_factors = rng.normal(factor_logmu, factor_logsigma, size=n_steps)
+    path = np.empty(n_steps + 1)
+    path[0] = initial
+    if n_steps:
+        if factor_logsigma == 0:
+            # keep the sigma=0 case exactly geometric, not exp(cumsum(log))
+            factor = math.exp(factor_logmu)
+            for t in range(n_steps):
+                path[t + 1] = path[t] * factor
+        else:
+            path[1:] = initial * np.exp(np.cumsum(log_factors))
+    return path
+
+
+def calibrate_lognormal(
+    target_mean: float,
+    target_sd: float,
+    snap: bool = False,
+    n_probe: int = 40000,
+    seed: int = 12345,
+    refine_rounds: int = 3,
+) -> tuple[float, float]:
+    """Grid-search (logmu, logsigma) so sampled mean/sd hit the targets.
+
+    With ``snap`` the draws are snapped to CPU_STEPS before the moments are
+    taken, which is what makes a closed-form moment match insufficient and
+    the search necessary.  Deterministic for fixed arguments; this is the
+    search that produced the log-normal pairs of ``gridsweep.hosts.PRESETS``.
+    """
+    if target_mean <= 0 or target_sd < 0:
+        raise ParameterError("targets must be positive")
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n_probe)
+
+    # closed-form moment match as the search center
+    ratio2 = (target_sd / target_mean) ** 2
+    sig0 = math.sqrt(math.log1p(ratio2))
+    mu0 = math.log(target_mean) - sig0**2 / 2
+
+    def loss(mu, sig):
+        draws = np.exp(mu + sig * z)
+        if snap:
+            draws = snap_cpus(draws).astype(float)
+        return ((draws.mean() - target_mean) / target_mean) ** 2 + (
+            (draws.std() - target_sd) / target_sd
+        ) ** 2
+
+    best = (mu0, sig0)
+    span_mu, span_sig = 0.6, 0.6
+    for _ in range(refine_rounds):
+        mus = np.linspace(best[0] - span_mu, best[0] + span_mu, 25)
+        sigs = np.linspace(max(best[1] - span_sig, 0.01), best[1] + span_sig, 25)
+        scores = [(loss(m, s), m, s) for m in mus for s in sigs]
+        _, bm, bs = min(scores)
+        best = (bm, bs)
+        span_mu /= 6
+        span_sig /= 6
+    return float(best[0]), float(best[1])
 
 
 def weibull_log_likelihood(sample, k, lam):

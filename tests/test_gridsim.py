@@ -374,6 +374,15 @@ def test_trace_csv_quotes_names_like_csv_writer(tmp_path):
     assert text.endswith("7286337.295507298,host_down,,,0\r\n")
 
 
+def test_trace_csv_keeps_negative_zero_apart(tmp_path):
+    times = [-0.0, 0.0, -0.0, 0.5, 0.0, 0.5, 1e-300]
+    events = [TraceEvent(t, DISPATCH, k, "a", 0) for k, t in enumerate(times)]
+    trace = SimTrace(events, [TaskSpec("a", 60.0, len(times))])
+    assert_trace_csv_matches_oracle(trace, tmp_path)
+    lines = (tmp_path / "bulk.csv").read_bytes().decode().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [repr(t) for t in times]
+
+
 def test_trace_csv_of_a_churny_run_matches_oracle(tmp_path):
     tasks = [TaskSpec("S=4x6x4,V=0.1", 1800, 25), TaskSpec(' b "x"', 900, 25),
              TaskSpec("d", 600, 5, mode="dedicated")]

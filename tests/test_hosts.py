@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st_h
+from oracles import calibrate_lognormal, gibrat_trajectory
 
 from gridsweep.errors import ParameterError, ScenarioParseError
 from gridsweep.hosts import (
@@ -14,8 +15,6 @@ from gridsweep.hosts import (
     PRESETS,
     HostSpec,
     PopulationParams,
-    calibrate_lognormal,
-    gibrat_trajectory,
     population_summary,
     read_params_file,
     read_population_csv,

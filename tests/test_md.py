@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from oracles import (
     dense_pairs,
+    oracle_verlet,
     rows_compute_forces,
     rows_cutoff_pairs,
     rows_grip_stress,
@@ -230,6 +231,36 @@ def test_threaded_state_matches_one_call():
     for crystal in (threaded, fresh):
         assert np.array_equal(crystal.positions, whole.positions)
         assert np.array_equal(crystal.velocities, whole.velocities)
+
+
+# 4x6x4: a gripped slab under strain; 4x4x4: its top and bottom grips lie
+# within the cutoff of each other
+@pytest.mark.parametrize("geometry", [(4, 6, 4), (4, 4, 4)])
+def test_gripped_trajectory_matches_fresh_search_verlet(geometry):
+    params = MDParams(temperature=0.1)
+    start = build_crystal(*geometry, temperature=0.1, seed=5)
+    crystal, reference = start.copy(), start.copy()
+    free = start.free_mask
+    state = None
+    for n in (0, 1, 60, 99):
+        state = integrate(crystal, params, n, grip_speed=0.4, state=state)
+        potential = oracle_verlet(reference, params.dt, n, grip_speed=0.4)
+        assert np.array_equal(crystal.positions, reference.positions)
+        assert np.array_equal(crystal.velocities[free], reference.velocities[free])
+        assert state.potential == potential
+    assert not np.array_equal(state.ref_pos, start.positions)  # the list was rebuilt
+    assert state.fi.size < state.i.size  # and the forces skipped grip-grip pairs
+
+
+def test_ungripped_forces_use_the_skin_list_itself():
+    params = MDParams()
+    crystal = build_crystal(3, 3, 3, temperature=0.1, seed=5, grip_planes=0)
+    reference = crystal.copy()
+    state = integrate(crystal, params, 50)
+    assert state.fi is state.i and state.fj is state.j
+    assert state.potential == oracle_verlet(reference, params.dt, 50)
+    assert np.array_equal(crystal.positions, reference.positions)
+    assert np.array_equal(crystal.velocities, reference.velocities)
 
 
 def test_checkpoint_record_matches_public_observables():

@@ -1,6 +1,7 @@
 """Sweep runner ledger/accounting and ensemble analysis outputs."""
 
 import csv
+import hashlib
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -159,6 +160,25 @@ def test_default_spec_matches_golden_output(tmp_path):
         for col in ("strain", "c_fcc", "c_hcp", "c_unk", "energy"):
             assert row[col] == ref[col]
         assert float(row["sigma_top"]) == pytest.approx(float(ref["sigma_top"]), rel=1e-12)
+
+
+#: sha256 of whole job CSVs at seed 0, every column exact: the default spec
+#: run to its 0.20 target, and a 4x4x4 crystal, whose top and bottom grips
+#: lie within the cutoff of each other, run to 0.05
+PINNED_JOBS = {
+    "default": ((4, 6, 4), 0.20,
+                "77bebfce451bf74a0cf73e66f907dd831d318a297d37e062a65087088c7781f1"),
+    "4x4x4": ((4, 4, 4), 0.05,
+              "e01b6aac04804499318c800e0981a991b06046267655e4ebdd70ce9393e50084"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JOBS))
+def test_full_realization_matches_pinned_bytes(tmp_path, name):
+    geometry, target_strain, sha256 = PINNED_JOBS[name]
+    path = tmp_path / "job.csv"
+    write_records_csv(run_tensile(MDParams(target_strain=target_strain), geometry, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_spec_validation():
