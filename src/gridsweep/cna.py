@@ -13,8 +13,6 @@ translation (on non-periodic data) by construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import ParameterError
@@ -90,9 +88,9 @@ def defect_counts(labels, grip_mask=None) -> tuple[int, int, int]:
 
 def defect_concentrations(labels, grip_mask=None) -> tuple[float, float, float]:
     """(c_fcc, c_hcp, c_unk) fractions over non-grip atoms; counts sum exactly
-    to the total, so the Fractions behind these floats sum exactly to 1."""
+    to the total, so the exact quotients behind these correctly rounded floats
+    sum exactly to 1."""
     n_fcc, n_hcp, n_unk = defect_counts(labels, grip_mask)
     total = n_fcc + n_hcp + n_unk
-    return (float(Fraction(n_fcc, total)), float(Fraction(n_hcp, total)),
-            float(Fraction(n_unk, total)))
+    return n_fcc / total, n_hcp / total, n_unk / total
 

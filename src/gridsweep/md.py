@@ -7,11 +7,11 @@ rate.  The pair potential is LJ truncated and shifted at the cutoff --
 cheap enough for desk-scale ensembles while leaving the whole statistics
 chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
-call, and the checkpoint observables take their pairs from it.  The force
-kernel skips the pairs with no free atom, as LAMMPS's ``neigh_modify
-exclude`` does for a rigid group: their forces land only on grip rows, which
-the integrator never applies.  The energy and the observables use the whole
-list.
+call, and the energy checks and checkpoint observables take their pairs from
+it.  The integrator computes forces only.  Its kernel skips the pairs with no
+free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
+forces land only on grip rows, which the integrator never applies.  The
+energy and the observables use the whole list.
 
 Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
 order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
@@ -277,11 +277,11 @@ def _pair_forces(n: int, i, j, delta, r2) -> np.ndarray:
     return forces.reshape(3, n).T
 
 
-def compute_forces(crystal: Crystal):
-    """Truncated-shifted LJ forces; returns (forces, potential_energy, r2_min)."""
-    i, j, delta, r2 = _cutoff_pairs(crystal)
-    forces = _pair_forces(crystal.n_atoms, i, j, delta, r2)
-    return forces, _potential_energy(r2), float(r2.min()) if r2.size else math.inf
+def potential_energy(crystal: Crystal, pairs=None) -> float:
+    """Truncated-shifted LJ energy of the sorted pair list ``pairs`` (one that
+    holds every pair inside the cutoff, such as the integrator's skin list) or
+    of a fresh search; BlowUpError as `_cutoff_pairs`."""
+    return _potential_energy(_cutoff_pairs(crystal, pairs)[3])
 
 
 def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
@@ -289,29 +289,22 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
     return 0.5 * float(np.sum(v * v))
 
 
-def total_energy(crystal: Crystal) -> float:
-    return _potential_energy(_cutoff_pairs(crystal)[3]) + kinetic_energy(crystal)
-
-
 #: what one `integrate` call hands the next: the skin pair list (i, j), its
-#: pairs with a free atom (fi, fj; the same arrays when that is every pair),
-#: the positions both were built at, and the current forces and potential
-#: energy.  The forces come from (fi, fj) alone.  Their grip rows lack the
-#: grip-grip terms and only ever meet a zero kick, while a free atom's row
+#: pairs with a free atom (fi, fj), the positions both were built at, and the
+#: current forces.  The forces come from (fi, fj) alone.  Their grip rows lack
+#: the grip-grip terms and only ever meet a zero kick, while a free atom's row
 #: gets the same terms in the same order as from (i, j): a subset of a sorted
 #: list keeps its order, and bincount adds in input order.  So trajectories
-#: are bit for bit those of the whole list.
-PairState = namedtuple("PairState", "i j fi fj ref_pos forces potential")
+#: are bit for bit those of the whole list.  The energy is not carried: the
+#: callers that read it sum it over (i, j) with `potential_energy`.
+PairState = namedtuple("PairState", "i j fi fj ref_pos forces")
 
 
 def _skin_lists(crystal: Crystal):
-    """The skin list (i, j) and its pairs with a free atom (fi, fj), which are
-    (i, j) themselves when every pair has one."""
+    """The skin list (i, j) and its pairs with a free atom (fi, fj)."""
     i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     free = crystal.free_mask
     keep = free[i] | free[j]
-    if keep.all():
-        return i, j, i, j
     return i, j, i[keep], j[keep]
 
 
@@ -326,8 +319,7 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     skin/2; given the last call's ``state`` (positions untouched since), list
     and forces carry over, so a run split into many calls rebuilds only when
     the skin test fires.  Each step's forces skip the pairs of two grip atoms
-    (see `PairState`); the potential energy, taken on the call's last step,
-    sums the whole list.  Raises BlowUpError once positions stop being finite.
+    (see `PairState`).  Raises BlowUpError once positions stop being finite.
     """
     dt = params.dt
     side = crystal.grip_side
@@ -335,18 +327,12 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     crystal.velocities[side < 0] = [0.0, -grip_speed, 0.0]
     kick = np.where(side != 0, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
     per = np.asarray(crystal.periodic)
-
-    def potential_energy(pairs) -> float:
-        # pairs are the cutoff pairs of (fi, fj); the energy needs all of (i, j)
-        return _potential_energy((pairs if fi is i else _cutoff_pairs(crystal, (i, j)))[3])
-
     if state is None:
         i, j, fi, fj = _skin_lists(crystal)
-        pairs = _cutoff_pairs(crystal, (fi, fj))
         state = PairState(i, j, fi, fj, crystal.positions.copy(),
-                          _pair_forces(crystal.n_atoms, *pairs), potential_energy(pairs))
-    i, j, fi, fj, ref_pos, forces, potential = state
-    for step in range(n_steps):
+                          _pair_forces(crystal.n_atoms, *_cutoff_pairs(crystal, (fi, fj))))
+    i, j, fi, fj, ref_pos, forces = state
+    for _ in range(n_steps):
         crystal.velocities += kick * forces
         crystal.positions += dt * crystal.velocities
         crystal.positions[:, per] %= crystal.box[per]
@@ -356,12 +342,9 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
                 raise BlowUpError("positions are no longer finite; dt too large?")
             i, j, fi, fj = _skin_lists(crystal)
             ref_pos = crystal.positions.copy()
-        pairs = _cutoff_pairs(crystal, (fi, fj))
-        forces = _pair_forces(crystal.n_atoms, *pairs)
+        forces = _pair_forces(crystal.n_atoms, *_cutoff_pairs(crystal, (fi, fj)))
         crystal.velocities += kick * forces
-        if step == n_steps - 1:  # the energy sum only once per call
-            potential = potential_energy(pairs)
-    return PairState(i, j, fi, fj, ref_pos, forces, potential)
+    return PairState(i, j, fi, fj, ref_pos, forces)
 
 
 #: total-energy drift per atom over one equilibration chunk (NVE: no rescale
@@ -375,11 +358,13 @@ def equilibrate(crystal: Crystal, params: MDParams) -> PairState:
     MAX_CHUNK_DRIFT per atom.  Returns the state for the next `integrate`."""
     steps, interval = params.equilibration_steps, RESCALE_INTERVAL
     state = integrate(crystal, params, 0)
+    potential = potential_energy(crystal, (state.i, state.j))
     for done in range(0, steps, interval):
         chunk = min(interval, steps - done)
-        e0 = state.potential + kinetic_energy(crystal)
+        e0 = potential + kinetic_energy(crystal)
         state = integrate(crystal, params, chunk, state=state)
-        drift = (state.potential + kinetic_energy(crystal) - e0) / crystal.n_atoms
+        potential = potential_energy(crystal, (state.i, state.j))
+        drift = (potential + kinetic_energy(crystal) - e0) / crystal.n_atoms
         if not abs(drift) <= MAX_CHUNK_DRIFT:
             raise BlowUpError(f"energy drifted by {drift:.3g} per atom in {chunk} steps; "
                               "dt too large?")
@@ -437,14 +422,16 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     cna_cutoff = 0.854 * A0_DEFAULT
 
     def record(strain: float) -> DefectRecord:
-        # the CNA shell (0.854 a < CUTOFF) among the cutoff pairs of the skin list
+        # the cutoff pairs of the skin list give the energy, the stress and,
+        # within 0.854 a < CUTOFF, the CNA shell
         i, j, _, r2 = _cutoff_pairs(crystal, (state.i, state.j))
         shell = r2 < cna_cutoff * cna_cutoff
         labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, cna_cutoff,
                             (i[shell], j[shell]))
+        energy = _potential_energy(r2) + kinetic_energy(crystal)
         return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
                             sigma_top=grip_stress(crystal, (i, j)),
-                            energy=(state.potential + kinetic_energy(crystal)) / crystal.n_atoms)
+                            energy=energy / crystal.n_atoms)
 
     records = [record(0.0)]
     if params.target_strain == 0:

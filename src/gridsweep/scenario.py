@@ -1,9 +1,11 @@
 """Scenario files for the grid simulator.
 
-INI-style plain text.  A ``[hosts]`` section points at a population CSV,
-at a params file, or at a built-in preset (``registered`` / ``pool``,
-with an optional sampling ``seed``); ``[sim]`` sets the seed and policy,
-and each ``[task.N]`` section declares one task::
+INI-style plain text.  A ``[hosts]`` section points at exactly one of a
+population CSV, a params file or a built-in preset (``registered`` /
+``pool``; these two take an optional sampling ``seed``); ``[sim]`` sets the
+seed and policy, and each ``[task.N]`` section declares one task.  Any other
+section or key is an error, so a misspelt name cannot fall back to a
+default::
 
     [hosts]
     preset = pool
@@ -32,6 +34,14 @@ from .gridsim import ReferenceHost, SimPolicy, TaskSpec, SECONDS_PER_DAY
 from .hosts import HostSpec
 
 
+#: the keys each kind of section may hold
+_KEYS = {
+    "hosts": {"csv", "params", "preset", "seed"},
+    "sim": {"seed", "horizon_days", "dispatch_latency_s", "ref_gflops"},
+    "task": {"name", "t_job_ref_min", "n_jobs", "mode"},
+}
+
+
 @dataclass
 class Scenario:
     tasks: list[TaskSpec]
@@ -53,12 +63,30 @@ def parse_scenario(path) -> Scenario:
         # configparser errors carry line numbers in their message
         raise ScenarioParseError(f"{path}: {exc}") from exc
 
+    task_sections = []
+    for name in cp.sections():
+        kind, dot, number = name.partition(".")
+        if name in ("hosts", "sim") or ((kind, dot) == ("task", ".") and number.isdecimal()):
+            unknown = sorted(set(cp[name]) - _KEYS[kind])
+            if unknown:
+                raise ScenarioParseError(f"{path}: [{name}]: unknown key(s) {unknown}")
+            if kind == "task":
+                task_sections.append((int(number), name))
+        else:
+            raise ScenarioParseError(f"{path}: unknown section [{name}]")
+
     if "hosts" not in cp:
         raise ScenarioParseError(f"{path}: missing [hosts] section")
     hosts_sec = cp["hosts"]
+    sources = [key for key in ("csv", "params", "preset") if key in hosts_sec]
+    if len(sources) != 1:
+        raise ScenarioParseError(
+            f"{path}: [hosts] needs exactly one of 'csv', 'params' or 'preset', got {sources}")
     if "csv" in hosts_sec:
+        if "seed" in hosts_sec:
+            raise ScenarioParseError(f"{path}: [hosts] 'seed' applies to 'params' or 'preset'")
         pop = hosts_mod.read_population_csv(path.parent / hosts_sec["csv"])
-    elif "params" in hosts_sec or "preset" in hosts_sec:
+    else:
         if "params" in hosts_sec:
             params = hosts_mod.read_params_file(path.parent / hosts_sec["params"])
         else:
@@ -74,9 +102,6 @@ def parse_scenario(path) -> Scenario:
         except ValueError as exc:
             raise ScenarioParseError(f"{path}: [hosts]: {exc}") from exc
         pop = hosts_mod.sample_hosts(params)
-    else:
-        raise ScenarioParseError(
-            f"{path}: [hosts] needs a 'csv', 'params' or 'preset' key")
     if not pop:
         raise ScenarioParseError(f"{path}: empty host population")
 
@@ -91,16 +116,10 @@ def parse_scenario(path) -> Scenario:
     except ValueError as exc:
         raise ScenarioParseError(f"{path}: [sim]: {exc}") from exc
 
-    def task_order(name: str):
-        suffix = name.partition(".")[2]
-        return (0, int(suffix)) if suffix.isdigit() else (1, name)
-
-    tasks = []
-    task_sections = sorted((s for s in cp.sections() if s.startswith("task")),
-                           key=task_order)
     if not task_sections:
         raise ScenarioParseError(f"{path}: no [task.N] sections")
-    for sec_name in task_sections:
+    tasks = []
+    for _, sec_name in sorted(task_sections):
         sec = cp[sec_name]
         try:
             tasks.append(

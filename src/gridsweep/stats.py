@@ -95,12 +95,6 @@ class MomentSummary:
         return self.kurtosis
 
 
-@dataclass
-class BootstrapCloud:
-    points: np.ndarray  # (n_resamples, 2) columns beta1, beta2
-    n_redrawn: int = 0
-
-
 # --- fits ----------------------------------------------------------------
 
 
@@ -284,7 +278,8 @@ def _resample_distances(fit: FitResult, n: int, n_resamples: int, seed: int) -> 
     """KS distance of each parametric resample, drawn as one (n_resamples, n)
     array, to its own row-wise refit; D = inf where the family's fit rejects
     the resample as degenerate (constant, or a normal spread underflowing to 0)."""
-    x = fit.sample(np.random.default_rng(seed), (n_resamples, n))
+    with np.errstate(over="ignore"):  # an overflowing draw is rejected below
+        x = fit.sample(np.random.default_rng(seed), (n_resamples, n))
     if fit.family == "weibull":
         x = np.maximum(x, 1e-300)
     if not np.isfinite(x).all():
@@ -347,10 +342,9 @@ def weibull_locus(k: float) -> tuple[float, float]:
     return float(g1**2), float(beta2)
 
 
-def bootstrap_cloud(sample, n_resamples: int, seed: int = 0) -> BootstrapCloud:
-    """With-replacement resamples mapped to (beta1, beta2) points.
-
-    Degenerate resamples (zero variance) are redrawn and counted.
+def bootstrap_cloud(sample, n_resamples: int, seed: int = 0) -> np.ndarray:
+    """With-replacement resamples mapped to (beta1, beta2) points: an
+    (n_resamples, 2) array.  Degenerate resamples (zero variance) are redrawn.
     """
     v = _as_values(sample)
     _require_varied(v)
@@ -361,11 +355,9 @@ def bootstrap_cloud(sample, n_resamples: int, seed: int = 0) -> BootstrapCloud:
     idx = rng.integers(0, n, size=(n_resamples, n))
     m2, g1, beta2 = _moments_rows(v[idx])
 
-    n_redrawn = 0
     bad = np.flatnonzero(m2 == 0)
     guard = 0
     while bad.size:
-        n_redrawn += bad.size
         idx_new = rng.integers(0, n, size=(bad.size, n))
         m2b, g1b, b2b = _moments_rows(v[idx_new])
         g1[bad], beta2[bad], m2[bad] = g1b, b2b, m2b
@@ -373,8 +365,7 @@ def bootstrap_cloud(sample, n_resamples: int, seed: int = 0) -> BootstrapCloud:
         guard += 1
         if guard > 1000:
             raise DegenerateSampleError("cannot draw non-degenerate resamples")
-    points = np.column_stack([g1**2, beta2])
-    return BootstrapCloud(points=points, n_redrawn=n_redrawn)
+    return np.column_stack([g1**2, beta2])
 
 
 def qq_points(sample, fit: FitResult) -> np.ndarray:

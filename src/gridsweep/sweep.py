@@ -180,7 +180,7 @@ class AnalysisResult:
     verdict: str  # 'normal' | 'weibull' | 'indistinguishable' | 'degenerate'
     fits: dict[str, st.FitResult] = field(default_factory=dict)
     ks: dict[tuple[str, str], st.KsOutcome] = field(default_factory=dict)
-    cloud: st.BootstrapCloud | None = None
+    cloud: np.ndarray | None = None  # bootstrap (beta1, beta2) points, one row each
 
 
 def collect_observable(input_dir, strain: float, observable: str) -> np.ndarray:
@@ -269,7 +269,7 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
                    for (family, mode), ks in res.ks.items()))
         write_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
                   ([repr(float(b1)), repr(float(b2))] for b1, b2 in
-                   (res.cloud.points if res.cloud is not None else ())))
+                   (res.cloud if res.cloud is not None else ())))
         for family, fit in res.fits.items():
             if fit.converged:
                 write_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,

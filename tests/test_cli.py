@@ -1,6 +1,8 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
+import configparser
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from gridsweep import gridsim, sweep as sweep_mod
 from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from gridsweep.hosts import HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
+from gridsweep.scenario import parse_scenario
 from gridsweep.sweep import job_csv_path, write_records_csv
 
 TABLE2 = Path(__file__).resolve().parents[1] / "scenarios" / "table2.scenario"
@@ -189,6 +192,47 @@ def test_sim_malformed_scenario_exits_2_without_outputs(tmp_path):
     assert main(["sim", "run", "--scenario", str(scn),
                  "--out-dir", str(out)]) == EXIT_USAGE
     assert not out.exists()
+
+
+TASK_1 = "[task.1]\nname = a\nt_job_ref_min = 30\nn_jobs = 9\n"
+POOL = "[hosts]\npreset = pool\n\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (POOL + TASK_1 + "mdoe = dedicated\n", r"\[task.1\]: unknown key\(s\) \['mdoe'\]"),
+    (POOL + "[sim]\nhorizon_day = 0.0001\n\n" + TASK_1, r"\[sim\]: unknown key"),
+    ("[hosts]\npreset = pool\nsede = 3\n\n" + TASK_1, r"\[hosts\]: unknown key"),
+    (POOL + "[simulation]\nseed = 1\n\n" + TASK_1, r"unknown section \[simulation\]"),
+    (POOL + TASK_1.replace("task.1", "tasks.1"), r"unknown section \[tasks.1\]"),
+    (POOL + TASK_1.replace("task.1", "task.one"), r"unknown section \[task.one\]"),
+    ("[hosts]\nseed = 3\n\n" + TASK_1, r"exactly one of .*got \[\]"),
+    ("[hosts]\npreset = pool\nparams = pool.params\n\n" + TASK_1,
+     r"exactly one of .*got \['params', 'preset'\]"),
+    ("[hosts]\ncsv = pop.csv\nseed = 3\n\n" + TASK_1, r"'seed' applies to"),
+], ids=["task_key", "sim_key", "hosts_key", "section", "tasks_section", "task_suffix",
+        "no_source", "two_sources", "seed_with_csv"])
+def test_sim_strict_scenario_exits_2_without_outputs(tmp_path, capsys, text, message):
+    scn = tmp_path / "bad.scenario"
+    scn.write_text(text)
+    out = tmp_path / "sim"
+    assert main(["sim", "run", "--scenario", str(scn),
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_rewritten_table2_scenario_parses(tmp_path):
+    # perfbench's campaign workload writes its scenarios this way
+    cp = configparser.ConfigParser()
+    assert cp.read(TABLE2)
+    cp["hosts"] = {"preset": "registered", "seed": "3"}
+    cp["sim"] = {"seed": "3"}
+    scn = tmp_path / "registered.scenario"
+    with open(scn, "w") as fh:
+        cp.write(fh)
+    scenario = parse_scenario(scn)
+    assert [t.name for t in scenario.tasks] == [cp[f"task.{k}"]["name"] for k in range(1, 9)]
+    assert (scenario.seed, len(scenario.population)) == (3, 4161)
 
 
 # --- sweep + analyze -----------------------------------------------------

@@ -23,15 +23,15 @@ from gridsweep.md import (
     Crystal,
     MDParams,
     build_crystal,
-    compute_forces,
     equilibrate,
     fcc_positions,
     grip_separation,
     grip_stress,
     integrate,
+    kinetic_energy,
     neighbor_pairs,
+    potential_energy,
     run_tensile,
-    total_energy,
 )
 
 
@@ -157,11 +157,11 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
     crystal.positions[:, axis] *= 1.0 + strain
     crystal.box[axis] *= 1.0 + strain
 
-    forces, potential, r2_min = compute_forces(crystal)
-    want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
-    assert np.array_equal(forces, want_forces)
-    assert (potential, r2_min) == (want_potential, want_r2_min)
     n = crystal.n_atoms
+    i, j, delta, r2 = md._cutoff_pairs(crystal)
+    want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
+    assert np.array_equal(md._pair_forces(n, i, j, delta, r2), want_forces)
+    assert (potential_energy(crystal), r2.min()) == (want_potential, want_r2_min)
     assert np.array_equal(md._pair_forces(n, *md._cutoff_pairs(crystal, skin)),
                           rows_pair_forces(n, *rows_cutoff_pairs(crystal, skin)))
     if grip_planes:
@@ -169,7 +169,7 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
         assert grip_stress(crystal, skin) == rows_grip_stress(crystal, skin)
 
 
-@pytest.mark.parametrize("evaluate", [compute_forces, rows_compute_forces,
+@pytest.mark.parametrize("evaluate", [potential_energy, rows_compute_forces,
                                       lambda crystal: integrate(crystal, MDParams(), 0)])
 def test_close_pair_across_a_periodic_face_blows_up(evaluate):
     crystal = build_crystal(4, 4, 4, grip_planes=0)
@@ -247,7 +247,7 @@ def test_gripped_trajectory_matches_fresh_search_verlet(geometry):
         potential = oracle_verlet(reference, params.dt, n, grip_speed=0.4)
         assert np.array_equal(crystal.positions, reference.positions)
         assert np.array_equal(crystal.velocities[free], reference.velocities[free])
-        assert state.potential == potential
+        assert potential_energy(crystal, (state.i, state.j)) == potential
     assert not np.array_equal(state.ref_pos, start.positions)  # the list was rebuilt
     assert state.fi.size < state.i.size  # and the forces skipped grip-grip pairs
 
@@ -257,8 +257,9 @@ def test_ungripped_forces_use_the_skin_list_itself():
     crystal = build_crystal(3, 3, 3, temperature=0.1, seed=5, grip_planes=0)
     reference = crystal.copy()
     state = integrate(crystal, params, 50)
-    assert state.fi is state.i and state.fj is state.j
-    assert state.potential == oracle_verlet(reference, params.dt, 50)
+    assert np.array_equal(state.fi, state.i) and np.array_equal(state.fj, state.j)
+    assert potential_energy(crystal, (state.i, state.j)) == oracle_verlet(
+        reference, params.dt, 50)
     assert np.array_equal(crystal.positions, reference.positions)
     assert np.array_equal(crystal.velocities, reference.velocities)
 
@@ -270,7 +271,8 @@ def test_checkpoint_record_matches_public_observables():
     def observables(crystal):
         labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, 0.854 * A0_DEFAULT)
         return (*defect_concentrations(labels, crystal.grip_mask),
-                grip_stress(crystal), total_energy(crystal) / crystal.n_atoms)
+                grip_stress(crystal),
+                (potential_energy(crystal) + kinetic_energy(crystal)) / crystal.n_atoms)
 
     crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=4)
     state = equilibrate(crystal, params)
@@ -281,6 +283,31 @@ def test_checkpoint_record_matches_public_observables():
     expected.append(observables(crystal))
     got = [(r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy) for r in records]
     assert got == expected
+
+
+def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
+    # cutoff gathers: one per step plus the first forces, one energy per
+    # equilibration chunk boundary, and per checkpoint one for the energy and
+    # CNA shell plus one inside grip_stress; all of them on the skin list
+    gathered, steps = [], []
+    gather = md._cutoff_pairs
+
+    def counting_gather(crystal, pairs=None):
+        gathered.append(pairs is not None)
+        return gather(crystal, pairs)
+
+    def counting_integrate(crystal, params, n_steps, **kwargs):
+        steps.append(n_steps)
+        return integrate(crystal, params, n_steps, **kwargs)
+
+    monkeypatch.setattr(md, "_cutoff_pairs", counting_gather)
+    monkeypatch.setattr(md, "integrate", counting_integrate)
+    params = MDParams(strain_rate=0.2, target_strain=0.03, equilibration_steps=45)
+    records = run_tensile(params, (3, 4, 3), seed=4)
+    chunks = -(-params.equilibration_steps // md.RESCALE_INTERVAL)
+    assert len(records) == 4
+    assert len(gathered) == sum(steps) + 1 + (chunks + 1) + 2 * len(records)
+    assert all(gathered)
 
 
 def test_unstable_integration_raises():
@@ -300,9 +327,9 @@ def test_non_finite_state_raises():
 def test_nve_energy_and_momentum_conservation():
     params = MDParams(dt=0.005)
     crystal = build_crystal(4, 4, 4, temperature=0.05, seed=0, grip_planes=0)
-    e0 = total_energy(crystal)
+    e0 = potential_energy(crystal) + kinetic_energy(crystal)
     integrate(crystal, params, 1000)
-    e1 = total_energy(crystal)
+    e1 = potential_energy(crystal) + kinetic_energy(crystal)
     assert abs((e1 - e0) / e0) < 1e-4
     assert np.linalg.norm(crystal.velocities.sum(axis=0)) < 1e-10
 
@@ -310,7 +337,7 @@ def test_nve_energy_and_momentum_conservation():
 def test_close_pair_blows_up():
     crystal = two_atom_crystal(0.3)
     with pytest.raises(BlowUpError):
-        compute_forces(crystal)
+        potential_energy(crystal)
 
 
 def test_params_validation():
@@ -342,8 +369,7 @@ def fd_stress_oracle(crystal, delta=1e-5):
     for sign in (+1.0, -1.0):
         probe = crystal.copy()
         probe.positions[top, 1] += sign * delta
-        _, pe, _ = compute_forces(probe)
-        energies.append(pe)
+        energies.append(potential_energy(probe))
     dU_dh = (energies[0] - energies[1]) / (2 * delta)
     area = float(crystal.box[0] * crystal.box[2])
     return dU_dh / area

@@ -231,7 +231,7 @@ def test_weibull_ensemble_gets_weibull_verdict():
     res = classify_sample(sample, seed=0, n_resamples=199)
     assert res.verdict == "weibull"
     assert set(res.fits) == {"normal", "weibull"}
-    assert res.cloud is not None and res.cloud.points.shape == (1000, 2)
+    assert res.cloud is not None and res.cloud.shape == (1000, 2)
 
 
 def test_normal_ensemble_gets_normal_verdict():

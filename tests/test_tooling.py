@@ -14,8 +14,6 @@ SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 
 #: public functions that no other package code calls, each kept on purpose
 UNCALLED_BY_DESIGN = {
-    "md.compute_forces": "forces, energy and closest pair of one configuration",
-    "md.total_energy": "a configuration's total energy, for conservation checks",
     "stats.moment_summary": "an ensemble's point on the Pearson (beta1, beta2) plane",
     "stats.weibull_locus": "the Weibull curve on the Pearson (beta1, beta2) plane",
 }
