@@ -8,6 +8,8 @@ central-moment summaries with Pearson-plane coordinates (beta1, beta2) =
 Conventions, fixed here once: population (divide-by-n) central moments;
 non-excess kurtosis (a normal law sits at beta2 = 3); the Weibull family
 has CDF 1 - exp(-(x/lambda)^k) with no location shift.
+
+scipy.special is imported where used, so only `analyze` pays its load time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
 
 from .errors import DegenerateSampleError, DomainError, ParameterError
 
@@ -48,6 +49,7 @@ class FitResult:
         x = np.asarray(x, dtype=float)
         a, b = self.params
         if self.family == "normal":
+            from scipy.special import ndtr
             return ndtr((x - a) / b)
         k, lam = a, b
         out = np.zeros_like(x, dtype=float)
@@ -61,6 +63,7 @@ class FitResult:
             raise DomainError("quantile probabilities must lie in (0, 1)")
         a, b = self.params
         if self.family == "normal":
+            from scipy.special import ndtri
             return a + b * ndtri(p)
         k, lam = a, b
         return lam * (-np.log1p(-p)) ** (1.0 / k)
@@ -286,6 +289,7 @@ def _resample_distances(fit: FitResult, n: int, n_resamples: int, seed: int) -> 
         raise ParameterError("sample contains non-finite values")
     ok = x.max(axis=1) != x.min(axis=1)
     if fit.family == "normal":
+        from scipy.special import ndtr
         mu, sigma = x.mean(axis=1), x.std(axis=1)
         ok &= sigma != 0.0
         cdf = ndtr((np.sort(x[ok], axis=1) - mu[ok, None]) / sigma[ok, None])
@@ -331,6 +335,7 @@ def weibull_locus(k: float) -> tuple[float, float]:
     """(beta1, beta2) of Weibull(k, 1) from raw gamma moments; scale-free."""
     if k <= 0:
         raise DomainError("shape k must be > 0")
+    from scipy.special import gammaln
     # m_r = Gamma(1 + r/k), via gammaln for large-k stability
     m = [math.exp(gammaln(1.0 + r / k)) for r in range(1, 5)]
     m1, m2, m3, m4 = m

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gridsim, stats as st
 from .errors import DegenerateSampleError, ParameterError
-from .md import DefectRecord, MDParams, run_tensile
+from .md import DefectRecord, MDParams, build_crystal, run_tensile
 from .outputs import staged_outputs, write_csv
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
@@ -105,7 +105,16 @@ def read_records_csv(path) -> list[dict[str, float]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames != JOB_CSV_HEADER:
             raise ParameterError(f"{path}: bad job header {reader.fieldnames!r}")
-        return [{k: float(v) for k, v in row.items()} for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                rows.append({k: float(v) for k, v in row.items()})
+            except TypeError:  # DictReader's None key or value of a long or short row
+                raise ParameterError(f"{path}:{reader.line_num}: expected "
+                                     f"{len(JOB_CSV_HEADER)} fields") from None
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{reader.line_num}: {exc}") from None
+        return rows
 
 
 def _run_one(spec: SweepSpec, t_origin: float, job_id: int) -> JobResult:
@@ -142,6 +151,7 @@ def _job_trace(spec: SweepSpec, jobs: list[JobResult]) -> gridsim.SimTrace:
 
 def sweep_run(spec: SweepSpec) -> SweepLedger:
     """Run the sweep through a bounded worker pool; failures never abort it."""
+    build_crystal(spec.nx, spec.ny, spec.nz)  # an impossible geometry fails here, not per job
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):

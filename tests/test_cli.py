@@ -2,12 +2,17 @@
 
 import configparser
 import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridsweep
 from gridsweep import gridsim, sweep as sweep_mod
 from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from gridsweep.hosts import HostSpec, write_population_csv
@@ -340,6 +345,25 @@ def test_analyze_outputs_match_pinned_bytes(tmp_path):
                 for p in out.iterdir()} == digests
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("0.1,1.0,0.0,0.0", "expected 6 fields"),
+    ("0.1,1.0,0.0,0.0,5.0,-4.9,7.0", "expected 6 fields"),
+    ("0.1,1.0,0.0,x,5.0,-4.9", "could not convert string to float: 'x'"),
+], ids=["short", "extra", "non_numeric"])
+def test_analyze_malformed_job_row_exits_1_naming_its_line(tmp_path, capsys, row, problem):
+    write_pinned_ensemble(tmp_path / "jobs")
+    bad = job_csv_path(tmp_path / "jobs", 7)
+    lines = bad.read_text().splitlines()
+    lines[2] = row  # the strain 0.1 checkpoint, line 3 of the file
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--input-dir", str(tmp_path / "jobs"), "--strain", "0.1",
+                 "--observable", "c_unk", "--out-dir", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {bad}:3: {problem}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_resamples", ["0", "-1", "-5"])
 def test_analyze_non_positive_n_resamples_exits_1(tmp_path, capsys, n_resamples):
     write_pinned_ensemble(tmp_path / "jobs")
@@ -376,6 +400,54 @@ def test_sweep_non_positive_strain_rate_exits_1(tmp_path, capsys, rate):
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.glob("job_*.csv"))
+
+
+@pytest.mark.parametrize("geometry, message", [
+    (["--nx", "1"], "nx, ny, nz must all be >= 2"),
+    (["--nx", "2", "--ny", "2", "--nz", "2"], "grip layers would cover the whole crystal"),
+], ids=["nx_1", "grips_cover_crystal"])
+def test_sweep_impossible_geometry_exits_1_before_any_job(tmp_path, capsys, geometry,
+                                                          message):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "run", *geometry, "--target-strain", "0.01",
+                 "--n-realizations", "3", "--parallelism", "1", "--out-dir", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+#: run each argv through cli.main in turn, then print whether scipy.special
+#: was loaded after each one
+IMPORT_PROBE = """
+import json, sys
+from gridsweep.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_analyze_loads_scipy_special(tmp_path):
+    # a fresh interpreter: the stats tests have already loaded scipy.special here
+    sweep = str(tmp_path / "sweep")
+    commands = [
+        ["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2", "--target-strain", "0.01",
+         "--n-realizations", "3", "--parallelism", "2", "--out-dir", sweep],
+        ["sim", "run", "--scenario", str(TABLE2), "--out-dir", str(tmp_path / "sim")],
+        ["hosts", "sample", "--preset", "registered", "--out", str(tmp_path / "pop.csv")],
+        ["analyze", "--input-dir", sweep, "--strain", "0.01", "--observable", "sigma_top",
+         "--out-dir", str(tmp_path / "analysis"), "--n-resamples", "99"],
+    ]
+    src = str(Path(gridsweep.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, True]
+    assert (tmp_path / "analysis" / "verdict.csv").exists()
 
 
 def test_sweep_run_flag_defaults_are_the_spec_defaults(tmp_path, monkeypatch):

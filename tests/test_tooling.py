@@ -33,6 +33,26 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def eager_scipy_submodules(source: str) -> list[str]:
+    """SciPy submodules a module loads when it is imported: ``import scipy.x``,
+    ``from scipy.x import ...`` or ``from scipy import x`` outside a function."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # a function body runs only when the function is called
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("scipy.")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":
+                found += [f"scipy.{a.name}" for a in node.names]
+            elif node.module.startswith("scipy."):
+                found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 def uncalled_public_functions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each public top-level function that no code of the
     package refers to outside the function's own body.
@@ -73,6 +93,21 @@ def test_unused_import_scan_sees_unused_names():
 @pytest.mark.parametrize("module", sorted(SCANNED))
 def test_module_has_no_unused_imports(module):
     assert unused_imports(SCANNED[module].read_text()) == []
+
+
+def test_eager_scipy_scan_skips_function_bodies():
+    source = ("import scipy\nimport scipy.stats as ss\nfrom scipy.special import ndtr\n"
+              "from scipy import linalg\nclass A:\n    from scipy.optimize import brentq\n"
+              "if True:\n    import scipy.fft\n"
+              "def f():\n    from scipy.special import gammaln\n    import scipy.sparse\n")
+    assert eager_scipy_submodules(source) == [
+        "scipy.fft", "scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_module_loads_no_scipy_submodule_on_import(module):
+    # loading scipy.special is most of a fresh process's start-up; only analyze needs it
+    assert eager_scipy_submodules((PACKAGE / module).read_text()) == []
 
 
 def test_uncalled_function_scan_sees_every_kind_of_reference():
