@@ -34,8 +34,6 @@ def cna_labels(positions, box, periodic, cutoff: float, pairs=None) -> np.ndarra
     the two bonds share an atom.  ``pairs`` is the sorted (i, j) bond list
     as `neighbor_pairs` returns it; without it the bonds are searched here.
     """
-    if cutoff <= 0:
-        raise ParameterError("cutoff must be > 0")
     n = len(positions)
     i, j = neighbor_pairs(positions, box, periodic, cutoff) if pairs is None else pairs
     labels = np.full(n, UNK, dtype=int)

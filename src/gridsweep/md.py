@@ -28,7 +28,6 @@ unstrained gripped slab also transmit zero stress to its grips.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -177,24 +176,28 @@ def _min_image_r2(delta: np.ndarray, box, periodic) -> np.ndarray:
     return dx * dx + dz * dz + dy * dy
 
 
-#: cells are made this much wider than rmax so that rounding in the binning
-#: can never put a pair closer than rmax two cells apart
+#: cells are at least rmax / _REACH wide (with a slack against rounding), so a
+#: pair closer than rmax is at most _REACH cells apart per axis: ~3.7 candidates
+#: per kept pair at reach 2, ~6.4 at 1 (Mattson & Rice, CPC 119, 135, 1999)
+_REACH = 2
 _CELL_SLACK = 1.0 + 1e-9
-
-#: the 27 cell shifts of a 3 x 3 x 3 block of cells
-_STENCIL = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+#: candidate pairs tested at once: bounds the search's temporaries
+_BLOCK = 2**17
 
 
 def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j), i < j in row-major order, of the pairs whose
-    min-image distance is below rmax.
+    min-image distance is below rmax > 0.
 
-    Cell list: atoms are binned into cells at least rmax wide (periodic axes
-    span the box, open axes the extent of the atoms), and only atoms in
-    neighbouring cells are candidates.  The candidates pass the same exact
-    distance test as a dense all-pairs scan, so the result equals the dense
-    upper-triangle pair list element for element.
+    Cell list: atoms are binned into at most n cells at least rmax/2 wide
+    (periodic axes span the box, open axes the extent of the atoms), and the
+    atoms of cells up to 2 apart per axis (a 125-cell stencil) are candidates,
+    tested in blocks of about _BLOCK, so no candidate array grows with n.  They
+    pass the same exact distance test as a dense all-pairs scan, and the kept
+    pairs are sorted, so the result is the dense upper-triangle pair list.
     """
+    if not rmax > 0:
+        raise ParameterError(f"rmax must be > 0, got {rmax}")
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     if n < 2:
@@ -203,35 +206,50 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     per = np.asarray(periodic, dtype=bool)
     x = np.where(per, np.mod(pos, np.where(per, box, 1.0)), pos - pos.min(axis=0))
     extent = np.where(per, box, x.max(axis=0))
-    m = np.maximum(extent // (rmax * _CELL_SLACK), 1).astype(np.intp)  # cells per axis
+    m = np.maximum(extent // (rmax / _REACH * _CELL_SLACK), 1)  # cells per axis
+    # wider cells are always correct: widen to at most n cells in all
+    m = np.maximum(m // max(1.0, (m.prod() / n) ** (1 / 3)), 1).astype(np.intp)
     c = np.minimum((x * (m / np.where(m > 1, extent, np.inf))).astype(np.intp), m - 1)
     cell = (c[:, 0] * m[1] + c[:, 1]) * m[2] + c[:, 2]
+    order, count = np.argsort(cell, kind="stable"), np.bincount(cell, minlength=m.prod())
+    start = np.cumsum(count) - count
 
-    # On a periodic axis shift s reaches the same cell as s + m: keep one
-    # shift per distinct cell (m = 1: 0; m = 2: 0, 1) so no cell is listed twice.
-    distinct = ~per | ((_STENCIL < m) & ((_STENCIL >= 0) | (m > 2)))
-    nb = c[:, None, :] + _STENCIL[distinct.all(axis=1)]
-    nb = np.where(per, nb % m, nb)
-    near = (nb[:, :, 0] * m[1] + nb[:, :, 1]) * m[2] + nb[:, :, 2]
-    # open axes end at the outermost cells; a pair of distinct cells is
-    # visited once, from the lower cell id
-    visit = ((nb >= 0) & (nb < m)).all(axis=2) & (near >= cell[:, None])
-    owner, near = np.nonzero(visit)[0], near[visit]
+    # Each occupied cell's stencil, one axis at a time; open axes end at the
+    # outermost cells.  On a periodic axis of m < 2 * _REACH + 1 cells, keep the
+    # m shifts from -(m - 1) // 2 up (s and s + m reach the same cell).
+    occ = np.flatnonzero(count)
+    near, ok = np.zeros((occ.size, 1), np.intp), np.ones((occ.size, 1), bool)
+    for cells, mk, wrap in zip(np.unravel_index(occ, m), m, per):
+        lo, hi = (-((mk - 1) // 2), mk // 2) if wrap and mk <= 2 * _REACH else (-_REACH, _REACH)
+        nb = cells[:, None] + np.arange(lo, hi + 1)
+        near = (near[:, :, None] * mk + nb[:, None, :] % mk).reshape(occ.size, -1)
+        ok = (ok[:, :, None] & (wrap | (nb >= 0) & (nb < mk))[:, None, :]).reshape(occ.size, -1)
+    # a pair of distinct cells is visited once, from the lower cell id
+    visit = ok & (near >= occ[:, None]) & (count[near] > 0)
+    owner, near = occ[np.nonzero(visit)[0]], near[visit]
 
-    # every atom of every visited cell, in one pass
-    order = np.argsort(cell, kind="stable")
-    count = np.bincount(cell, minlength=int(m.prod()))
-    k = count[near]
-    a = np.repeat(owner, k)
-    b = order[np.arange(a.size) + np.repeat(np.cumsum(count)[near] - np.cumsum(k), k)]
-    keep = (cell[a] != cell[b]) | (a < b)  # within one cell, each pair once
-    a, b = a[keep], b[keep]
+    def members(cells):
+        """The atoms of each of ``cells`` in turn, and each cell's count."""
+        k = count[cells]
+        return order[np.arange(k.sum()) + np.repeat(start[cells] - np.cumsum(k) + k, k)], k
 
-    # r_a - r_b is exactly -(r_b - r_a), so the test matches the i < j scan
-    delta = pos.T.take(a, axis=1) - pos.T.take(b, axis=1)
-    close = _min_image_r2(delta, box, periodic) < rmax * rmax
-    a, b = a[close], b[close]
-    return np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    # every atom pair of the visited cell pairs, in blocks of about _BLOCK
+    ends = np.cumsum(count[owner] * count[near])
+    bounds = np.searchsorted(ends, np.arange(0, ends[-1] + _BLOCK, _BLOCK), side="right")
+    keys = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, k = members(owner[lo:hi])
+        b, k = members(np.repeat(near[lo:hi], k))
+        a = np.repeat(a, k)
+        # r_a - r_b is exactly -(r_b - r_a), so the test matches the i < j scan
+        delta = pos.T.take(a, axis=1) - pos.T.take(b, axis=1)
+        close = _min_image_r2(delta, box, per) < rmax * rmax
+        close &= (cell[a] != cell[b]) | (a < b)  # within one cell, each pair once
+        a, b = a[close], b[close]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.concatenate(keys)
+    keys.sort()
+    return np.divmod(keys, n)
 
 
 def _cutoff_pairs(crystal: Crystal, pairs=None):

@@ -1,6 +1,7 @@
 """MD payload: lattice construction, integration, tensile runs, stress."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,22 +107,71 @@ def test_neighbor_pairs_empty_result():
         assert i.size == 0 and j.size == 0
 
 
+@pytest.mark.parametrize("rmax", [0.0, -1.0, float("nan")])
+def test_neighbor_pairs_rejects_nonpositive_rmax(rmax):
+    pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ParameterError):
+        neighbor_pairs(pos, np.array([10.0] * 3), (True, True, True), rmax)
+
+
+def traced_peak_mb(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rmax", [1.0, 0.5])
+def test_neighbor_pairs_cell_grid_does_not_grow_with_empty_space(rmax):
+    # a grid of box / (rmax/2) cells per axis would be 8e6-6.4e7 cells here
+    # (14.8 and 120 MB traced with rmax-wide cells); at most n cells is tiny
+    pos = np.array([[10.0, 10.0, 10.0], [10.4, 10.0, 10.0]])
+    box = np.array([100.0] * 3)
+    assert traced_peak_mb(lambda: neighbor_pairs(pos, box, (True, True, True), rmax)) < 1.0
+    assert neighbor_pairs(pos, box, (True, True, True), rmax)[0].size == 1
+
+
+def test_neighbor_pairs_memory_does_not_scale_with_candidates():
+    # 4,000 atoms at the skin radius: 247,600 pairs.  Testing every candidate
+    # at once peaked at 97 MB traced; candidate blocks peak near 15 MB
+    crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
+    rmax = md.CUTOFF + md.SKIN
+    assert traced_peak_mb(
+        lambda: neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)) < 25.0
+
+
 def assert_same_pairs(pos, box, periodic, rmax):
     i, j = neighbor_pairs(pos, box, periodic, rmax)
     di, dj = dense_pairs(pos, box, periodic, rmax)
     assert np.array_equal(i, di) and np.array_equal(j, dj)
 
 
-# periodic axes of 1, 1, 1, 2, 3 and 7 cells (the first narrower than rmax)
-@pytest.mark.parametrize("box_over_rmax", [0.6, 1.2, 1.5, 2.5, 3.5, 7.5])
-def test_neighbor_pairs_match_dense_scan(box_over_rmax):
-    rng = np.random.default_rng(int(10 * box_over_rmax))
+def assert_same_pairs_in_random_boxes(box_over_rmax, n_atoms, seed):
+    rng = np.random.default_rng(seed)
     rmax = 1.3
     box = rmax * box_over_rmax * np.array([1.0, 1.05, 0.95])
     for periodic in itertools.product((False, True), repeat=3):
         # coordinates spread over three box widths: negative and out-of-box too
-        pos = rng.uniform(-1.0, 2.0, size=(60, 3)) * box
+        pos = rng.uniform(-1.0, 2.0, size=(n_atoms, 3)) * box
         assert_same_pairs(pos, box, periodic, rmax)
+
+
+# cells at least rmax/2 wide, at most 60 (one per atom): periodic axes of 1,
+# 1-2, 1-3, 1-4, 1-4 and 1-4 cells over the 8 combinations; the first width
+# is narrower than rmax
+@pytest.mark.parametrize("box_over_rmax", [0.6, 1.2, 1.5, 2.5, 3.5, 7.5])
+def test_neighbor_pairs_match_dense_scan(box_over_rmax):
+    assert_same_pairs_in_random_boxes(box_over_rmax, 60, int(10 * box_over_rmax))
+
+
+# 250 atoms: 4 cells of rmax/2 on every periodic axis, or 6 with all three
+# periodic (fewer when open axes share the at-most-n-cells grid).  At 4 cells
+# shifts -2 and +2 reach one cell, which must be listed once.
+@pytest.mark.parametrize("box_over_rmax", [2.2, 3.25])
+def test_neighbor_pairs_match_dense_scan_on_short_periodic_axes(box_over_rmax):
+    assert_same_pairs_in_random_boxes(box_over_rmax, 250, int(100 * box_over_rmax))
 
 
 @pytest.mark.parametrize("rmax", [0.854 * A0_DEFAULT, 2.5, 2.9])
@@ -130,6 +180,12 @@ def test_neighbor_pairs_match_dense_scan_on_lattices(rmax):
     assert_same_pairs(slab.positions, slab.box, slab.periodic, rmax)
     bulk = build_crystal(3, 3, 3, grip_planes=0)
     assert_same_pairs(bulk.positions, bulk.box, bulk.periodic, rmax)
+
+
+@pytest.mark.parametrize("rmax", [0.854 * A0_DEFAULT, 2.5, 2.9])
+def test_neighbor_pairs_match_dense_scan_over_many_blocks(rmax, monkeypatch):
+    monkeypatch.setattr(md, "_BLOCK", 300)  # 20 to 180 blocks
+    test_neighbor_pairs_match_dense_scan_on_lattices(rmax)
 
 
 # --- pair kernel ---------------------------------------------------------
