@@ -7,8 +7,9 @@ bond chain among them.  An atom with 12 neighbors, all of whose bonds are
 fault inside an FCC crystal); everything else is UNK, which covers
 surfaces, dislocation cores and atom-vacancy perturbations.
 
-Labels use distances only, so they are invariant under rigid rotation and
-translation (on non-periodic data) by construction.
+Labels depend only on the bond list the caller passes (Honeycutt & Andersen,
+J. Phys. Chem. 91, 4950, 1987); bonds within a distance cutoff make them
+invariant under rigid rotation and translation (on non-periodic data).
 """
 
 from __future__ import annotations
@@ -16,26 +17,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .md import neighbor_pairs
 
 FCC = 0
 HCP = 1
 UNK = 2
 
 
-def cna_labels(positions, box, periodic, cutoff: float, pairs=None) -> np.ndarray:
-    """Per-atom labels FCC/HCP/UNK via bond signatures within the cutoff.
+def cna_labels(positions, pairs) -> np.ndarray:
+    """Per-atom labels FCC/HCP/UNK of ``positions`` via the signatures of the
+    bonds ``pairs``, a sorted (i, j) list as `md.neighbor_pairs` returns it.
 
     Only 12-coordinated atoms can be FCC or HCP, and only the signatures
     (4,2,1) and (4,2,2) count, so each such atom is classified from the
     adjacency of its 12-atom shell: the common neighbours of the bond to
     shell atom p are the shell atoms bonded to p, and with 4 common
     neighbours and 2 bonds among them the longest chain is 2 exactly when
-    the two bonds share an atom.  ``pairs`` is the sorted (i, j) bond list
-    as `neighbor_pairs` returns it; without it the bonds are searched here.
+    the two bonds share an atom.
     """
     n = len(positions)
-    i, j = neighbor_pairs(positions, box, periodic, cutoff) if pairs is None else pairs
+    i, j = pairs
     labels = np.full(n, UNK, dtype=int)
     degree = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     centre = np.flatnonzero(degree == 12)

@@ -7,8 +7,9 @@ rate.  The pair potential is LJ truncated and shifted at the cutoff --
 cheap enough for desk-scale ensembles while leaving the whole statistics
 chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
-call, and the energy checks and checkpoint observables take their pairs from
-it.  The integrator computes forces only.  Its kernel skips the pairs with no
+call.  The energy checks take their pairs from it, and each checkpoint
+gathers its cutoff pairs from it once, for the energy, grip stress and CNA.
+The integrator computes forces only.  Its kernel skips the pairs with no
 free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
 forces land only on grip rows, which the integrator never applies.  The
 energy and the observables use the whole list.
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cna import cna_labels, defect_concentrations
 from .errors import BlowUpError, ParameterError
 
 #: reduced lattice constant: the 0 K equilibrium spacing of the
@@ -252,17 +254,15 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     return np.divmod(keys, n)
 
 
-def _cutoff_pairs(crystal: Crystal, pairs=None):
+def _cutoff_pairs(crystal: Crystal, pairs):
     """(i, j, delta = r_i - r_j min-imaged as (3, m), r2) of the pairs of the
-    sorted list ``pairs``, or of a fresh search, inside the cutoff; BlowUpError
-    if a listed pair is closer than 0.5 sigma.  On a skin list this gives
-    exactly the arrays of a fresh search: the distance test is the same, and a
-    subset of a list sorted by i*n + j keeps its order, so sums over it add the
-    same terms in the same order (dropped pairs only add exact +-0.0 to force
-    sums).  r2 sums x, z, y, as the (m, 3) oracle does (see the module doc)."""
+    sorted list ``pairs`` inside the cutoff; BlowUpError if a listed pair is
+    closer than 0.5 sigma.  On a skin list this gives exactly the arrays of a
+    search at the cutoff: the distance test is the same, and a subset of a list
+    sorted by i*n + j keeps its order, so sums over it add the same terms in
+    the same order (dropped pairs only add exact +-0.0 to force sums).  r2
+    sums x, z, y, as the (m, 3) oracle does (see the module doc)."""
     pos = crystal.positions
-    if pairs is None:
-        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, CUTOFF)
     i, j = pairs
     delta = pos.T.take(i, axis=1) - pos.T.take(j, axis=1)
     r2 = _min_image_r2(delta, crystal.box, crystal.periodic)
@@ -295,10 +295,10 @@ def _pair_forces(n: int, i, j, delta, r2) -> np.ndarray:
     return forces.reshape(3, n).T
 
 
-def potential_energy(crystal: Crystal, pairs=None) -> float:
-    """Truncated-shifted LJ energy of the sorted pair list ``pairs`` (one that
-    holds every pair inside the cutoff, such as the integrator's skin list) or
-    of a fresh search; BlowUpError as `_cutoff_pairs`."""
+def potential_energy(crystal: Crystal, pairs) -> float:
+    """Truncated-shifted LJ energy of the sorted pair list ``pairs``, one that
+    holds every pair inside the cutoff, such as the integrator's skin list;
+    BlowUpError as `_cutoff_pairs`."""
     return _potential_energy(_cutoff_pairs(crystal, pairs)[3])
 
 
@@ -403,23 +403,24 @@ def grip_separation(crystal: Crystal) -> float:
     return float(y[side > 0].mean() - y[side < 0].mean())
 
 
-def grip_stress(crystal: Crystal, pairs=None) -> float:
+def grip_stress(crystal: Crystal, cut) -> float:
     """Normal stress at the top grip, tension positive.
 
     Sum of y-forces exerted by free atoms on top-grip atoms, divided by the
     x-z cross-section; under tension the free bulk pulls the top grip
-    inward (-y), so the sign is flipped to make tension positive.  ``pairs``
-    is a sorted (i, j) list holding every pair inside the cutoff, such as the
-    integrator's skin list; without it the pairs are searched here.
+    inward (-y), so the sign is flipped to make tension positive.  ``cut`` is
+    the `_cutoff_pairs` gather of a list holding every pair inside the cutoff.
     """
     if not crystal.grip_side.any():
         raise ParameterError("crystal has no grip layers")
     top = crystal.grip_side > 0
     free = crystal.free_mask
-    i, j, delta, r2 = _cutoff_pairs(crystal, pairs)
-    f_y = _lj_coeff(r2) * delta[1]  # y-force of j on i
-    # force of free j on top-grip i, then of free i on top-grip j
-    f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
+    i, j, delta, r2 = cut
+    # y-force of free j on top-grip i, then of free i on top-grip j, in list
+    # order; the force coefficient is elementwise, so it is taken on these alone
+    on_i, on_j = top[i] & free[j], top[j] & free[i]
+    f_y = np.concatenate([_lj_coeff(r2[on_i]) * delta[1, on_i],
+                          -(_lj_coeff(r2[on_j]) * delta[1, on_j])])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 
 
@@ -431,8 +432,6 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     exact checkpoint grid 0, d, 2d, ... target (d = CHECKPOINT_DSTRAIN,
     nearest integration step).
     """
-    from .cna import cna_labels, defect_concentrations  # local import: cna imports md
-
     nx, ny, nz = geometry
     crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
     state = equilibrate(crystal, params)
@@ -442,13 +441,13 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     def record(strain: float) -> DefectRecord:
         # the cutoff pairs of the skin list give the energy, the stress and,
         # within 0.854 a < CUTOFF, the CNA shell
-        i, j, _, r2 = _cutoff_pairs(crystal, (state.i, state.j))
+        cut = _cutoff_pairs(crystal, (state.i, state.j))
+        i, j, _, r2 = cut
         shell = r2 < cna_cutoff * cna_cutoff
-        labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, cna_cutoff,
-                            (i[shell], j[shell]))
+        labels = cna_labels(crystal.positions, (i[shell], j[shell]))
         energy = _potential_energy(r2) + kinetic_energy(crystal)
         return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
-                            sigma_top=grip_stress(crystal, (i, j)),
+                            sigma_top=grip_stress(crystal, cut),
                             energy=energy / crystal.n_atoms)
 
     records = [record(0.0)]

@@ -9,6 +9,8 @@ among the common neighbours, so keep oracle inputs close to a lattice.
 ``rows_compute_forces`` and ``rows_grip_stress`` run the LJ pair kernel on
 (m, 3) rows -- row gathers, an einsum for r2 and one bincount per axis -- and
 the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
+``cutoff_list`` is a fresh search at the LJ cutoff, for the tests to hand to
+the observables, which take their pairs from the caller.
 ``oracle_verlet`` integrates with forces from a fresh search over all pairs
 at every step; ``md.integrate``, which skips grip-grip pairs, must follow
 its trajectory bit for bit.
@@ -157,12 +159,15 @@ def _min_image(vec, box, periodic):
     return vec
 
 
+def cutoff_list(crystal):
+    """The sorted (i, j) pairs inside the LJ cutoff, from a fresh search."""
+    return neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF)
+
+
 def rows_cutoff_pairs(crystal, pairs=None):
     """(i, j, delta as (m, 3), r2) of the listed or searched pairs inside the cutoff."""
     pos = crystal.positions
-    if pairs is None:
-        pairs = neighbor_pairs(pos, crystal.box, crystal.periodic, CUTOFF)
-    i, j = pairs
+    i, j = cutoff_list(crystal) if pairs is None else pairs
     delta = np.take(pos, i, axis=0)
     delta -= np.take(pos, j, axis=0)
     _min_image(delta, crystal.box, crystal.periodic)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import hcp_positions, segment_regimes
+from oracles import cutoff_list, hcp_positions, segment_regimes
 
 from gridsweep.cli import EXIT_OK, main
 from gridsweep.cna import FCC, HCP, cna_labels
@@ -25,6 +25,7 @@ from gridsweep.md import (
     fcc_positions,
     integrate,
     kinetic_energy,
+    neighbor_pairs,
     potential_energy,
 )
 from gridsweep.scenario import parse_scenario
@@ -55,6 +56,10 @@ def ideal_pop(n):
     return [HostSpec(id=i, gflops=ReferenceHost().gflops, n_cpus=1,
                      ram_gb=8, hdd_gb=100, on_rate=0.0, off_rate=0.0)
             for i in range(n)]
+
+
+def cna_labels_within(pos, box, periodic, cutoff):
+    return cna_labels(pos, neighbor_pairs(pos, box, periodic, cutoff))
 
 
 def test_criterion_1_host_calibration():
@@ -127,9 +132,10 @@ def test_criterion_5_nve_conservation():
     t0 = time.perf_counter()
     params = MDParams(dt=0.005)
     crystal = build_crystal(4, 4, 4, temperature=0.05, seed=0, grip_planes=0)
-    e0 = potential_energy(crystal) + kinetic_energy(crystal)
+    e0 = potential_energy(crystal, cutoff_list(crystal)) + kinetic_energy(crystal)
     integrate(crystal, params, 1000)
-    rel = abs((potential_energy(crystal) + kinetic_energy(crystal) - e0) / e0)
+    e1 = potential_energy(crystal, cutoff_list(crystal)) + kinetic_energy(crystal)
+    rel = abs((e1 - e0) / e0)
     drift = float(np.linalg.norm(crystal.velocities.sum(axis=0)))
     dt = time.perf_counter() - t0
     ok = rel < 1e-4 and drift < 1e-10 and dt < 30.0
@@ -139,20 +145,20 @@ def test_criterion_5_nve_conservation():
 def test_criterion_6_cna_correctness():
     t0 = time.perf_counter()
     fcc = fcc_positions(4, 4, 4, 1.0)
-    fcc_ok = (cna_labels(fcc, np.array([4.0] * 3), (True,) * 3, 0.854)
+    fcc_ok = (cna_labels_within(fcc, np.array([4.0] * 3), (True,) * 3, 0.854)
               == FCC).all()
 
     hcp, box = hcp_positions(4, 3, 3)
-    hcp_ok = (cna_labels(hcp, box, (True,) * 3,
-                         0.854 * math.sqrt(2.0)) == HCP).all()
+    hcp_ok = (cna_labels_within(hcp, box, (True,) * 3,
+                                0.854 * math.sqrt(2.0)) == HCP).all()
 
     from scipy.spatial.transform import Rotation
     cluster = fcc_positions(4, 4, 4, 1.0)
     free_box = np.array([100.0] * 3)
-    ref = cna_labels(cluster, free_box, (False,) * 3, 0.854)
+    ref = cna_labels_within(cluster, free_box, (False,) * 3, 0.854)
     rot_ok = all(
         np.array_equal(
-            cna_labels(cluster @ r.as_matrix().T, free_box, (False,) * 3, 0.854),
+            cna_labels_within(cluster @ r.as_matrix().T, free_box, (False,) * 3, 0.854),
             ref)
         for r in Rotation.random(10, rng=np.random.default_rng(0)))
     dt = time.perf_counter() - t0

@@ -24,6 +24,11 @@ FCC_CUTOFF = 0.854  # between the first (0.707a) and second (a) FCC shells
 HCP_CUTOFF = 0.854 * math.sqrt(2.0)  # same ratio for nn distance 1
 
 
+def labels_within(pos, box, periodic, cutoff):
+    """CNA labels of the bonds shorter than cutoff."""
+    return cna_labels(pos, neighbor_pairs(pos, box, periodic, cutoff))
+
+
 def periodic_fcc(n=4, a=1.0):
     pos = fcc_positions(n, n, n, a)
     box = np.array([n * a] * 3)
@@ -64,45 +69,39 @@ def test_hcp_bonds_split_six_six():
 
 def test_periodic_fcc_is_all_fcc():
     pos, box = periodic_fcc()
-    labels = cna_labels(pos, box, (True, True, True), FCC_CUTOFF)
+    labels = labels_within(pos, box, (True, True, True), FCC_CUTOFF)
     assert (labels == FCC).all()
 
 
 def test_ideal_hcp_is_all_hcp():
     pos, box = hcp_positions(4, 3, 3)
-    labels = cna_labels(pos, box, (True, True, True), HCP_CUTOFF)
+    labels = labels_within(pos, box, (True, True, True), HCP_CUTOFF)
     assert (labels == HCP).all()
 
 
 def test_sparse_atoms_are_unknown():
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-    labels = cna_labels(pos, np.array([10.0] * 3), (False, False, False), 1.0)
+    labels = labels_within(pos, np.array([10.0] * 3), (False, False, False), 1.0)
     assert (labels == UNK).all()
-
-
-def test_cutoff_must_be_positive():
-    pos, box = periodic_fcc(2)
-    with pytest.raises(ParameterError):
-        cna_labels(pos, box, (True, True, True), 0.0)
 
 
 def test_labels_are_rotation_and_translation_invariant():
     # free cluster: interior atoms FCC, surface atoms UNK; distances only
     pos = fcc_positions(4, 4, 4, 1.0)
     box = np.array([100.0] * 3)
-    reference = cna_labels(pos, box, (False,) * 3, FCC_CUTOFF)
+    reference = labels_within(pos, box, (False,) * 3, FCC_CUTOFF)
     assert (reference == FCC).sum() > 0
     assert (reference == UNK).sum() > 0
     for rot in Rotation.random(10, rng=np.random.default_rng(7)):
         moved = pos @ rot.as_matrix().T + np.array([3.0, -1.0, 0.5])
-        labels = cna_labels(moved, box, (False,) * 3, FCC_CUTOFF)
+        labels = labels_within(moved, box, (False,) * 3, FCC_CUTOFF)
         assert np.array_equal(labels, reference)
 
 
 def test_label_crystal_default_cutoff_sees_perfect_lattice():
     crystal = build_crystal(4, 4, 4, temperature=0.0)
-    labels = cna_labels(crystal.positions, crystal.box, crystal.periodic,
-                        0.854 * A0_DEFAULT)
+    labels = labels_within(crystal.positions, crystal.box, crystal.periodic,
+                           0.854 * A0_DEFAULT)
     conc = defect_concentrations(labels, crystal.grip_mask)
     assert conc == (1.0, 0.0, 0.0)
 
@@ -135,7 +134,7 @@ def test_labels_match_full_signature_oracle(kind, axis, strain, jitter, seed):
     box = box.copy()
     box[axis] *= 1.0 + strain
     cutoff = 0.854 * a
-    assert np.array_equal(cna_labels(pos, box, periodic, cutoff),
+    assert np.array_equal(labels_within(pos, box, periodic, cutoff),
                           oracle_cna_labels(pos, box, periodic, cutoff))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from oracles import (
+    cutoff_list,
     dense_pairs,
     oracle_verlet,
     rows_compute_forces,
@@ -34,6 +35,16 @@ from gridsweep.md import (
     potential_energy,
     run_tensile,
 )
+
+
+def energy(crystal):
+    """Potential energy over a fresh search at the cutoff."""
+    return potential_energy(crystal, cutoff_list(crystal))
+
+
+def stress(crystal):
+    """Grip stress over a fresh search at the cutoff."""
+    return grip_stress(crystal, md._cutoff_pairs(crystal, cutoff_list(crystal)))
 
 
 def two_atom_crystal(separation, box_side=30.0):
@@ -214,18 +225,20 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
     crystal.box[axis] *= 1.0 + strain
 
     n = crystal.n_atoms
-    i, j, delta, r2 = md._cutoff_pairs(crystal)
+    cut = md._cutoff_pairs(crystal, cutoff_list(crystal))
+    skin_cut = md._cutoff_pairs(crystal, skin)
     want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
-    assert np.array_equal(md._pair_forces(n, i, j, delta, r2), want_forces)
-    assert (potential_energy(crystal), r2.min()) == (want_potential, want_r2_min)
-    assert np.array_equal(md._pair_forces(n, *md._cutoff_pairs(crystal, skin)),
+    assert np.array_equal(md._pair_forces(n, *cut), want_forces)
+    assert (energy(crystal), cut[3].min()) == (want_potential, want_r2_min)
+    assert np.array_equal(md._pair_forces(n, *skin_cut),
                           rows_pair_forces(n, *rows_cutoff_pairs(crystal, skin)))
     if grip_planes:
-        assert grip_stress(crystal) == rows_grip_stress(crystal)
-        assert grip_stress(crystal, skin) == rows_grip_stress(crystal, skin)
+        assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
+        assert grip_stress(crystal, skin_cut) == rows_grip_stress(crystal, skin)
 
 
-@pytest.mark.parametrize("evaluate", [potential_energy, rows_compute_forces,
+@pytest.mark.parametrize("evaluate", [pytest.param(energy, id="potential_energy"),
+                                      rows_compute_forces,
                                       lambda crystal: integrate(crystal, MDParams(), 0)])
 def test_close_pair_across_a_periodic_face_blows_up(evaluate):
     crystal = build_crystal(4, 4, 4, grip_planes=0)
@@ -325,10 +338,11 @@ def test_checkpoint_record_matches_public_observables():
     records = run_tensile(params, (3, 4, 3), seed=4)
 
     def observables(crystal):
-        labels = cna_labels(crystal.positions, crystal.box, crystal.periodic, 0.854 * A0_DEFAULT)
-        return (*defect_concentrations(labels, crystal.grip_mask),
-                grip_stress(crystal),
-                (potential_energy(crystal) + kinetic_energy(crystal)) / crystal.n_atoms)
+        bonds = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
+                               0.854 * A0_DEFAULT)
+        labels = cna_labels(crystal.positions, bonds)
+        return (*defect_concentrations(labels, crystal.grip_mask), stress(crystal),
+                (energy(crystal) + kinetic_energy(crystal)) / crystal.n_atoms)
 
     crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=4)
     state = equilibrate(crystal, params)
@@ -343,13 +357,13 @@ def test_checkpoint_record_matches_public_observables():
 
 def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
     # cutoff gathers: one per step plus the first forces, one energy per
-    # equilibration chunk boundary, and per checkpoint one for the energy and
-    # CNA shell plus one inside grip_stress; all of them on the skin list
+    # equilibration chunk boundary, and one per checkpoint for its energy,
+    # stress and CNA shell
     gathered, steps = [], []
     gather = md._cutoff_pairs
 
-    def counting_gather(crystal, pairs=None):
-        gathered.append(pairs is not None)
+    def counting_gather(crystal, pairs):
+        gathered.append(pairs)
         return gather(crystal, pairs)
 
     def counting_integrate(crystal, params, n_steps, **kwargs):
@@ -362,8 +376,7 @@ def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
     records = run_tensile(params, (3, 4, 3), seed=4)
     chunks = -(-params.equilibration_steps // md.RESCALE_INTERVAL)
     assert len(records) == 4
-    assert len(gathered) == sum(steps) + 1 + (chunks + 1) + 2 * len(records)
-    assert all(gathered)
+    assert len(gathered) == sum(steps) + 1 + (chunks + 1) + len(records)
 
 
 def test_unstable_integration_raises():
@@ -383,9 +396,9 @@ def test_non_finite_state_raises():
 def test_nve_energy_and_momentum_conservation():
     params = MDParams(dt=0.005)
     crystal = build_crystal(4, 4, 4, temperature=0.05, seed=0, grip_planes=0)
-    e0 = potential_energy(crystal) + kinetic_energy(crystal)
+    e0 = energy(crystal) + kinetic_energy(crystal)
     integrate(crystal, params, 1000)
-    e1 = potential_energy(crystal) + kinetic_energy(crystal)
+    e1 = energy(crystal) + kinetic_energy(crystal)
     assert abs((e1 - e0) / e0) < 1e-4
     assert np.linalg.norm(crystal.velocities.sum(axis=0)) < 1e-10
 
@@ -393,7 +406,7 @@ def test_nve_energy_and_momentum_conservation():
 def test_close_pair_blows_up():
     crystal = two_atom_crystal(0.3)
     with pytest.raises(BlowUpError):
-        potential_energy(crystal)
+        energy(crystal)
 
 
 def test_params_validation():
@@ -425,7 +438,7 @@ def fd_stress_oracle(crystal, delta=1e-5):
     for sign in (+1.0, -1.0):
         probe = crystal.copy()
         probe.positions[top, 1] += sign * delta
-        energies.append(potential_energy(probe))
+        energies.append(energy(probe))
     dU_dh = (energies[0] - energies[1]) / (2 * delta)
     area = float(crystal.box[0] * crystal.box[2])
     return dU_dh / area
@@ -433,15 +446,26 @@ def fd_stress_oracle(crystal, delta=1e-5):
 
 def test_unstrained_stress_vanishes():
     crystal = build_crystal(4, 6, 4, temperature=0.0)
-    assert abs(grip_stress(crystal)) < 1e-6
+    assert abs(stress(crystal)) < 1e-6
 
 
 @pytest.mark.parametrize("strain,sign", [(0.02, 1), (-0.02, -1)])
 def test_stress_sign_and_energy_derivative(strain, sign):
     crystal = stretched(build_crystal(4, 6, 4, temperature=0.0), strain)
-    sigma = grip_stress(crystal)
+    sigma = stress(crystal)
     assert sign * sigma > 0
     assert sigma == pytest.approx(fd_stress_oracle(crystal), rel=1e-4)
+
+
+def test_grip_stress_takes_the_record_gather_in_bounded_memory():
+    # 4,000 atoms, 146,800 cutoff pairs: re-gathering them from the skin list
+    # inside grip_stress peaked at 15.4 MB traced; keeping the top-grip pairs
+    # of the caller's gather first peaks near 0.6 MB
+    crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
+    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, md.CUTOFF + md.SKIN)
+    cut = md._cutoff_pairs(crystal, skin)
+    assert traced_peak_mb(lambda: grip_stress(crystal, cut)) < 3.0
+    assert grip_stress(crystal, cut) == rows_grip_stress(crystal, skin)
 
 
 # --- tensile runs --------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Source hygiene of the package modules."""
+"""Source hygiene of the package modules, and the argument names perfbench's
+tracer binds."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "gridsweep"
+PERFBENCH = TESTS.parent / "perfbench"
 #: every module scanned for unused imports: the package's by file name, the
 #: tests' as tests/NAME
 SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
@@ -126,3 +132,33 @@ def test_every_public_function_has_a_caller_or_a_reason():
     assert [name for name in uncalled if name not in UNCALLED_BY_DESIGN] == []
     # an entry that gained a caller, or whose function went, leaves the list
     assert sorted(set(UNCALLED_BY_DESIGN) - set(uncalled)) == []
+
+
+#: a short realization and one classification under perfbench's tracer, run
+#: in a fresh interpreter because an installed Tracer cannot be taken out
+TRACED_RUN = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+tracer = Tracer(sys.argv[2])
+tracer.install()
+from gridsweep import md, sweep
+md.run_tensile(md.MDParams(target_strain=0.01, equilibration_steps=20), (3, 4, 3))
+sweep.classify_sample(np.random.default_rng(0).normal(size=30), n_resamples=19)
+groups, counts = tracer.collect()
+print(json.dumps({"spans": sorted({s[0] for g in groups for s in g if s}), "counts": counts}))
+"""
+
+
+def test_perfbench_tracer_binds_the_arguments_it_names(tmp_path):
+    # perfbench/tracing.py binds cna_labels's positions, integrate's crystal
+    # and n_steps, and ks_test's mode by name: renaming one breaks --trace 1
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(PERFBENCH), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    traced = json.loads(run.stdout)
+    assert {"cna.cna_labels", "md.grip_stress",
+            "stats.ks_test[parametric_bootstrap]"} <= set(traced["spans"])
+    assert traced["counts"]["cna.atoms"] > 0 and traced["counts"]["md.steps"] > 0
