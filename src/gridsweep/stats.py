@@ -155,9 +155,9 @@ def _weibull_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # g(k) is increasing; bracket a sign change for the safeguard by stepping
     # lo down while g(lo) > 0, or hi up while g(hi) < 0
     lo, hi = k.copy(), k.copy()
-    g = _weibull_profile(k, y, ln_y, mean_ln)[0]
-    down = g > 0
-    active = np.flatnonzero(down | (g < 0))
+    g0, gp0 = _weibull_profile(k, y, ln_y, mean_ln)  # also Newton's first step
+    down = g0 > 0
+    active = np.flatnonzero(down | (g0 < 0))
     for _ in range(200):
         if not active.size:
             break
@@ -168,17 +168,21 @@ def _weibull_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                              ln_y[active], mean_ln[active])[0]
         active = active[np.where(d, g > 0, g < 0)]
 
+    # a step onto the closed bracket is kept: one landing exactly on the root
+    # sets lo = k, and bisecting away from there costs ~30 passes
     converged = np.zeros(len(v), dtype=bool)
     active = np.arange(len(v))
-    for _ in range(_WEIBULL_MAX_ITER):
+    g, gp = g0, gp0
+    for it in range(_WEIBULL_MAX_ITER):
         if not active.size:
             break
         k_a, lo_a, hi_a = k[active], lo[active], hi[active]
-        g, gp = _weibull_profile(k_a, y[active], ln_y[active], mean_ln[active])
+        if it:
+            g, gp = _weibull_profile(k_a, y[active], ln_y[active], mean_ln[active])
         hi_a = np.where(g > 0, np.minimum(hi_a, k_a), hi_a)
         lo_a = np.where(g > 0, lo_a, np.maximum(lo_a, k_a))
         k_new = k_a - g / gp
-        k_new = np.where((lo_a < k_new) & (k_new < hi_a), k_new, 0.5 * (lo_a + hi_a))
+        k_new = np.where((lo_a <= k_new) & (k_new <= hi_a), k_new, 0.5 * (lo_a + hi_a))
         done = np.abs(k_new - k_a) <= _WEIBULL_TOL * np.maximum(1.0, k_a)
         k[active], lo[active], hi[active] = k_new, lo_a, hi_a
         converged[active[done]] = True
@@ -308,23 +312,20 @@ def moment_summary(sample) -> MomentSummary:
     """Population central moments; g1 = m3/m2^1.5, beta2 = m4/m2^2."""
     v = _as_values(sample)
     _require_varied(v)
-    c = v - v.mean()
-    m2 = float(np.mean(c**2))
+    (m2,), (g1,), (beta2,) = _moments_rows(v[None, :])
     if m2 == 0.0:  # spread below float resolution
         raise DegenerateSampleError("sample variance underflows to zero")
-    m3 = float(np.mean(c**3))
-    m4 = float(np.mean(c**4))
-    g1 = m3 / m2**1.5
-    beta2 = m4 / m2**2
-    return MomentSummary(float(v.mean()), m2, g1, beta2)
+    return MomentSummary(float(v.mean()), float(m2), float(g1), float(beta2))
 
 
 def _moments_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise (m2, g1, beta2) for a 2-d resample matrix."""
     c = matrix - matrix.mean(axis=1, keepdims=True)
-    m2 = np.mean(c**2, axis=1)
-    m3 = np.mean(c**3, axis=1)
-    m4 = np.mean(c**4, axis=1)
+    # products, not c**3 / c**4: numpy's power leaves its fast path on negative bases
+    c2 = c * c
+    m2 = np.mean(c2, axis=1)
+    m3 = np.mean(c2 * c, axis=1)
+    m4 = np.mean(c2 * c2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         g1 = m3 / m2**1.5
         beta2 = m4 / m2**2

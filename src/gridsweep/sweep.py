@@ -100,21 +100,25 @@ def write_records_csv(records: list[DefectRecord], path) -> None:
                    for r in records))
 
 
-def read_records_csv(path) -> list[dict[str, float]]:
+def read_records_csv(path) -> np.ndarray:
+    """A job CSV's rows as an (m, 6) float array, columns in JOB_CSV_HEADER order."""
+    width = len(JOB_CSV_HEADER)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != JOB_CSV_HEADER:
-            raise ParameterError(f"{path}: bad job header {reader.fieldnames!r}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != JOB_CSV_HEADER:
+            raise ParameterError(f"{path}: bad job header {header!r}")
         rows = []
         for row in reader:
+            if not row:
+                continue
             try:
-                rows.append({k: float(v) for k, v in row.items()})
-            except TypeError:  # DictReader's None key or value of a long or short row
-                raise ParameterError(f"{path}:{reader.line_num}: expected "
-                                     f"{len(JOB_CSV_HEADER)} fields") from None
+                rows.append([float(x) for x in row[:width]])
             except ValueError as exc:
                 raise ParameterError(f"{path}:{reader.line_num}: {exc}") from None
-        return rows
+            if len(row) != width:
+                raise ParameterError(f"{path}:{reader.line_num}: expected {width} fields")
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def _run_one(spec: SweepSpec, t_origin: float, job_id: int) -> JobResult:
@@ -204,17 +208,15 @@ def collect_observable(input_dir, strain: float, observable: str) -> np.ndarray:
     paths = sorted(Path(input_dir).glob("job_*.csv"))
     if not paths:
         raise ParameterError(f"no job_*.csv files in {input_dir}")
+    column = JOB_CSV_HEADER.index(observable)
     values = []
     available: set[float] = set()
     for path in paths:
         rows = read_records_csv(path)
-        hit = None
-        for row in rows:
-            available.add(row["strain"])
-            if abs(row["strain"] - strain) <= STRAIN_TOL:
-                hit = row
-        if hit is not None:
-            values.append(hit[observable])
+        available.update(rows[:, 0].tolist())
+        hits = np.flatnonzero(np.abs(rows[:, 0] - strain) <= STRAIN_TOL)
+        if hits.size:  # the last matching row, as a file is read top to bottom
+            values.append(rows[hits[-1], column])
     if len(values) < 2:
         raise ParameterError(
             f"checkpoint strain={strain} found in {len(values)} files; "

@@ -29,10 +29,12 @@ multiplicative growth law behind the log-normal host attributes.
 ``oracle_fit_weibull`` is the one-sample scalar Newton/bisection Weibull fit
 and ``oracle_ks_bootstrap`` the resample-by-resample parametric bootstrap
 loop; ``gridsweep.stats``'s row-wise solver and all-at-once bootstrap must
-reproduce both bit for bit.
+reproduce both bit for bit.  ``oracle_pearson_point`` is a sample's exact
+(beta1, beta2) in rational arithmetic, which the float moments must approach.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -502,7 +504,7 @@ def oracle_fit_weibull(sample, max_iter=100):
             lo = max(lo, k)
         step = g / gp
         k_new = k - step
-        if not (lo < k_new < hi):
+        if not (lo <= k_new <= hi):
             k_new = 0.5 * (lo + hi)
         if abs(k_new - k) <= 1e-10 * max(1.0, k):
             k = k_new
@@ -558,3 +560,12 @@ def oracle_ks_bootstrap(sample, fit, n_resamples, seed):
         refits.append((refit.params, refit.converged, d_star))
         exceed += d_star >= d
     return refits, (1.0 + exceed) / (n_resamples + 1.0)
+
+
+def oracle_pearson_point(sample):
+    """Exact (beta1, beta2) = (m3^2 / m2^3, m4 / m2^2) of the float sample, as
+    Fractions, from population central moments in rational arithmetic."""
+    v = [Fraction(float(x)) for x in sample]
+    mean = sum(v) / len(v)
+    m2, m3, m4 = (sum((x - mean) ** r for x in v) / len(v) for r in (2, 3, 4))
+    return m3 * m3 / m2**3, m4 / (m2 * m2)

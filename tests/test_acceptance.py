@@ -211,7 +211,7 @@ def test_criterion_8_end_to_end(tmp_path):
     ledger = sweep_run(spec)
     n_ok = sum(1 for j in ledger.jobs if j.status == "ok")
     last = read_records_csv(job_csv_path(out, 0))[-1]
-    sweep_ok = n_ok == 100 and last["strain"] == pytest.approx(0.20)
+    sweep_ok = n_ok == 100 and last[0] == pytest.approx(0.20)  # column 0: strain
 
     correct = 0
     for rep in range(40):

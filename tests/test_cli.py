@@ -18,6 +18,7 @@ from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from gridsweep.hosts import HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
 from gridsweep.scenario import parse_scenario
+from gridsweep.stats import _weibull_profile, fit_weibull
 from gridsweep.sweep import job_csv_path, write_records_csv
 
 TABLE2 = Path(__file__).resolve().parents[1] / "scenarios" / "table2.scenario"
@@ -300,18 +301,21 @@ def test_analyze_underflowing_variance_is_degenerate(tmp_path, capsys):
 
 
 #: sha256 of every `analyze --n-resamples 199` output on the seeded ensemble of
-#: write_pinned_ensemble, per observable, recorded before the stats types
-#: were slimmed, so any drift in the analysis chain shows here
+#: write_pinned_ensemble, per observable, so any drift in the analysis chain
+#: shows here.  Both cloud.csv were re-recorded when the moments became
+#: products (values moved by <= 2.7e-15), and c_unk's qq_weibull.csv and
+#: report.csv when the Weibull solver began keeping a Newton step that lands
+#: on its bracket (k moved by 7.6e-11, to the exact root)
 PINNED_ANALYZE_SHA256 = {
     "c_unk": {
-        "cloud.csv": "44e411d1df3defbe4b5abc29df7514bf1620ac28020e320d3d268582bf228521",
+        "cloud.csv": "0d705d7814f782ce32205f6fbb71bfae6cbd3e310c7a89da9a3c09b444e4b160",
         "qq_normal.csv": "e7e5c1a731a76a85d0894cfc08722c529e6f106c1ce81d1a094229f3c35f1656",
-        "qq_weibull.csv": "a670ffff6caeb2fdd3f5973341b72aba91d676733d510d3bcc3a14e24363d875",
-        "report.csv": "5a890261b4c451613ba1d839468f40e34ac4fc006a034d24dec8c891e043196d",
+        "qq_weibull.csv": "7313d63dc7ba7c269d7e1b7afa091f51625fa8c8857aead019aa97c139fc5efd",
+        "report.csv": "7c735d7f859466601956ee99f4ff43e1bc0fb0353d76f267f9d651f9e30e63e6",
         "verdict.csv": "fdb4bd539047f98a1d94f6d0f99da5b1db7a90c6c8fb5a9077027cd4ecf8ad8b",
     },
     "sigma_top": {
-        "cloud.csv": "b0c33ca095fe5375e0b3560f711105e2d90ca73cff97e8cc903b00d815bad23f",
+        "cloud.csv": "46c1aca23331094a9f1c051ce7ef524c096c74d66763910b82719d0fdf33369b",
         "qq_normal.csv": "67f95ae799abda9b8971ded17e4c60fed0be5479f3e06ab133553d05f2bc1868",
         "qq_weibull.csv": "8bc628729e0ee2d8f714433653fdba7ac1608e1951ecb956637257f77d8a7c8b",
         "report.csv": "f7ea1c29fb2f38051061e8d862b6b543cdfe593820acc4b60fab2d6bf29d37fb",
@@ -343,6 +347,18 @@ def test_analyze_outputs_match_pinned_bytes(tmp_path):
                      "--n-resamples", "199"]) == EXIT_OK
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()} == digests
+
+
+def test_pinned_c_unk_weibull_fit_is_the_exact_newton_root(tmp_path):
+    # the solver once rejected the Newton step onto its own bracket end and
+    # stopped at k = 1.339521402846223, where g(k) = 7.1e-11
+    write_pinned_ensemble(tmp_path / "jobs")
+    v = sweep_mod.collect_observable(tmp_path / "jobs", 0.1, "c_unk")
+    k = fit_weibull(v).params[0]
+    assert k == 1.3395214027698374
+    y = v[None, :] / v.max()
+    g, _ = _weibull_profile(np.array([k]), y, np.log(y), np.log(y).mean(axis=1))
+    assert g[0] == 0.0
 
 
 @pytest.mark.parametrize("row, problem", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st_h
 from oracles import (
     oracle_fit_weibull,
     oracle_ks_bootstrap,
+    oracle_pearson_point,
     weibull_log_likelihood,
 )
 
@@ -17,6 +18,7 @@ from gridsweep import stats
 from gridsweep.errors import DegenerateSampleError, DomainError, ParameterError
 from gridsweep.stats import (
     FitResult,
+    _moments_rows,
     _resample_distances,
     _weibull_rows,
     bootstrap_cloud,
@@ -302,6 +304,22 @@ def test_weibull_rows_keep_the_last_iterate_when_not_converged(monkeypatch):
     assert 0 < converged.sum() < len(v)
 
 
+def test_weibull_solver_stops_at_a_root_on_its_bracket(monkeypatch):
+    # rows whose Newton step lands exactly on the root set lo = k; a step onto
+    # that bracket end must be kept, not bisected away from for ~30 passes
+    v = campaign_cell(10, 1)
+    fit = fit_weibull(v)
+    profile, calls = stats._weibull_profile, []
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(stats, "_weibull_profile", counted)
+    ks_test(v, fit, "parametric_bootstrap", n_resamples=999, seed=0)
+    assert len(calls) <= 10
+
+
 def test_ks_test_input_validation():
     fit = std_normal_fit()
     with pytest.raises(ParameterError):
@@ -355,6 +373,18 @@ def test_moments_are_shift_invariant_and_negation_flips_skew():
     flipped = moment_summary(-v)
     assert flipped.skewness == pytest.approx(-base.skewness, rel=1e-9)
     assert flipped.beta1 == pytest.approx(base.beta1, rel=1e-9)
+
+
+def test_moments_match_exact_rational_moments():
+    x = np.random.default_rng(7).exponential(size=(20, 30)) + 3.0
+    _, g1, beta2 = _moments_rows(x)
+    for row, b1_row, b2_row in zip(x, g1**2, beta2):
+        b1, b2 = oracle_pearson_point(row)
+        summary = moment_summary(row)
+        for value in (b1_row, summary.beta1):
+            assert abs(value - b1) <= 1e-12 * b1
+        for value in (b2_row, summary.beta2):
+            assert abs(value - b2) <= 1e-12 * b2
 
 
 # --- weibull locus -------------------------------------------------------

@@ -188,16 +188,34 @@ def test_spec_validation():
         SweepSpec(parallelism=0)
 
 
+FAKE_ROWS = [[0.0, 1.0, 0.0, 0.0, 0.0, -1.0], [0.01, 0.75, 0.0, 0.25, 0.5, -1.0]]
+
+
 def test_records_csv_round_trip(tmp_path):
     path = tmp_path / "job_0000.csv"
     fake_job(path, [0.0, 0.01], [0.0, 0.25])
     rows = read_records_csv(path)
-    assert [r["strain"] for r in rows] == [0.0, 0.01]
-    assert rows[1]["c_unk"] == 0.25
-    assert rows[1]["sigma_top"] == 0.5
+    assert rows.shape == (2, 6)
+    assert rows.tolist() == FAKE_ROWS
+    path.write_text("strain,c_fcc,c_hcp,c_unk,sigma_top,energy\r\n")
+    assert read_records_csv(path).shape == (0, 6)
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ParameterError):
         read_records_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"strain,c_fcc,c_hcp,c_unk,sigma_top,energy\r\n0.0,1.0,0.0,0.0,0.0,-1.0\r\n\r\n"
+    b"0.01,0.75,0.0,0.25,0.5,-1.0\r\n\r\n",
+    b"strain,c_fcc,c_hcp,c_unk,sigma_top,energy\n0.0,1.0,0.0,0.0,0.0,-1.0\n"
+    b"0.01,0.75,0.0,0.25,0.5,-1.0\n",
+    b"strain,c_fcc,c_hcp,c_unk,sigma_top,energy\r\n0.0,1.0,0.0,0.0,0.0,-1.0\r\n"
+    b'0.01,0.75,0.0,"0.25",0.5,-1.0\r\n',
+], ids=["blank_line", "lf", "quoted_float"])
+def test_records_csv_reads_what_a_csv_reader_accepts(tmp_path, text):
+    path = tmp_path / "job_0000.csv"
+    path.write_bytes(text)
+    assert read_records_csv(path).tolist() == FAKE_ROWS
 
 
 # --- collection ----------------------------------------------------------
