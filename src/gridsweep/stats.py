@@ -155,30 +155,27 @@ def _weibull_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # g(k) is increasing; bracket a sign change for the safeguard by stepping
     # lo down while g(lo) > 0, or hi up while g(hi) < 0
     lo, hi = k.copy(), k.copy()
-    g0, gp0 = _weibull_profile(k, y, ln_y, mean_ln)  # also Newton's first step
-    down = g0 > 0
-    active = np.flatnonzero(down | (g0 < 0))
+    g, gp = _weibull_profile(k, y, ln_y, mean_ln)  # also Newton's first step
+    down = g > 0
+    active = np.flatnonzero(down | (g < 0))
     for _ in range(200):
         if not active.size:
             break
         d = down[active]
         lo[active[d]] /= 1.5
         hi[active[~d]] *= 1.5
-        g = _weibull_profile(np.where(d, lo[active], hi[active]), y[active],
-                             ln_y[active], mean_ln[active])[0]
-        active = active[np.where(d, g > 0, g < 0)]
+        g_end = _weibull_profile(np.where(d, lo[active], hi[active]), y[active],
+                                 ln_y[active], mean_ln[active])[0]
+        active = active[np.where(d, g_end > 0, g_end < 0)]
 
     # a step onto the closed bracket is kept: one landing exactly on the root
     # sets lo = k, and bisecting away from there costs ~30 passes
     converged = np.zeros(len(v), dtype=bool)
     active = np.arange(len(v))
-    g, gp = g0, gp0
-    for it in range(_WEIBULL_MAX_ITER):
+    for _ in range(_WEIBULL_MAX_ITER):
         if not active.size:
             break
         k_a, lo_a, hi_a = k[active], lo[active], hi[active]
-        if it:
-            g, gp = _weibull_profile(k_a, y[active], ln_y[active], mean_ln[active])
         hi_a = np.where(g > 0, np.minimum(hi_a, k_a), hi_a)
         lo_a = np.where(g > 0, lo_a, np.maximum(lo_a, k_a))
         k_new = k_a - g / gp
@@ -187,6 +184,7 @@ def _weibull_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k[active], lo[active], hi[active] = k_new, lo_a, hi_a
         converged[active[done]] = True
         active = active[~done]
+        g, gp = _weibull_profile(k[active], y[active], ln_y[active], mean_ln[active])
 
     # stays a scalar ** (libm pow): numpy's SIMD array ** differs in the last bit
     scale = np.array([m ** (1.0 / kk) for m, kk in zip((y ** k[:, None]).mean(axis=1), k)])

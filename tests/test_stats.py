@@ -319,6 +319,13 @@ def test_weibull_solver_stops_at_a_root_on_its_bracket(monkeypatch):
     ks_test(v, fit, "parametric_bootstrap", n_resamples=999, seed=0)
     assert len(calls) <= 10
 
+    # a seeded batch: the open-bracket rule took 18,271 row evaluations
+    rng = np.random.default_rng(17)
+    x = rng.weibull(1.5, size=(2000, 100)) * rng.uniform(0.5, 2.0, size=(2000, 1))
+    calls.clear()
+    assert stats._weibull_rows(x)[2].all()
+    assert sum(len(k) for k, *_ in calls) <= 0.6 * 18271
+
 
 def test_ks_test_input_validation():
     fit = std_normal_fit()

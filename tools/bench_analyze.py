@@ -1,27 +1,27 @@
-"""Paired parent/change measurements of the analysis path, as one JSON record.
+"""Paired parent/change runs of the benchmark, with the analysis path's outputs
+and its cost at 1,000 jobs, as one JSON record.
 
 Run from anywhere, with a checkout of each commit (``git archive`` of it)::
 
-    python3 tools/bench_analyze.py --parent DIR --change DIR --out BENCH.json \
-        [--label NAME] [--workloads campaign ensemble big_slab] [--pairs 10] \
-        [--first-seed 1701] [--seconds 20]
+    python3 tools/bench_analyze.py --parent DIR --change DIR \
+        --out BENCH_<label>.json --first-seed N
 
-The record holds four parts, each measured on both checkouts:
+The workloads, the end-to-end metrics with their better direction and the run
+length all come from the change's ``BENCHMARK.json``. The record holds three
+parts, each measured on both checkouts:
 
-- ``pairs``: ``perfbench/run.py --workload W --seed N --seconds S
-  --trace 0`` in each checkout, ``--pairs`` pairs per workload, alternating
-  which side runs first (odd seeds: parent first), with each run's
-  end-to-end metrics; ``summary`` gives, per workload, each metric's
-  medians, the parent's interquartile range and the change's wins.
+- ``pairs``: the benchmark command with ``--workload W --seed S --seconds
+  <run_seconds> --trace 0`` in each checkout, ``PAIRS`` pairs per workload on
+  seeds N, N+1, ..., alternating which side runs first (odd seeds: parent
+  first); ``summary`` gives, per workload, each metric's medians, the parent's
+  interquartile range and the change's wins.
+- ``outputs``: ``analyze`` on every cell of the campaign workload's ensemble
+  (seed 0): which files are byte-identical and the largest ``cloud.csv``
+  difference.
 - ``n1000``: ``collect_observable``, ``classify_sample`` and
   ``bootstrap_cloud`` on three cells of the campaign ensemble written at
-  1,000 jobs, the minimum of ``--repeats`` calls, in a fresh process per
-  side and round, alternating.
-- ``solver``: ``_weibull_profile`` calls and row evaluations when
-  ``_weibull_rows`` fits a seeded 2,000-row Weibull batch, and how each
-  row's k and |g(k)| compare.
-- ``outputs``: ``analyze`` on the campaign workload's 12 cells (seed 0):
-  which files are byte-identical and the largest ``cloud.csv`` difference.
+  1,000 jobs, the minimum of ``REPEATS`` calls, in a fresh process per side
+  and round, alternating.
 """
 
 from __future__ import annotations
@@ -37,39 +37,35 @@ import sys
 import tempfile
 from pathlib import Path
 
-METRICS = {"setup_s": "lower", "op_s_p50": "lower", "throughput_per_s": "higher",
-           "peak_rss_mb": "lower"}
+PAIRS = 10
+REPEATS = 5
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
-OBSERVABLES = ("c_hcp", "c_unk", "sigma_top")
-STRAINS = (0.05, 0.10, 0.15, 0.20)
 
 
-def _campaign_ensemble(root: Path, out: Path, n_jobs: int, seed: int = 0) -> None:
-    """The campaign workload's synthetic job CSVs, written by its own generator."""
+def _campaign(root: Path, work: Path, n_jobs: int):
+    """The campaign workload, set up (seed 0) with an ensemble of ``n_jobs`` jobs."""
     sys.path.insert(0, str(root / "perfbench"))
-    import numpy as np
     import workloads
 
     w = workloads.CampaignWorkload()
-    w.n_jobs, w.ensemble = n_jobs, out
-    w._write_ensemble(np.random.default_rng(seed))
+    w.n_jobs = n_jobs
+    w.setup(0, work / f"inputs_n{n_jobs}")
+    return w
 
 
 # --- probes: run in a fresh process with one checkout's src/ on the path ----
 
 
-def probe_n1000(root: Path, work: Path, repeats: int) -> dict:
+def probe_n1000(root: Path, work: Path) -> dict:
     import time
 
     from gridsweep import stats, sweep
 
-    ensemble = work / "ensemble_n1000"
-    if not ensemble.exists():
-        _campaign_ensemble(root, ensemble, 1000)
+    ensemble = _campaign(root, work, 1000).ensemble
 
     def best(fn):
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
@@ -86,40 +82,15 @@ def probe_n1000(root: Path, work: Path, repeats: int) -> dict:
     return out
 
 
-def probe_solver(root: Path, work: Path, repeats: int) -> dict:
-    import numpy as np
-
-    from gridsweep import stats
-
-    rng = np.random.default_rng(17)
-    x = rng.weibull(1.5, size=(2000, 100)) * rng.uniform(0.5, 2.0, size=(2000, 1))
-    profile, calls, rows = stats._weibull_profile, [0], [0]
-
-    def counted(k, *args):
-        calls[0] += 1
-        rows[0] += len(k)
-        return profile(k, *args)
-
-    stats._weibull_profile = counted
-    k, lam, converged = stats._weibull_rows(x)
-    stats._weibull_profile = profile
-    y = x / x.max(axis=1, keepdims=True)
-    g = profile(k, y, np.log(y), np.log(y).mean(axis=1))[0]
-    return {"calls": calls[0], "row_evaluations": rows[0], "converged": int(converged.sum()),
-            "k": k.tolist(), "abs_g": np.abs(g).tolist()}
-
-
-def probe_outputs(root: Path, work: Path, repeats: int) -> dict:
+def probe_outputs(root: Path, work: Path) -> dict:
     from gridsweep.cli import main
 
-    ensemble = work / "ensemble_n100"
-    if not ensemble.exists():
-        _campaign_ensemble(root, ensemble, 100)
+    campaign = _campaign(root, work, 100)
     files = {}
-    for obs in OBSERVABLES:
-        for strain in STRAINS:
+    for obs in campaign.observables:
+        for strain in campaign.strains:
             out = work / f"analyze_{obs}_{strain}"
-            if main(["analyze", "--input-dir", str(ensemble), "--strain", str(strain),
+            if main(["analyze", "--input-dir", str(campaign.ensemble), "--strain", str(strain),
                      "--observable", obs, "--out-dir", str(out)]) != 0:
                 raise SystemExit(f"analyze {obs}@{strain} failed")
             for p in sorted(out.iterdir()):
@@ -130,14 +101,13 @@ def probe_outputs(root: Path, work: Path, repeats: int) -> dict:
     return files
 
 
-PROBES = {"n1000": probe_n1000, "solver": probe_solver, "outputs": probe_outputs}
+PROBES = {"n1000": probe_n1000, "outputs": probe_outputs}
 
 
-def _probe(root: Path, name: str, work: Path, repeats: int = 5) -> dict:
+def _probe(root: Path, name: str, work: Path) -> dict:
     work.mkdir(parents=True, exist_ok=True)
     out = subprocess.run(
-        [sys.executable, __file__, "--probe", name, "--root", str(root), "--work", str(work),
-         "--repeats", str(repeats)],
+        [sys.executable, __file__, "--probe", name, "--root", str(root), "--work", str(work)],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -146,28 +116,30 @@ def _probe(root: Path, name: str, work: Path, repeats: int = 5) -> dict:
 # --- paired runs and comparisons ---------------------------------------
 
 
-def _perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def _perfbench(root: Path, bench: dict, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        bench["command"] + ["--workload", workload, "--seed", str(seed),
+                            "--seconds", str(bench["run_seconds"]), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     if not proc.stdout:
         raise SystemExit(f"perfbench in {root} printed nothing:\n{proc.stderr}")
     last = json.loads(proc.stdout.splitlines()[-1])
-    run = {name: last["metrics"][name]["value"] for name in METRICS}
+    run = {m["name"]: last["metrics"][m["name"]]["value"] for m in bench["end_to_end"]}
     run.update(attempted=last["attempted"], failed=last["failed"], correct=last["correct"])
     return run
 
 
-def _summary(pairs: list[dict]) -> dict:
+def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
     out = {"pairs": len(pairs),
            "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")},
            "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in ("parent", "change")}}
-    for name, better in METRICS.items():
+    for metric in end_to_end:
+        name = metric["name"]
         par = [p["parent"][name] for p in pairs]
         chg = [p["change"][name] for p in pairs]
         q1, _, q3 = statistics.quantiles(par, n=4)
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(par, chg))
+        wins = sum((c < p) if metric["better"] == "lower" else (c > p)
+                   for p, c in zip(par, chg))
         out[name] = {"parent_median": statistics.median(par),
                      "change_median": statistics.median(chg),
                      "relative_change": statistics.median(chg) / statistics.median(par) - 1.0,
@@ -188,54 +160,32 @@ def _compare_outputs(parent: dict, change: dict) -> dict:
                                       for a, b in zip(ra, rb))}
 
 
-def _compare_solver(parent: dict, change: dict) -> dict:
-    moved = [i for i, (a, b) in enumerate(zip(parent["k"], change["k"])) if a != b]
-    return {
-        "rows": len(parent["k"]),
-        "parent": {key: parent[key] for key in ("calls", "row_evaluations", "converged")},
-        "change": {key: change[key] for key in ("calls", "row_evaluations", "converged")},
-        "evaluation_ratio": change["row_evaluations"] / parent["row_evaluations"],
-        "rows_whose_k_moved": len(moved),
-        "max_relative_k_move": max((abs(change["k"][i] / parent["k"][i] - 1.0) for i in moved),
-                                   default=0.0),
-        "rows_with_larger_abs_g": sum(c > p for p, c in zip(parent["abs_g"], change["abs_g"])),
-        "median_abs_g_on_moved_rows": {
-            side: statistics.median(d["abs_g"][i] for i in moved) if moved else 0.0
-            for side, d in (("parent", parent), ("change", change))},
-    }
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path)
     p.add_argument("--change", type=Path)
-    p.add_argument("--out", type=Path)
-    p.add_argument("--label", default="")
-    p.add_argument("--workloads", nargs="+", default=["campaign"],
-                   choices=("campaign", "ensemble", "big_slab"))
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1701)
-    p.add_argument("--seconds", type=int, default=20)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--out", type=Path, help="BENCH_<label>.json")
+    p.add_argument("--first-seed", type=int, help="first of the pairs' seeds, unused before")
     p.add_argument("--probe", choices=sorted(PROBES), help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
 
     if args.probe:
-        print(json.dumps(PROBES[args.probe](args.root.resolve(), args.work, args.repeats)))
+        print(json.dumps(PROBES[args.probe](args.root.resolve(), args.work)))
         return 0
-    if not (args.parent and args.change and args.out):
-        p.error("--parent, --change and --out are required")
+    if not (args.parent and args.change and args.out and args.first_seed is not None):
+        p.error("--parent, --change, --out and --first-seed are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
 
     import numpy
     import scipy
 
     record = {
-        "label": args.label,
-        "command": f"python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds} --trace 0",
+        "label": args.out.stem.removeprefix("BENCH_"),
+        "command": " ".join(bench["command"]) + " --workload W --seed N "
+                   f"--seconds {bench['run_seconds']} --trace 0",
         "order": "pairs alternate which side runs first (odd seeds: parent first); "
                  "all runs sequential on one shared host",
         "machine": {"nproc": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
@@ -247,28 +197,24 @@ def main(argv=None) -> int:
         work = Path(tmp)
         outputs = {s: _probe(root, "outputs", work / s / "outputs") for s, root in sides.items()}
         record["outputs"] = _compare_outputs(outputs["parent"], outputs["change"])
-        solver = {s: _probe(root, "solver", work / s) for s, root in sides.items()}
-        record["solver"] = _compare_solver(solver["parent"], solver["change"])
-        record["n1000"] = {"what": f"min of {args.repeats} calls, ms; two rounds, alternating",
+        record["n1000"] = {"what": f"min of {REPEATS} calls, ms; two rounds, alternating",
                            "parent": [], "change": []}
         for order in (("parent", "change"), ("change", "parent")):
             for s in order:
-                record["n1000"][s].append(_probe(sides[s], "n1000", work / s, args.repeats))
+                record["n1000"][s].append(_probe(sides[s], "n1000", work / s))
 
     record["pairs"], record["summary"] = [], {}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
+        for seed in range(args.first_seed, args.first_seed + PAIRS):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for s in order:
-                pair[s] = _perfbench(sides[s], workload, seed, args.seconds)
-                print(f"{workload} seed {seed} {s}: op_s_p50={pair[s]['op_s_p50']:.4f}",
-                      file=sys.stderr)
+                pair[s] = _perfbench(sides[s], bench, workload, seed)
+                print(f"{workload} seed {seed} {s}: {pair[s]}", file=sys.stderr)
             pairs.append(pair)
         record["pairs"] += pairs
-        record["summary"][workload] = _summary(pairs)
+        record["summary"][workload] = _summary(pairs, bench["end_to_end"])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
