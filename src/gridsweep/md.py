@@ -17,7 +17,7 @@ energy and the observables use the whole list.
 Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
 order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
 for bit: r2 adds (x^2 + z^2) + y^2, as numpy's einsum("ij,ij->i") does on
-3-wide rows, and each force bin ax*n + atom sums its pair terms in list order.
+3-wide rows, and each force bin (atom, axis) takes its terms in list order.
 
 The lattice constant is the 0 K equilibrium spacing of the
 truncated-shifted potential (a ~ 1.5496, slightly tighter than the
@@ -45,9 +45,10 @@ from .errors import BlowUpError, ParameterError
 #: for aluminum.
 A0_DEFAULT = 1.5496034240894725
 
-#: LJ truncation radius and Verlet skin, in sigma
+#: LJ truncation radius and Verlet skin, in sigma; CUTOFF + SKIN = 2.8 lies between
+#: the 6th and 7th FCC shells, sqrt(3) and sqrt(3.5) * A0_DEFAULT (2.684, 2.899)
 CUTOFF = 2.5
-SKIN = 0.4
+SKIN = 0.3
 #: strain between two recorded checkpoints
 CHECKPOINT_DSTRAIN = 0.01
 #: equilibration steps between two velocity rescales
@@ -254,23 +255,25 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     return np.divmod(keys, n)
 
 
-def _cutoff_pairs(crystal: Crystal, pairs):
-    """(i, j, delta = r_i - r_j min-imaged as (3, m), r2) of the pairs of the
-    sorted list ``pairs`` inside the cutoff; BlowUpError if a listed pair is
-    closer than 0.5 sigma.  On a skin list this gives exactly the arrays of a
-    search at the cutoff: the distance test is the same, and a subset of a list
-    sorted by i*n + j keeps its order, so sums over it add the same terms in
-    the same order (dropped pairs only add exact +-0.0 to force sums).  r2
-    sums x, z, y, as the (m, 3) oracle does (see the module doc)."""
+def _gather(crystal: Crystal, pairs):
+    """r_i - r_j min-imaged as (3, m) for every listed pair, the indices of those
+    inside the cutoff and their r2 (see the module doc); BlowUpError below 0.5 sigma."""
     pos = crystal.positions
-    i, j = pairs
-    delta = pos.T.take(i, axis=1) - pos.T.take(j, axis=1)
+    delta = pos.T.take(pairs[0], axis=1) - pos.T.take(pairs[1], axis=1)
     r2 = _min_image_r2(delta, crystal.box, crystal.periodic)
+    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
+    r2 = r2.take(inside)
     if r2.size and r2.min() < 0.5 ** 2:
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
-    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
-    return i.take(inside), j.take(inside), delta.take(inside, axis=1), r2.take(inside)
+    return delta, inside, r2
+
+
+def _cutoff_pairs(crystal: Crystal, pairs):
+    """(i, j, delta, r2) of the pairs inside the cutoff, as `_gather`; on a sorted skin
+    list, exactly those of a search at the cutoff, each bin's terms in list order."""
+    delta, inside, r2 = _gather(crystal, pairs)
+    return pairs[0].take(inside), pairs[1].take(inside), delta.take(inside, axis=1), r2
 
 
 def _lj_coeff(r2: np.ndarray) -> np.ndarray:
@@ -285,21 +288,23 @@ def _potential_energy(r2: np.ndarray) -> float:
     return float(np.sum(4.0 * (inv_r6**2 - inv_r6) - _SHIFT))
 
 
-def _pair_forces(n: int, i, j, delta, r2) -> np.ndarray:
-    """Forces (n, 3) from cutoff pairs: +f to i and -f to j, so momentum is
-    conserved to round-off; one bincount per side over bins ax*n + atom."""
-    fpair = (delta * _lj_coeff(r2)).ravel()
-    bins = np.arange(0, 3 * n, n)[:, None]
-    forces = (np.bincount((i + bins).ravel(), fpair, 3 * n)
-              - np.bincount((j + bins).ravel(), fpair, 3 * n))
-    return forces.reshape(3, n).T
+def _forces(crystal: Crystal, pairs) -> np.ndarray:
+    """Forces (n, 3) from the listed pairs, +f to i and -f to j: one bincount per
+    axis and side, each bin's terms in list order.  A pair outside the cutoff
+    adds +-0.0, which leaves a bincount sum (never -0.0) as it was."""
+    delta, inside, r2 = _gather(crystal, pairs)
+    coeff = np.zeros(delta.shape[1])
+    coeff[inside] = _lj_coeff(r2)
+    delta *= coeff
+    n = crystal.n_atoms
+    return np.array([np.bincount(pairs[0], d, n) - np.bincount(pairs[1], d, n) for d in delta]).T
 
 
 def potential_energy(crystal: Crystal, pairs) -> float:
     """Truncated-shifted LJ energy of the sorted pair list ``pairs``, one that
     holds every pair inside the cutoff, such as the integrator's skin list;
-    BlowUpError as `_cutoff_pairs`."""
-    return _potential_energy(_cutoff_pairs(crystal, pairs)[3])
+    BlowUpError as `_gather`."""
+    return _potential_energy(_gather(crystal, pairs)[2])
 
 
 def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
@@ -311,19 +316,21 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
 #: pairs with a free atom (fi, fj), the positions both were built at, and the
 #: current forces.  The forces come from (fi, fj) alone.  Their grip rows lack
 #: the grip-grip terms and only ever meet a zero kick, while a free atom's row
-#: gets the same terms in the same order as from (i, j): a subset of a sorted
-#: list keeps its order, and bincount adds in input order.  So trajectories
-#: are bit for bit those of the whole list.  The energy is not carried: the
-#: callers that read it sum it over (i, j) with `potential_energy`.
+#: gets the same terms in the same order as from (i, j): in i + j order j still
+#: rises for each i and i for each j, so each bin's terms come in list order, and
+#: an add need not wait on the last one to its bin.  So trajectories are bit for
+#: bit those of the whole list.  The energy is not carried: the callers that
+#: read it sum it over (i, j) with `potential_energy`.
 PairState = namedtuple("PairState", "i j fi fj ref_pos forces")
 
 
 def _skin_lists(crystal: Crystal):
-    """The skin list (i, j) and its pairs with a free atom (fi, fj)."""
+    """The sorted skin list (i, j) and its pairs with a free atom (fi, fj) in i + j order."""
     i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     free = crystal.free_mask
-    keep = free[i] | free[j]
-    return i, j, i[keep], j[keep]
+    keep = np.flatnonzero(free[i] | free[j])
+    keep = keep.take(np.argsort(i.take(keep) + j.take(keep), kind="stable"))
+    return i, j, i.take(keep), j.take(keep)
 
 
 def integrate(crystal: Crystal, params: MDParams, n_steps: int,
@@ -344,23 +351,23 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     crystal.velocities[side > 0] = [0.0, grip_speed, 0.0]
     crystal.velocities[side < 0] = [0.0, -grip_speed, 0.0]
     kick = np.where(side != 0, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
-    per = np.asarray(crystal.periodic)
+    pos, per = crystal.positions, np.asarray(crystal.periodic)
     if state is None:
         i, j, fi, fj = _skin_lists(crystal)
-        state = PairState(i, j, fi, fj, crystal.positions.copy(),
-                          _pair_forces(crystal.n_atoms, *_cutoff_pairs(crystal, (fi, fj))))
+        state = PairState(i, j, fi, fj, pos.copy(), _forces(crystal, (fi, fj)))
     i, j, fi, fj, ref_pos, forces = state
     for _ in range(n_steps):
         crystal.velocities += kick * forces
-        crystal.positions += dt * crystal.velocities
-        crystal.positions[:, per] %= crystal.box[per]
-        moved = _min_image_r2((crystal.positions - ref_pos).T, crystal.box, per).max()
+        pos += dt * crystal.velocities
+        for ax in np.flatnonzero(per):
+            np.remainder(pos[:, ax], crystal.box[ax], out=pos[:, ax])
+        moved = _min_image_r2((pos - ref_pos).T, crystal.box, per).max()
         if not moved <= (0.5 * SKIN) ** 2:
             if not math.isfinite(moved):
                 raise BlowUpError("positions are no longer finite; dt too large?")
             i, j, fi, fj = _skin_lists(crystal)
-            ref_pos = crystal.positions.copy()
-        forces = _pair_forces(crystal.n_atoms, *_cutoff_pairs(crystal, (fi, fj)))
+            ref_pos = pos.copy()
+        forces = _forces(crystal, (fi, fj))
         crystal.velocities += kick * forces
     return PairState(i, j, fi, fj, ref_pos, forces)
 

@@ -41,3 +41,11 @@ def write_csv(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def write_float_csv(path, header, values) -> None:
+    """`write_csv` of the rows of the 2-D float array ``values``, each field its
+    repr, formatted in bulk to the same bytes."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())

@@ -17,7 +17,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import gridsim, stats as st
 from .errors import DegenerateSampleError, ParameterError
 from .md import DefectRecord, MDParams, build_crystal, run_tensile
-from .outputs import staged_outputs, write_csv
+from .outputs import staged_outputs, write_csv, write_float_csv
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
 LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s", "cpu_time_s", "error"]
@@ -94,10 +94,7 @@ def job_csv_path(output_dir, job_id: int) -> Path:
 
 def write_records_csv(records: list[DefectRecord], path) -> None:
     with staged_outputs() as stage:
-        write_csv(stage(path), JOB_CSV_HEADER,
-                  ([repr(float(x)) for x in
-                    (r.strain, r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy)]
-                   for r in records))
+        write_float_csv(stage(path), JOB_CSV_HEADER, np.array([astuple(r) for r in records], float))
 
 
 def read_records_csv(path) -> np.ndarray:
@@ -279,14 +276,12 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
                     repr(res.fits[family].params[1]), repr(res.fits[family].log_likelihood),
                     repr(ks.statistic), repr(ks.p_value), mode]
                    for (family, mode), ks in res.ks.items()))
-        write_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
-                  ([repr(float(b1)), repr(float(b2))] for b1, b2 in
-                   (res.cloud if res.cloud is not None else ())))
+        write_float_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
+                        np.empty((0, 2)) if res.cloud is None else res.cloud)
         for family, fit in res.fits.items():
             if fit.converged:
-                write_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
-                          ([repr(float(tq)), repr(float(eq))]
-                           for tq, eq in st.qq_points(sample, fit)))
+                write_float_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
+                                st.qq_points(sample, fit))
         kn = res.ks.get(("normal", VERDICT_MODE))
         kw = res.ks.get(("weibull", VERDICT_MODE))
         write_csv(stage(out / "verdict.csv"), VERDICT_CSV_HEADER,

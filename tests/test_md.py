@@ -1,6 +1,7 @@
 """MD payload: lattice construction, integration, tensile runs, stress."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_neighbor_pairs_cell_grid_does_not_grow_with_empty_space(rmax):
 
 
 def test_neighbor_pairs_memory_does_not_scale_with_candidates():
-    # 4,000 atoms at the skin radius: 247,600 pairs.  Testing every candidate
+    # 4,000 atoms at the skin radius: 161,200 pairs.  Testing every candidate
     # at once peaked at 97 MB traced; candidate blocks peak near 15 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     rmax = md.CUTOFF + md.SKIN
@@ -204,7 +205,8 @@ def test_neighbor_pairs_match_dense_scan_over_many_blocks(rmax, monkeypatch):
 
 # slab: gripped, 4 cells wide in x and z; bulk: periodic, 3 cells wide, so
 # the cutoff passes L/2; narrow: periodic, 4 cells wide, so skin pairs listed
-# below rmax = 2.9 drift past L/2 (3.1 unstrained) when jittered and compressed
+# below rmax = CUTOFF + SKIN = 2.8 drift past L/2 (3.1 unstrained) when
+# jittered and strained
 KERNEL_CRYSTALS = {"slab": (4, 6, 4, 3), "bulk": (3, 3, 3, 0), "narrow": (4, 4, 4, 0)}
 
 
@@ -217,21 +219,29 @@ KERNEL_CRYSTALS = {"slab": (4, 6, 4, 3), "bulk": (3, 3, 3, 0), "narrow": (4, 4, 
 def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed):
     nx, ny, nz, grip_planes = KERNEL_CRYSTALS[kind]
     crystal = build_crystal(nx, ny, nz, grip_planes=grip_planes)
-    # the integrator's skin list, built before the atoms moved
-    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, md.CUTOFF + md.SKIN)
+    # the integrator's skin lists, built before the atoms moved
+    i, j, fi, fj = md._skin_lists(crystal)
+    skin = (i, j)
     rng = np.random.default_rng(seed)
     crystal.positions += rng.uniform(-jitter, jitter, crystal.positions.shape)
     crystal.positions[:, axis] *= 1.0 + strain
     crystal.box[axis] *= 1.0 + strain
 
-    n = crystal.n_atoms
+    n, free = crystal.n_atoms, crystal.free_mask
     cut = md._cutoff_pairs(crystal, cutoff_list(crystal))
     skin_cut = md._cutoff_pairs(crystal, skin)
     want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
-    assert np.array_equal(md._pair_forces(n, *cut), want_forces)
+    assert np.array_equal(md._forces(crystal, cutoff_list(crystal)), want_forces)
     assert (energy(crystal), cut[3].min()) == (want_potential, want_r2_min)
-    assert np.array_equal(md._pair_forces(n, *skin_cut),
-                          rows_pair_forces(n, *rows_cutoff_pairs(crystal, skin)))
+    # the step on the stale i + j list: every row as the oracle's over the same
+    # pairs in sorted order, with pairs drifted out of the cutoff adding +-0.0
+    order = np.argsort(fi * n + fj)
+    assert np.array_equal(md._forces(crystal, (fi, fj)),
+                          rows_pair_forces(n, *rows_cutoff_pairs(crystal, (fi[order], fj[order]))))
+    # and on the lists the integrator rebuilds here: the free rows of the
+    # fresh search (grip rows lack grip-grip terms and are never applied)
+    forces = md._forces(crystal, md._skin_lists(crystal)[2:])
+    assert np.array_equal(forces[free], want_forces[free])
     if grip_planes:
         assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
         assert grip_stress(crystal, skin_cut) == rows_grip_stress(crystal, skin)
@@ -321,12 +331,45 @@ def test_gripped_trajectory_matches_fresh_search_verlet(geometry):
     assert state.fi.size < state.i.size  # and the forces skipped grip-grip pairs
 
 
+def in_bin_order(fi, fj):
+    """Whether j rises along the list for each i, and i for each j."""
+    by_i, by_j = np.argsort(fi, kind="stable"), np.argsort(fj, kind="stable")
+    return bool(np.all((np.diff(fi[by_i]) > 0) | (np.diff(fj[by_i]) > 0))
+                and np.all((np.diff(fj[by_j]) > 0) | (np.diff(fi[by_j]) > 0)))
+
+
+@pytest.mark.parametrize("geometry,grip_planes", [((4, 6, 4), 3), ((3, 3, 3), 0), ((6, 8, 6), 3)])
+def test_force_list_is_the_free_subset_in_bin_order(geometry, grip_planes):
+    crystal = build_crystal(*geometry, temperature=0.1, seed=3, grip_planes=grip_planes)
+    i, j, fi, fj = md._skin_lists(crystal)
+    n, free = crystal.n_atoms, crystal.free_mask
+    assert np.all(np.diff(i * n + j) > 0)
+    # a permutation of the sorted pairs with a free atom ...
+    assert np.array_equal(np.sort(fi * n + fj), (i * n + j)[free[i] | free[j]])
+    # ... in i + j order, so every force bin gets its terms in list order
+    assert np.all(np.diff(fi + fj) >= 0)
+    assert in_bin_order(fi, fj)
+    assert not in_bin_order(fi[::-1], fj[::-1])
+
+
+@pytest.mark.parametrize("geometry", [(4, 6, 4), (6, 8, 6)])
+def test_skin_list_of_a_perfect_lattice_ends_between_the_6th_and_7th_shell(geometry):
+    # FCC shells lie at sqrt(k/2) * a0; CUTOFF + SKIN = 2.8 lies between the
+    # 6th (2.684) and the 7th (2.899)
+    crystal = build_crystal(*geometry)
+    midpoint = (math.sqrt(3.0) + math.sqrt(3.5)) / 2 * A0_DEFAULT
+    i, j, _, _ = md._skin_lists(crystal)
+    want_i, want_j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, midpoint)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
 def test_ungripped_forces_use_the_skin_list_itself():
     params = MDParams()
     crystal = build_crystal(3, 3, 3, temperature=0.1, seed=5, grip_planes=0)
     reference = crystal.copy()
     state = integrate(crystal, params, 50)
-    assert np.array_equal(state.fi, state.i) and np.array_equal(state.fj, state.j)
+    n = crystal.n_atoms
+    assert np.array_equal(np.sort(state.fi * n + state.fj), state.i * n + state.j)
     assert potential_energy(crystal, (state.i, state.j)) == oracle_verlet(
         reference, params.dt, 50)
     assert np.array_equal(crystal.positions, reference.positions)
@@ -355,28 +398,47 @@ def test_checkpoint_record_matches_public_observables():
     assert got == expected
 
 
-def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
-    # cutoff gathers: one per step plus the first forces, one energy per
-    # equilibration chunk boundary, and one per checkpoint for its energy,
-    # stress and CNA shell
-    gathered, steps = [], []
-    gather = md._cutoff_pairs
+COUNTED_RUN = MDParams(strain_rate=0.2, target_strain=0.03, equilibration_steps=45)
 
-    def counting_gather(crystal, pairs):
-        gathered.append(pairs)
-        return gather(crystal, pairs)
+
+def counted_tensile_run(monkeypatch, *names):
+    """A short tensile run with the calls to md's ``names`` and the steps of
+    each `integrate` call counted: (records, steps, {name: calls})."""
+    calls, steps = {name: 0 for name in names}, []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(md, name, counting(name, getattr(md, name)))
 
     def counting_integrate(crystal, params, n_steps, **kwargs):
         steps.append(n_steps)
         return integrate(crystal, params, n_steps, **kwargs)
 
-    monkeypatch.setattr(md, "_cutoff_pairs", counting_gather)
     monkeypatch.setattr(md, "integrate", counting_integrate)
-    params = MDParams(strain_rate=0.2, target_strain=0.03, equilibration_steps=45)
-    records = run_tensile(params, (3, 4, 3), seed=4)
-    chunks = -(-params.equilibration_steps // md.RESCALE_INTERVAL)
+    records = run_tensile(COUNTED_RUN, (3, 4, 3), seed=4)
     assert len(records) == 4
-    assert len(gathered) == sum(steps) + 1 + (chunks + 1) + len(records)
+    return records, steps, calls
+
+
+def test_each_step_evaluates_forces_once(monkeypatch):
+    # one force evaluation per step, plus the first forces of the run
+    _, steps, calls = counted_tensile_run(monkeypatch, "_forces")
+    assert calls["_forces"] == sum(steps) + 1
+
+
+def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
+    # one cutoff gather per checkpoint for its energy, stress and CNA shell;
+    # every list gather: one per force evaluation, one energy per
+    # equilibration chunk boundary, and the checkpoints'
+    records, steps, calls = counted_tensile_run(monkeypatch, "_cutoff_pairs", "_gather")
+    chunks = -(-COUNTED_RUN.equilibration_steps // md.RESCALE_INTERVAL)
+    assert calls["_cutoff_pairs"] == len(records)
+    assert calls["_gather"] == sum(steps) + 1 + (chunks + 1) + len(records)
 
 
 def test_unstable_integration_raises():

@@ -164,12 +164,15 @@ def test_default_spec_matches_golden_output(tmp_path):
 
 #: sha256 of whole job CSVs at seed 0, every column exact: the default spec
 #: run to its 0.20 target, and a 4x4x4 crystal, whose top and bottom grips
-#: lie within the cutoff of each other, run to 0.05
+#: lie within the cutoff of each other, run to 0.05, and the 1,152-atom
+#: 6x8x6 crystal of the big_slab benchmark run to 0.01
 PINNED_JOBS = {
     "default": ((4, 6, 4), 0.20,
                 "77bebfce451bf74a0cf73e66f907dd831d318a297d37e062a65087088c7781f1"),
     "4x4x4": ((4, 4, 4), 0.05,
               "e01b6aac04804499318c800e0981a991b06046267655e4ebdd70ce9393e50084"),
+    "6x8x6": ((6, 8, 6), 0.01,
+              "f4e65ac7ed281aee91c08f9a0ba389a581ab18aa95e5d03e3a662737aef4481a"),
 }
 
 

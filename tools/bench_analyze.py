@@ -1,5 +1,6 @@
-"""Paired parent/change runs of the benchmark, with the analysis path's outputs
-and its cost at 1,000 jobs, as one JSON record.
+"""Paired parent/change runs of the benchmark, with the MD step's cost and
+bits, the analysis path's outputs and its cost at 1,000 jobs, as one JSON
+record.
 
 Run from anywhere, with a checkout of each commit (``git archive`` of it)::
 
@@ -7,7 +8,7 @@ Run from anywhere, with a checkout of each commit (``git archive`` of it)::
         --out BENCH_<label>.json --first-seed N
 
 The workloads, the end-to-end metrics with their better direction and the run
-length all come from the change's ``BENCHMARK.json``. The record holds three
+length all come from the change's ``BENCHMARK.json``. The record holds four
 parts, each measured on both checkouts:
 
 - ``pairs``: the benchmark command with ``--workload W --seed S --seconds
@@ -15,6 +16,12 @@ parts, each measured on both checkouts:
   seeds N, N+1, ..., alternating which side runs first (odd seeds: parent
   first); ``summary`` gives, per workload, each metric's medians, the parent's
   interquartile range and the change's wins.
+- ``md``: for each sweep workload of ``perfbench/workloads.WORKLOADS``, at its
+  geometry, strain rate and target strain: microseconds per ``integrate`` step
+  (the minimum of ``REPEATS`` runs of ``STEPS`` straining steps after a default
+  equilibration, seed 0), and per realization at seeds 0 and 1 the neighbour
+  builds, the wall time and the job CSV's sha256; in a fresh process per side
+  and round, alternating.  ``md_summary`` compares the two sides.
 - ``outputs``: ``analyze`` on every cell of the campaign workload's ensemble
   (seed 0): which files are byte-identical and the largest ``cloud.csv``
   difference.
@@ -39,6 +46,7 @@ from pathlib import Path
 
 PAIRS = 10
 REPEATS = 5
+STEPS = 100
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
 
 
@@ -82,11 +90,58 @@ def probe_n1000(root: Path, work: Path) -> dict:
     return out
 
 
+def probe_md(root: Path, work: Path) -> dict:
+    import time
+
+    from gridsweep import md
+    from gridsweep.sweep import write_records_csv
+
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads
+
+    builds = []
+    search = md.neighbor_pairs
+
+    def counting_search(*args):
+        builds.append(1)
+        return search(*args)
+
+    md.neighbor_pairs = counting_search
+    out = {}
+    for name, make in workloads.WORKLOADS.items():
+        w = make()
+        if not isinstance(w, workloads.SweepWorkload):
+            continue
+        params = md.MDParams(strain_rate=w.strain_rate, target_strain=w.target_strain)
+        crystal = md.build_crystal(*w.geometry, temperature=params.temperature, seed=0)
+        state = md.equilibrate(crystal, params)
+        grip_speed = 0.5 * params.strain_rate * md.A0_DEFAULT
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            state = md.integrate(crystal, params, STEPS, grip_speed=grip_speed, state=state)
+            times.append(time.perf_counter() - t0)
+        row = {"geometry": list(w.geometry), "atoms": crystal.n_atoms,
+               "us_per_step": round(1e6 * min(times) / STEPS, 1), "realizations": {}}
+        for seed in (0, 1):
+            builds.clear()
+            t0 = time.perf_counter()
+            records = md.run_tensile(params, w.geometry, seed=seed)
+            wall = time.perf_counter() - t0
+            path = work / f"{name}_job_{seed}.csv"
+            write_records_csv(records, path)
+            row["realizations"][seed] = {
+                "neighbor_builds": len(builds), "wall_s": round(wall, 3),
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        out[name] = row
+    return out
+
+
 def probe_outputs(root: Path, work: Path) -> dict:
     from gridsweep.cli import main
 
     campaign = _campaign(root, work, 100)
-    files = {}
+    files, clouds = {}, {}
     for obs in campaign.observables:
         for strain in campaign.strains:
             out = work / f"analyze_{obs}_{strain}"
@@ -94,14 +149,13 @@ def probe_outputs(root: Path, work: Path) -> dict:
                      "--observable", obs, "--out-dir", str(out)]) != 0:
                 raise SystemExit(f"analyze {obs}@{strain} failed")
             for p in sorted(out.iterdir()):
-                files[f"{obs}@{strain}/{p.name}"] = (
-                    [[float(x) for x in line.split(",")]
-                     for line in p.read_text().splitlines()[1:]]
-                    if p.name == "cloud.csv" else hashlib.sha256(p.read_bytes()).hexdigest())
-    return files
+                files[f"{obs}@{strain}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
+            lines = (out / "cloud.csv").read_text().splitlines()[1:]
+            clouds[f"{obs}@{strain}"] = [[float(x) for x in line.split(",")] for line in lines]
+    return {"sha256": files, "clouds": clouds}
 
 
-PROBES = {"n1000": probe_n1000, "outputs": probe_outputs}
+PROBES = {"md": probe_md, "n1000": probe_n1000, "outputs": probe_outputs}
 
 
 def _probe(root: Path, name: str, work: Path) -> dict:
@@ -147,16 +201,32 @@ def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def _compare_md(rounds: dict) -> dict:
+    """Per workload: each side's best microseconds per step over the rounds, and
+    whether every job digest of every round is the same on both sides."""
+    out, sides = {}, ("parent", "change")
+    for name in rounds["parent"][0]:
+        best = {s: min(r[name]["us_per_step"] for r in rounds[s]) for s in sides}
+        digests = {s: {(k, v["sha256"]) for r in rounds[s]
+                       for k, v in r[name]["realizations"].items()} for s in sides}
+        out[name] = {"us_per_step": best,
+                     "relative_change": best["change"] / best["parent"] - 1.0,
+                     "neighbor_builds": {s: [v["neighbor_builds"] for v in
+                                             rounds[s][0][name]["realizations"].values()]
+                                         for s in sides},
+                     "same_job_digests": digests["parent"] == digests["change"]}
+    return out
+
+
 def _compare_outputs(parent: dict, change: dict) -> dict:
-    if parent.keys() != change.keys():
+    files, clouds = parent["sha256"], parent["clouds"]
+    if files.keys() != change["sha256"].keys():
         raise SystemExit("the two sides wrote different files")
-    clouds = [f for f in parent if f.endswith("cloud.csv")]
-    others = [f for f in parent if f not in clouds]
-    return {"non_cloud_files": len(others),
-            "differing": sorted(f for f in others if parent[f] != change[f]),
+    return {"files": len(files),
+            "differing": sorted(f for f in files if files[f] != change["sha256"][f]),
             "cloud_files": len(clouds),
             "cloud_max_abs_diff": max(abs(a - b) for f in clouds
-                                      for ra, rb in zip(parent[f], change[f])
+                                      for ra, rb in zip(clouds[f], change["clouds"][f])
                                       for a, b in zip(ra, rb))}
 
 
@@ -197,11 +267,13 @@ def main(argv=None) -> int:
         work = Path(tmp)
         outputs = {s: _probe(root, "outputs", work / s / "outputs") for s, root in sides.items()}
         record["outputs"] = _compare_outputs(outputs["parent"], outputs["change"])
-        record["n1000"] = {"what": f"min of {REPEATS} calls, ms; two rounds, alternating",
-                           "parent": [], "change": []}
-        for order in (("parent", "change"), ("change", "parent")):
-            for s in order:
-                record["n1000"][s].append(_probe(sides[s], "n1000", work / s))
+        for name, what in (("md", "two rounds, alternating"),
+                           ("n1000", f"min of {REPEATS} calls, ms; two rounds, alternating")):
+            record[name] = {"what": what, "parent": [], "change": []}
+            for order in (("parent", "change"), ("change", "parent")):
+                for s in order:
+                    record[name][s].append(_probe(sides[s], name, work / s))
+        record["md_summary"] = _compare_md(record["md"])
 
     record["pairs"], record["summary"] = [], {}
     for workload in (w["name"] for w in bench["workloads"]):
