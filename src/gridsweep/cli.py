@@ -62,8 +62,7 @@ def _cmd_hosts_summary(args) -> int:
 
 def _cmd_sim_run(args) -> int:
     scn = scenario_mod.parse_scenario(args.scenario)
-    trace = gridsim.run_scenario(scn.tasks, scn.population, seed=scn.seed,
-                                 policy=scn.policy, ref=scn.ref)
+    trace = gridsim.run_scenario(scn.tasks, scn.population, seed=scn.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with staged_outputs() as stage:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -36,6 +37,12 @@ HOST_DOWN = "host_down"
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 
+#: GFLOPs of the moderate reference PC all job runtimes are quoted against
+REF_GFLOPS = 2.514
+#: simulated time past which a run that has not finished is a stall; with
+#: churn the event heap never empties, so this is what ends such a run
+HORIZON_S = 400 * SECONDS_PER_DAY
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -47,29 +54,12 @@ class TaskSpec:
     mode: str = "shared"  # 'shared' | 'dedicated'
 
     def __post_init__(self):
-        if self.t_job_ref_s <= 0:
-            raise ParameterError("t_job_ref_s must be > 0")
+        if not 0 < self.t_job_ref_s < math.inf:
+            raise ParameterError("t_job_ref_s must be finite and > 0")
         if self.n_jobs < 1:
             raise ParameterError("n_jobs must be >= 1")
         if self.mode not in ("shared", "dedicated"):
             raise ParameterError(f"unknown task mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class ReferenceHost:
-    """The moderate reference PC all job runtimes are quoted against."""
-
-    gflops: float = 2.514
-
-    def __post_init__(self):
-        if self.gflops <= 0:
-            raise ParameterError("reference gflops must be > 0")
-
-
-@dataclass(frozen=True)
-class SimPolicy:
-    dispatch_latency_s: float = 0.0
-    horizon_s: float = 400 * SECONDS_PER_DAY
 
 
 class TraceEvent(NamedTuple):
@@ -107,9 +97,9 @@ class RegimeSegmentation:
     degenerate: bool
 
 
-def scaled_runtime(task: TaskSpec, host: HostSpec, ref: ReferenceHost = ReferenceHost()) -> float:
+def scaled_runtime(task: TaskSpec, host: HostSpec) -> float:
     """Job runtime on a host under linear FLOPs scaling, in seconds."""
-    return task.t_job_ref_s * ref.gflops / host.gflops
+    return task.t_job_ref_s * REF_GFLOPS / host.gflops
 
 
 class _HostState:
@@ -123,16 +113,13 @@ class _HostState:
 
 
 class _Sim:
-    def __init__(self, tasks, hosts: list[HostSpec], seed, policy: SimPolicy,
-                 ref: ReferenceHost):
+    def __init__(self, tasks, hosts: list[HostSpec], seed):
         if not hosts:
             raise ParameterError("population must contain at least one host")
         names = [t.name for t in tasks]
         if len(set(names)) != len(names):
             raise ParameterError("task names must be unique")
         self.tasks = list(tasks)
-        self.policy = policy
-        self.ref = ref
         self.shared_idx = [i for i, t in enumerate(self.tasks) if t.mode == "shared"]
         self.dedicated_idx = [i for i, t in enumerate(self.tasks) if t.mode == "dedicated"]
         # job ids are global, task-major and stable across the run; each
@@ -195,9 +182,8 @@ class _Sim:
             task = self.tasks[self.job_task[gid]]
             host.running.append(gid)
             self.events.append(TraceEvent(now, DISPATCH, gid, task.name, hi))
-            runtime = scaled_runtime(task, host.spec, self.ref)
-            finish = now + self.policy.dispatch_latency_s + runtime
-            self._push(finish, "finish", (hi, gid, self.attempt[gid]))
+            self._push(now + scaled_runtime(task, host.spec), "finish",
+                       (hi, gid, self.attempt[gid]))
         return True
 
     def _offer_all(self, now: float):
@@ -267,9 +253,9 @@ class _Sim:
                 raise SimulationStallError(
                     "no future events but work is pending (no host ever up?)")
             now, _, kind, data = heapq.heappop(self.heap)
-            if now > self.policy.horizon_s:
+            if now > HORIZON_S:
                 raise SimulationStallError(
-                    f"simulation passed horizon {self.policy.horizon_s} s with "
+                    f"simulation passed horizon {HORIZON_S} s with "
                     f"{self.jobs_left} jobs unfinished")
             if kind == "up":
                 self._handle_host_up(data, now)
@@ -280,11 +266,9 @@ class _Sim:
         return SimTrace(events=self.events, tasks=self.tasks)
 
 
-def run_scenario(tasks, hosts: list[HostSpec], seed: int = 0,
-                 policy: SimPolicy = SimPolicy(),
-                 ref: ReferenceHost = ReferenceHost()) -> SimTrace:
+def run_scenario(tasks, hosts: list[HostSpec], seed: int = 0) -> SimTrace:
     """Simulate the full scenario and return its event trace."""
-    return _Sim(tasks, hosts, seed, policy, ref).run()
+    return _Sim(tasks, hosts, seed).run()
 
 
 # --- trace analysis ------------------------------------------------------

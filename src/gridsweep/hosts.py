@@ -47,12 +47,13 @@ class HostSpec:
     off_rate: float = 0.0
 
     def __post_init__(self):
-        if self.gflops <= 0 or self.ram_gb <= 0 or self.hdd_gb <= 0:
-            raise ParameterError("gflops/ram_gb/hdd_gb must be strictly positive")
+        if not (0 < self.gflops < math.inf and 0 < self.ram_gb < math.inf
+                and 0 < self.hdd_gb < math.inf):
+            raise ParameterError("gflops/ram_gb/hdd_gb must be finite and strictly positive")
         if self.n_cpus not in CPU_STEPS:
             raise ParameterError(f"n_cpus={self.n_cpus} not in {CPU_STEPS}")
-        if self.on_rate < 0 or self.off_rate < 0:
-            raise ParameterError("churn rates must be >= 0")
+        if not (0 <= self.on_rate < math.inf and 0 <= self.off_rate < math.inf):
+            raise ParameterError("churn rates must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ class PopulationParams:
                 raise ParameterError(f"{name} must be >= 0")
         if self.gflops_floor <= 0:
             raise ParameterError("gflops_floor must be > 0")
-        if self.on_rate < 0 or self.off_rate < 0:
-            raise ParameterError("churn rates must be >= 0")
+        if not (0 <= self.on_rate < math.inf and 0 <= self.off_rate < math.inf):
+            raise ParameterError("churn rates must be finite and >= 0")
 
 
 @dataclass(frozen=True)

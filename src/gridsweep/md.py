@@ -66,14 +66,14 @@ class MDParams:
     equilibration_steps: int = 500
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be > 0")
-        if self.strain_rate <= 0:
-            raise ParameterError("strain_rate must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError("dt must be finite and > 0")
+        if not 0 < self.strain_rate < math.inf:
+            raise ParameterError("strain_rate must be finite and > 0")
         if not (0 <= self.target_strain <= 1):
             raise ParameterError("target_strain must lie in [0, 1]")
-        if self.temperature < 0:
-            raise ParameterError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ParameterError("temperature must be finite and >= 0")
 
 
 @dataclass
@@ -431,18 +431,32 @@ def grip_stress(crystal: Crystal, cut) -> float:
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 
 
+def checkpoint_steps(params: MDParams, crystal: Crystal) -> list[int]:
+    """The integration step of each checkpoint 0, d, 2d, ... target (d =
+    CHECKPOINT_DSTRAIN, nearest step) for grips that start at ``crystal``'s
+    separation; raises ParameterError when two checkpoints fall on one step."""
+    l0 = grip_separation(crystal)
+    dl_per_step = params.strain_rate * A0_DEFAULT * params.dt  # grip separation per step
+    n_checkpoints = int(round(params.target_strain / CHECKPOINT_DSTRAIN))
+    steps = [int(round(k * CHECKPOINT_DSTRAIN * l0 / dl_per_step))
+             for k in range(n_checkpoints + 1)]
+    if any(a >= b for a, b in zip(steps, steps[1:])):
+        raise ParameterError(f"strain_rate {params.strain_rate:g} puts two checkpoints "
+                             "on one integration step")
+    return steps
+
+
 def run_tensile(params: MDParams, geometry: tuple[int, int, int],
                 seed: int = 0) -> list[DefectRecord]:
     """Equilibrate, then strain to target, emitting a record per checkpoint.
 
     Strain is the relative change of grip separation; records land on the
-    exact checkpoint grid 0, d, 2d, ... target (d = CHECKPOINT_DSTRAIN,
-    nearest integration step).
+    steps of `checkpoint_steps`.
     """
     nx, ny, nz = geometry
     crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
     state = equilibrate(crystal, params)
-    l0 = grip_separation(crystal)
+    steps = checkpoint_steps(params, crystal)
     cna_cutoff = 0.854 * A0_DEFAULT
 
     def record(strain: float) -> DefectRecord:
@@ -458,18 +472,9 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
                             energy=energy / crystal.n_atoms)
 
     records = [record(0.0)]
-    if params.target_strain == 0:
-        return records
-
     grip_speed = 0.5 * params.strain_rate * A0_DEFAULT  # per grip; separation rate is 2x
-    dl_per_step = 2.0 * grip_speed * params.dt
-    n_checkpoints = int(round(params.target_strain / CHECKPOINT_DSTRAIN))
-    steps_done = 0
-    for k in range(1, n_checkpoints + 1):
-        strain_k = k * CHECKPOINT_DSTRAIN
-        steps_target = int(round(strain_k * l0 / dl_per_step))
-        state = integrate(crystal, params, steps_target - steps_done,
+    for k in range(1, len(steps)):
+        state = integrate(crystal, params, steps[k] - steps[k - 1],
                           grip_speed=grip_speed, state=state)
-        steps_done = steps_target
-        records.append(record(strain_k))
+        records.append(record(k * CHECKPOINT_DSTRAIN))
     return records

@@ -3,7 +3,7 @@
 INI-style plain text.  A ``[hosts]`` section points at exactly one of a
 population CSV, a params file or a built-in preset (``registered`` /
 ``pool``; these two take an optional sampling ``seed``); ``[sim]`` sets the
-seed and policy, and each ``[task.N]`` section declares one task.  Any other
+simulation seed, and each ``[task.N]`` section declares one task.  Any other
 section or key is an error, so a misspelt name cannot fall back to a
 default::
 
@@ -13,7 +13,6 @@ default::
 
     [sim]
     seed = 42
-    horizon_days = 400
 
     [task.1]
     name = S=16x16x16,V=1
@@ -30,14 +29,14 @@ from pathlib import Path
 
 from . import hosts as hosts_mod
 from .errors import ScenarioParseError
-from .gridsim import ReferenceHost, SimPolicy, TaskSpec, SECONDS_PER_DAY
+from .gridsim import TaskSpec
 from .hosts import HostSpec
 
 
 #: the keys each kind of section may hold
 _KEYS = {
     "hosts": {"csv", "params", "preset", "seed"},
-    "sim": {"seed", "horizon_days", "dispatch_latency_s", "ref_gflops"},
+    "sim": {"seed"},
     "task": {"name", "t_job_ref_min", "n_jobs", "mode"},
 }
 
@@ -47,8 +46,6 @@ class Scenario:
     tasks: list[TaskSpec]
     population: list[HostSpec]
     seed: int
-    policy: SimPolicy
-    ref: ReferenceHost
 
 
 def parse_scenario(path) -> Scenario:
@@ -105,14 +102,8 @@ def parse_scenario(path) -> Scenario:
     if not pop:
         raise ScenarioParseError(f"{path}: empty host population")
 
-    sim = cp["sim"] if "sim" in cp else {}
     try:
-        seed = int(sim.get("seed", "0"))
-        policy = SimPolicy(
-            dispatch_latency_s=float(sim.get("dispatch_latency_s", "0")),
-            horizon_s=float(sim.get("horizon_days", "400")) * SECONDS_PER_DAY,
-        )
-        ref = ReferenceHost(gflops=float(sim.get("ref_gflops", "2.514")))
+        seed = cp.getint("sim", "seed", fallback=0)
     except ValueError as exc:
         raise ScenarioParseError(f"{path}: [sim]: {exc}") from exc
 
@@ -132,4 +123,4 @@ def parse_scenario(path) -> Scenario:
             )
         except (KeyError, ValueError) as exc:  # ParameterError is a ValueError
             raise ScenarioParseError(f"{path}: [{sec_name}]: {exc}") from exc
-    return Scenario(tasks=tasks, population=pop, seed=seed, policy=policy, ref=ref)
+    return Scenario(tasks=tasks, population=pop, seed=seed)

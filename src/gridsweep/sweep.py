@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gridsim, stats as st
 from .errors import DegenerateSampleError, ParameterError
-from .md import DefectRecord, MDParams, build_crystal, run_tensile
+from .md import DefectRecord, MDParams, build_crystal, checkpoint_steps, run_tensile
 from .outputs import staged_outputs, write_csv, write_float_csv
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
@@ -152,7 +152,8 @@ def _job_trace(spec: SweepSpec, jobs: list[JobResult]) -> gridsim.SimTrace:
 
 def sweep_run(spec: SweepSpec) -> SweepLedger:
     """Run the sweep through a bounded worker pool; failures never abort it."""
-    build_crystal(spec.nx, spec.ny, spec.nz)  # an impossible geometry fails here, not per job
+    # an impossible geometry or strain rate fails here, not per job
+    checkpoint_steps(spec.md, build_crystal(spec.nx, spec.ny, spec.nz))
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):

@@ -12,7 +12,7 @@ from oracles import cutoff_list, hcp_positions, segment_regimes
 from gridsweep.cli import EXIT_OK, main
 from gridsweep.cna import FCC, HCP, cna_labels
 from gridsweep.gridsim import (
-    ReferenceHost,
+    REF_GFLOPS,
     TaskSpec,
     run_scenario,
     speedup_table,
@@ -53,7 +53,7 @@ def report(n, ok, detail):
 
 
 def ideal_pop(n):
-    return [HostSpec(id=i, gflops=ReferenceHost().gflops, n_cpus=1,
+    return [HostSpec(id=i, gflops=REF_GFLOPS, n_cpus=1,
                      ram_gb=8, hdd_gb=100, on_rate=0.0, off_rate=0.0)
             for i in range(n)]
 
@@ -98,8 +98,7 @@ def test_criterion_2_lognormal_signature():
 def test_criterion_3_pool_scenario_properties():
     t0 = time.perf_counter()
     scn = parse_scenario(SCENARIO)
-    trace = run_scenario(scn.tasks, scn.population, seed=scn.seed,
-                         policy=scn.policy, ref=scn.ref)
+    trace = run_scenario(scn.tasks, scn.population, seed=scn.seed)
     shared = [t.name for t in scn.tasks if t.mode == "shared"]
     dedicated = [t.name for t in scn.tasks if t.mode == "dedicated"]
     sp = {r.name: r.speedup for r in speedup_table(trace)}

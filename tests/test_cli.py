@@ -39,6 +39,13 @@ def ideal_pop_csv(path, gflops=2.514, n_hosts=1):
     write_population_csv(hosts, path)
 
 
+def package_env():
+    """The environment, with this gridsweep first on a subprocess's import path."""
+    src = str(Path(gridsweep.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def one_task_scenario(path, pop_csv):
     path.write_text(
         f"[hosts]\ncsv = {pop_csv}\n\n[sim]\nseed = 0\n\n"
@@ -215,8 +222,12 @@ POOL = "[hosts]\npreset = pool\n\n"
     ("[hosts]\npreset = pool\nparams = pool.params\n\n" + TASK_1,
      r"exactly one of .*got \['params', 'preset'\]"),
     ("[hosts]\ncsv = pop.csv\nseed = 3\n\n" + TASK_1, r"'seed' applies to"),
+    (POOL + "[sim]\nhorizon_days = 400\n\n" + TASK_1, r"\[sim\]: unknown key"),
+    (POOL + "[sim]\ndispatch_latency_s = 0\n\n" + TASK_1, r"\[sim\]: unknown key"),
+    (POOL + "[sim]\nref_gflops = 2.514\n\n" + TASK_1, r"\[sim\]: unknown key"),
 ], ids=["task_key", "sim_key", "hosts_key", "section", "tasks_section", "task_suffix",
-        "no_source", "two_sources", "seed_with_csv"])
+        "no_source", "two_sources", "seed_with_csv", "horizon_days", "dispatch_latency_s",
+        "ref_gflops"])
 def test_sim_strict_scenario_exits_2_without_outputs(tmp_path, capsys, text, message):
     scn = tmp_path / "bad.scenario"
     scn.write_text(text)
@@ -224,6 +235,28 @@ def test_sim_strict_scenario_exits_2_without_outputs(tmp_path, capsys, text, mes
     assert main(["sim", "run", "--scenario", str(scn),
                  "--out-dir", str(out)]) == EXIT_USAGE
     assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("host_row,t_job_ref_min", [
+    # every churn transition of this host lands at t = 0, so the run never
+    # passes the horizon; in a subprocess so that a hang fails the test
+    ("0,2.514,1,8.0,100.0,inf,inf", "30"),
+    ("0,nan,1,8.0,100.0,0.0,0.0", "30"),
+    ("0,2.514,1,8.0,100.0,0.0,0.0", "nan"),
+], ids=["inf_rates", "nan_gflops", "nan_task_time"])
+def test_sim_non_finite_input_exits_2_without_outputs(tmp_path, host_row, t_job_ref_min):
+    pop_csv = tmp_path / "pop.csv"
+    pop_csv.write_text("id,gflops,n_cpus,ram_gb,hdd_gb,on_rate,off_rate\n" + host_row + "\n")
+    scn = tmp_path / "bad.scenario"
+    scn.write_text(f"[hosts]\ncsv = {pop_csv}\n\n"
+                   + TASK_1.replace("= 30", f"= {t_job_ref_min}"))
+    out = tmp_path / "sim"
+    done = subprocess.run([sys.executable, "-m", "gridsweep.cli", "sim", "run",
+                           "--scenario", str(scn), "--out-dir", str(out)],
+                          capture_output=True, text=True, env=package_env(), timeout=60)
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert done.stderr.startswith("error: ")
     assert not out.exists()
 
 
@@ -407,7 +440,7 @@ def test_analyze_non_positive_n_resamples_on_degenerate_ensemble_exits_1(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["-0.1", "0"])
+@pytest.mark.parametrize("rate", ["-0.1", "0", "nan", "inf", "1000"])
 def test_sweep_non_positive_strain_rate_exits_1(tmp_path, capsys, rate):
     out = tmp_path / "sweep"
     code = main(["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2",
@@ -456,11 +489,8 @@ def test_only_analyze_loads_scipy_special(tmp_path):
         ["analyze", "--input-dir", sweep, "--strain", "0.01", "--observable", "sigma_top",
          "--out-dir", str(tmp_path / "analysis"), "--n-resamples", "99"],
     ]
-    src = str(Path(gridsweep.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=package_env(), timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, True]
     assert (tmp_path / "analysis" / "verdict.csv").exists()

@@ -18,12 +18,11 @@ from gridsweep.gridsim import (
     DISPATCH,
     HOST_DOWN,
     HOST_UP,
+    REF_GFLOPS,
     REGIMES_CSV_HEADER,
     SPEEDUP_CSV_HEADER,
     TRACE_CSV_HEADER,
-    ReferenceHost,
     RegimeSegmentation,
-    SimPolicy,
     SimTrace,
     TaskSpec,
     TraceEvent,
@@ -36,10 +35,8 @@ from gridsweep.gridsim import (
 )
 from gridsweep.hosts import HostSpec
 
-REF = ReferenceHost()
 
-
-def ideal_host(i, gflops=REF.gflops, n_cpus=1, on_rate=0.0, off_rate=0.0):
+def ideal_host(i, gflops=REF_GFLOPS, n_cpus=1, on_rate=0.0, off_rate=0.0):
     return HostSpec(id=i, gflops=gflops, n_cpus=n_cpus, ram_gb=8, hdd_gb=100,
                     on_rate=on_rate, off_rate=off_rate)
 
@@ -62,7 +59,7 @@ def test_scaled_runtime_identity_host():
 
 
 def test_scaled_runtime_linear():
-    h = ideal_host(0, gflops=2 * REF.gflops)
+    h = ideal_host(0, gflops=2 * REF_GFLOPS)
     assert scaled_runtime(TaskSpec("t", 15 * 60, 1), h) == pytest.approx(7.5 * 60)
 
 
@@ -127,7 +124,7 @@ def oracle_makespan(n_jobs, t_ref_s, hosts):
         for _ in range(h.n_cpus):
             if remaining == 0:
                 break
-            runtime = t_ref_s * REF.gflops / h.gflops
+            runtime = t_ref_s * REF_GFLOPS / h.gflops
             heapq.heappush(heap, (runtime, seq, h))
             seq += 1
             remaining -= 1
@@ -136,7 +133,7 @@ def oracle_makespan(n_jobs, t_ref_s, hosts):
         t, _, h = heapq.heappop(heap)
         makespan = max(makespan, t)
         if remaining:
-            runtime = t_ref_s * REF.gflops / h.gflops
+            runtime = t_ref_s * REF_GFLOPS / h.gflops
             heapq.heappush(heap, (t + runtime, seq, h))
             seq += 1
             remaining -= 1
@@ -157,7 +154,7 @@ def test_always_up_schedule_matches_oracle(n_jobs, speeds, cpus):
 
 def exhaustive_optimal_makespan(n_jobs, t_ref_s, hosts):
     """Minimal makespan over every split of equal jobs among CPU slots."""
-    runtimes = [t_ref_s * REF.gflops / h.gflops
+    runtimes = [t_ref_s * REF_GFLOPS / h.gflops
                 for h in hosts for _ in range(h.n_cpus)]
 
     def best(slot, remaining):
@@ -252,7 +249,7 @@ def test_speedup_bound():
     hosts = [ideal_host(i, gflops=1.0 + i, n_cpus=2) for i in range(4)]
     trace = run_scenario(tasks, hosts)
     slots = sum(h.n_cpus for h in hosts)
-    bound = min(slots, 25) * max(h.gflops for h in hosts) / REF.gflops
+    bound = min(slots, 25) * max(h.gflops for h in hosts) / REF_GFLOPS
     assert row(trace, "a").speedup <= bound + 1e-9
 
 
@@ -273,10 +270,10 @@ def test_stall_when_no_host_ever_up():
 
 
 def test_stall_past_horizon():
-    slow = [ideal_host(0, gflops=0.001)]
-    policy = SimPolicy(horizon_s=3600.0)
-    with pytest.raises(SimulationStallError):
-        run_scenario([TaskSpec("t", 3600, 1)], slow, policy=policy)
+    # one reference hour takes about 1,047 days here, past the 400-day horizon
+    slow = [ideal_host(0, gflops=0.0001)]
+    with pytest.raises(SimulationStallError, match="passed horizon"):
+        run_scenario([TaskSpec("t", 3600, 1)], slow)
 
 
 def test_dedicated_waits_for_all_shared_work():

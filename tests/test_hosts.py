@@ -41,7 +41,8 @@ def test_host_spec_rejects_off_grid_cpus():
 
 
 def test_host_spec_rejects_nonpositive_resources():
-    for field, value in (("gflops", 0.0), ("ram_gb", -1.0), ("hdd_gb", 0.0)):
+    for field, value in (("gflops", 0.0), ("ram_gb", -1.0), ("hdd_gb", 0.0),
+                         ("gflops", math.nan), ("ram_gb", math.inf), ("hdd_gb", math.nan)):
         kwargs = dict(id=0, gflops=2.0, n_cpus=4, ram_gb=4, hdd_gb=100,
                       on_rate=0.1, off_rate=0.1)
         kwargs[field] = value
@@ -54,8 +55,9 @@ def test_params_reject_negative_sd_and_counts():
         PopulationParams(gflops_sd=-0.1)
     with pytest.raises(ParameterError):
         PopulationParams(n_hosts=-1)
-    with pytest.raises(ParameterError):
-        PopulationParams(on_rate=-0.5)
+    for rate in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            PopulationParams(on_rate=rate)
 
 
 # --- snapping ------------------------------------------------------------

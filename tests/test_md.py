@@ -473,12 +473,14 @@ def test_close_pair_blows_up():
 
 def test_params_validation():
     with pytest.raises(ParameterError):
-        MDParams(dt=0.0)
-    with pytest.raises(ParameterError):
         MDParams(target_strain=1.5)
-    for rate in (0.0, -0.1):
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        for name in ("dt", "strain_rate"):
+            with pytest.raises(ParameterError):
+                MDParams(**{name: bad})
+    for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ParameterError):
-            MDParams(strain_rate=rate)
+            MDParams(temperature=bad)
 
 
 # --- stress --------------------------------------------------------------

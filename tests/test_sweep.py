@@ -100,7 +100,10 @@ def test_sweep_jobs_differ_by_seed_but_rerun_identically(tmp_path):
 
 
 def test_blown_up_jobs_are_recorded_not_fatal(tmp_path):
-    bad_md = replace(TINY_MD, dt=1.0, temperature=1.0, equilibration_steps=50)
+    # rate 0.01 keeps dt = 1.0's checkpoints on distinct steps, so the sweep
+    # starts and its jobs blow up in equilibration
+    bad_md = replace(TINY_MD, dt=1.0, temperature=1.0, equilibration_steps=50,
+                     strain_rate=0.01)
     ledger = sweep_run(tiny_spec(tmp_path, n=2, md=bad_md))
     assert [j.status for j in ledger.jobs] == ["failed", "failed"]
     assert all(j.error for j in ledger.jobs)

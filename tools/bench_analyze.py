@@ -23,8 +23,8 @@ parts, each measured on both checkouts:
   builds, the wall time and the job CSV's sha256; in a fresh process per side
   and round, alternating.  ``md_summary`` compares the two sides.
 - ``outputs``: ``analyze`` on every cell of the campaign workload's ensemble
-  (seed 0): which files are byte-identical and the largest ``cloud.csv``
-  difference.
+  and ``sim run`` on each of its scenarios (seed 0): which files are
+  byte-identical and the largest ``cloud.csv`` difference.
 - ``n1000``: ``collect_observable``, ``classify_sample`` and
   ``bootstrap_cloud`` on three cells of the campaign ensemble written at
   1,000 jobs, the minimum of ``REPEATS`` calls, in a fresh process per side
@@ -152,6 +152,12 @@ def probe_outputs(root: Path, work: Path) -> dict:
                 files[f"{obs}@{strain}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
             lines = (out / "cloud.csv").read_text().splitlines()[1:]
             clouds[f"{obs}@{strain}"] = [[float(x) for x in line.split(",")] for line in lines]
+    for name, path, *_ in campaign.scenarios:
+        out = work / f"sim_{name}"
+        if main(["sim", "run", "--scenario", str(path), "--out-dir", str(out)]) != 0:
+            raise SystemExit(f"sim run {name} failed")
+        for p in sorted(out.iterdir()):
+            files[f"sim_{name}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
     return {"sha256": files, "clouds": clouds}
 
 
@@ -160,9 +166,11 @@ PROBES = {"md": probe_md, "n1000": probe_n1000, "outputs": probe_outputs}
 
 def _probe(root: Path, name: str, work: Path) -> dict:
     work.mkdir(parents=True, exist_ok=True)
+    # in the checkout, where perfbench's workloads find the scenarios
     out = subprocess.run(
-        [sys.executable, __file__, "--probe", name, "--root", str(root), "--work", str(work)],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        [sys.executable, str(Path(__file__).resolve()), "--probe", name, "--root", str(root),
+         "--work", str(work)],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
