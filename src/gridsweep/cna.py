@@ -22,6 +22,10 @@ FCC = 0
 HCP = 1
 UNK = 2
 
+#: centre atoms classified at once: the (m, 12, 12) shell arrays, a few kB per
+#: centre, stay bounded, and the default 384-atom crystal is one block
+CNA_BLOCK = 512
+
 
 def cna_labels(positions, pairs) -> np.ndarray:
     """Per-atom labels FCC/HCP/UNK of ``positions`` via the signatures of the
@@ -32,40 +36,40 @@ def cna_labels(positions, pairs) -> np.ndarray:
     adjacency of its 12-atom shell: the common neighbours of the bond to
     shell atom p are the shell atoms bonded to p, and with 4 common
     neighbours and 2 bonds among them the longest chain is 2 exactly when
-    the two bonds share an atom.
+    the two bonds share an atom.  Centres are classified in blocks of
+    CNA_BLOCK; each label depends on its own shell only.
     """
     n = len(positions)
     i, j = pairs
     labels = np.full(n, UNK, dtype=int)
     degree = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     centre = np.flatnonzero(degree == 12)
-    if centre.size == 0:
-        return labels
 
-    # 12 neighbours of each centre atom, from the pair list in both orientations
+    # neighbours of each atom in owner order, from the pair list in both
+    # orientations; shell adjacency is looked up in the sorted pair keys i*n + j
     owner, other = np.concatenate([i, j]), np.concatenate([j, i])
-    by_owner = np.argsort(owner, kind="stable")
+    neighbours = other[np.argsort(owner, kind="stable")]
     first = np.cumsum(degree) - degree
-    shell = other[by_owner][first[centre, None] + np.arange(12)]  # (m, 12)
-
-    # shell adjacency, looked up in the sorted pair keys i*n + j
     keys = i * n + j
-    a, b = shell[:, :, None], shell[:, None, :]
-    probe = np.minimum(a, b) * n + np.maximum(a, b)
-    adj = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe  # (m, 12, 12)
+    for start in range(0, centre.size, CNA_BLOCK):
+        block = centre[start:start + CNA_BLOCK]
+        shell = neighbours[first[block, None] + np.arange(12)]  # (m, 12)
+        a, b = shell[:, :, None], shell[:, None, :]
+        probe = np.minimum(a, b) * n + np.maximum(a, b)
+        adj = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe  # (m, 12, 12)
 
-    common = adj.sum(axis=2)  # ncn of the bond to each shell atom p
-    adj_i = adj.astype(np.int64)
-    # inner[p, q]: shell atoms bonded to both p and q, which for a common
-    # neighbour q of bond p counts q's bonds among p's common neighbours
-    inner = adj_i @ adj_i
-    n_bonds = (adj_i * inner).sum(axis=2) // 2
-    max_degree = np.where(adj, inner, 0).max(axis=2)  # of two bonds: 2 iff they share an atom
-    is_42 = (common == 4) & (n_bonds == 2)
-    n_fcc = (is_42 & (max_degree == 1)).sum(axis=1)
-    n_hcp = (is_42 & (max_degree == 2)).sum(axis=1)
-    labels[centre[n_fcc == 12]] = FCC
-    labels[centre[(n_fcc == 6) & (n_hcp == 6)]] = HCP
+        common = adj.sum(axis=2)  # ncn of the bond to each shell atom p
+        adj_i = adj.astype(np.int64)
+        # inner[p, q]: shell atoms bonded to both p and q, which for a common
+        # neighbour q of bond p counts q's bonds among p's common neighbours
+        inner = adj_i @ adj_i
+        n_bonds = (adj_i * inner).sum(axis=2) // 2
+        max_degree = np.where(adj, inner, 0).max(axis=2)  # of two bonds: 2 iff they share an atom
+        is_42 = (common == 4) & (n_bonds == 2)
+        n_fcc = (is_42 & (max_degree == 1)).sum(axis=1)
+        n_hcp = (is_42 & (max_degree == 2)).sum(axis=1)
+        labels[block[n_fcc == 12]] = FCC
+        labels[block[(n_fcc == 6) & (n_hcp == 6)]] = HCP
     return labels
 
 

@@ -83,13 +83,16 @@ class PopulationParams:
     def __post_init__(self):
         if self.n_hosts < 0:
             raise ParameterError("n_hosts must be >= 0")
-        for name in ("gflops_sd", "cpu_logsigma", "ram_logsigma", "hdd_logsigma"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
-        if self.gflops_floor <= 0:
-            raise ParameterError("gflops_floor must be > 0")
-        if not (0 <= self.on_rate < math.inf and 0 <= self.off_rate < math.inf):
-            raise ParameterError("churn rates must be finite and >= 0")
+        # chained comparisons, so NaN and inf fail each bound
+        for name in ("gflops_mean", "cpu_logmu", "ram_logmu", "hdd_logmu"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite")
+        for name in ("gflops_sd", "cpu_logsigma", "ram_logsigma", "hdd_logsigma",
+                     "on_rate", "off_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0")
+        if not 0 < self.gflops_floor < math.inf:
+            raise ParameterError("gflops_floor must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Ensemble statistics for scalar observables.
 
 Normal and two-parameter Weibull maximum-likelihood fits, one-sample
-Kolmogorov-Smirnov tests (asymptotic and parametric-bootstrap p-values),
-central-moment summaries with Pearson-plane coordinates (beta1, beta2) =
-(skewness^2, kurtosis), and bootstrap moment clouds.
+Kolmogorov-Smirnov tests with parametric-bootstrap p-values, central-moment
+summaries with Pearson-plane coordinates (beta1, beta2) = (skewness^2,
+kurtosis), and bootstrap moment clouds.
 
 Conventions, fixed here once: population (divide-by-n) central moments;
 non-excess kurtosis (a normal law sits at beta2 = 3); the Weibull family
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, ParameterError
 
-_KS_SERIES_TOL = 1e-12
 _WEIBULL_TOL = 1e-10
 _WEIBULL_MAX_ITER = 100
 
@@ -229,52 +228,28 @@ def ks_statistic(sample, fit: FitResult) -> float:
     return float(_ks_distance(fit.cdf(v)))
 
 
-def kolmogorov_sf(lam: float) -> float:
-    """Kolmogorov limiting survival function Q(lam) = 2*sum (-1)^(j-1) exp(-2 j^2 lam^2)."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    j = 1
-    while True:
-        term = math.exp(-2.0 * j * j * lam * lam)
-        total += sign * term
-        if term < _KS_SERIES_TOL or j > 1000:
-            break
-        sign = -sign
-        j += 1
-    return float(min(1.0, max(0.0, 2.0 * total)))
-
-
-def ks_test(sample, fit: FitResult, mode: str = "asymptotic",
+def ks_test(sample, fit: FitResult, mode: str = "parametric_bootstrap",
             n_resamples: int = 999, seed: int = 0) -> KsOutcome:
-    """One-sample KS test of the sample against a fitted law.
-
-    The asymptotic p uses lam = (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D in the
-    Kolmogorov series.  Because the fit was estimated from the same data
-    that p is biased upward; ``parametric_bootstrap`` re-fits on resamples
-    drawn from the fitted law and reports the resampling p-value instead.
+    """One-sample KS test of the sample against a fitted law, with a
+    parametric-bootstrap p-value: resamples drawn from the fitted law are
+    re-fitted and KS-tested, because with parameters estimated from the same
+    data D does not follow Kolmogorov's law (Lilliefors, JASA 62, 399, 1967).
     All resamples are drawn, refit and KS-tested at once, row by row of one
     (n_resamples, n) array; the result equals the sequential per-resample
     procedure bit for bit.
     """
+    # ``mode`` names perfbench's ks_test spans; it goes with ROADMAP item 10(a)
+    if mode != "parametric_bootstrap":
+        raise ParameterError(f"unknown ks mode {mode!r}")
     if not fit.converged:
         raise ParameterError("ks_test requires a converged fit")
     v = _as_values(sample)
-    n = v.size
     d = ks_statistic(v, fit)
-
-    if mode == "asymptotic":
-        lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
-        p = kolmogorov_sf(lam)
-        return KsOutcome(d, p)
-    if mode != "parametric_bootstrap":
-        raise ParameterError(f"unknown ks mode {mode!r}")
     if n_resamples < 1:
         raise ParameterError("n_resamples must be >= 1")
 
     # degenerate resamples have D = inf: conservatively counted as extreme
-    exceed = np.count_nonzero(_resample_distances(fit, n, n_resamples, seed) >= d)
+    exceed = np.count_nonzero(_resample_distances(fit, v.size, n_resamples, seed) >= d)
     p = (1.0 + exceed) / (n_resamples + 1.0)
     return KsOutcome(d, float(p))
 

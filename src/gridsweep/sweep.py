@@ -6,9 +6,9 @@ CSV per job, and records the run as a grid-simulator trace, so gridsim's
 T_seq / T_dg table and regime segmentation apply to it unchanged.
 
 The analysis side pools one observable at one strain checkpoint across all
-job files and runs the full statistics chain: normal and Weibull fits, KS
-tests in both p-value modes, bootstrap cloud, QQ points, and a one-line
-verdict on which family describes the ensemble.
+job files and runs the full statistics chain: normal and Weibull fits, a
+parametric-bootstrap KS test per fitted family, bootstrap cloud, QQ points,
+and a one-line verdict on which family describes the ensemble.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ VERDICT_CSV_HEADER = ["strain", "observable", "n", "verdict", "p_normal", "p_wei
 
 OBSERVABLES = ("c_hcp", "c_unk", "sigma_top")
 
-#: the verdict compares the KS p-values of this mode: larger p wins, except
-#: that two p-values both above P_FLOOR and within a factor TIE_FACTOR of
-#: each other are called indistinguishable
+#: the verdict compares the bootstrap KS p-values (this label fills the
+#: ``mode`` columns): larger p wins, except that two p-values both above
+#: P_FLOOR and within a factor TIE_FACTOR of each other are indistinguishable
 VERDICT_MODE = "parametric_bootstrap"
 P_FLOOR = 0.05
 TIE_FACTOR = 2.0
@@ -191,7 +191,7 @@ def write_ledger(ledger: SweepLedger, output_dir) -> None:
 class AnalysisResult:
     verdict: str  # 'normal' | 'weibull' | 'indistinguishable' | 'degenerate'
     fits: dict[str, st.FitResult] = field(default_factory=dict)
-    ks: dict[tuple[str, str], st.KsOutcome] = field(default_factory=dict)
+    ks: dict[str, st.KsOutcome] = field(default_factory=dict)  # by family
     cloud: np.ndarray | None = None  # bootstrap (beta1, beta2) points, one row each
 
 
@@ -224,9 +224,9 @@ def collect_observable(input_dir, strain: float, observable: str) -> np.ndarray:
 
 def classify_sample(sample: np.ndarray, seed: int = 0,
                     n_resamples: int = 999) -> AnalysisResult:
-    """Fit both families, KS-test in both modes, and pick a verdict (see
-    VERDICT_MODE); a constant sample, or one whose variance underflows to 0,
-    is 'degenerate' and gets no fits."""
+    """Fit both families, bootstrap KS-test each converged fit, and pick a
+    verdict (see VERDICT_MODE); a constant sample, or one whose variance
+    underflows to 0, is 'degenerate' and gets no fits."""
     if n_resamples < 1:
         raise ParameterError("n_resamples must be >= 1")
     res = AnalysisResult(verdict="degenerate")
@@ -237,16 +237,11 @@ def classify_sample(sample: np.ndarray, seed: int = 0,
     except DegenerateSampleError:
         return res
     res.fits = fits
-    for family, fit in fits.items():
-        if not fit.converged:
-            continue
-        res.ks[(family, "asymptotic")] = st.ks_test(sample, fit, "asymptotic")
-        res.ks[(family, "parametric_bootstrap")] = st.ks_test(
-            sample, fit, "parametric_bootstrap", n_resamples=n_resamples, seed=seed)
+    res.ks = {family: st.ks_test(sample, fit, n_resamples=n_resamples, seed=seed)
+              for family, fit in fits.items() if fit.converged}
     res.cloud = st.bootstrap_cloud(sample, n_resamples=1000, seed=seed)
 
-    p_n = res.ks.get(("normal", VERDICT_MODE))
-    p_w = res.ks.get(("weibull", VERDICT_MODE))
+    p_n, p_w = res.ks.get("normal"), res.ks.get("weibull")
     if p_w is None and p_n is None:
         res.verdict = "degenerate"
     elif p_w is None:
@@ -271,20 +266,19 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with staged_outputs() as stage:
-        # res.ks holds each converged family's two modes, in res.fits order
+        # res.ks holds each converged family, in res.fits order
         write_csv(stage(out / "report.csv"), REPORT_CSV_HEADER,
                   ([f"{observable}@eps={strain}", family, repr(res.fits[family].params[0]),
                     repr(res.fits[family].params[1]), repr(res.fits[family].log_likelihood),
-                    repr(ks.statistic), repr(ks.p_value), mode]
-                   for (family, mode), ks in res.ks.items()))
+                    repr(ks.statistic), repr(ks.p_value), VERDICT_MODE]
+                   for family, ks in res.ks.items()))
         write_float_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
                         np.empty((0, 2)) if res.cloud is None else res.cloud)
         for family, fit in res.fits.items():
             if fit.converged:
                 write_float_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
                                 st.qq_points(sample, fit))
-        kn = res.ks.get(("normal", VERDICT_MODE))
-        kw = res.ks.get(("weibull", VERDICT_MODE))
+        kn, kw = res.ks.get("normal"), res.ks.get("weibull")
         write_csv(stage(out / "verdict.csv"), VERDICT_CSV_HEADER,
                   [[repr(strain), observable, sample.size, res.verdict,
                     repr(kn.p_value) if kn else "", repr(kw.p_value) if kw else "",

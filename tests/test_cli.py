@@ -95,6 +95,21 @@ def test_hosts_sample_missing_params_file(tmp_path):
     assert not (tmp_path / "pop.csv").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "cpu_logmu = nan", "gflops_floor = nan", "gflops_mean = nan", "gflops_sd = inf",
+    "ram_logsigma = inf",
+])
+def test_hosts_sample_non_finite_params_exit_2_without_output(tmp_path, capsys, line):
+    # cpu_logmu = nan once wrote three 128-CPU hosts, and gflops_floor = nan
+    # a population; the other three failed in HostSpec with exit 1
+    params = tmp_path / "bad.params"
+    params.write_text(f"n_hosts = 3\n{line}\n")
+    out = tmp_path / "pop.csv"
+    assert main(["hosts", "sample", "--params", str(params), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {params}: {line.split()[0]} must be finite")
+    assert not out.exists()
+
+
 # --- sim -----------------------------------------------------------------
 
 
@@ -338,20 +353,22 @@ def test_analyze_underflowing_variance_is_degenerate(tmp_path, capsys):
 #: shows here.  Both cloud.csv were re-recorded when the moments became
 #: products (values moved by <= 2.7e-15), and c_unk's qq_weibull.csv and
 #: report.csv when the Weibull solver began keeping a Newton step that lands
-#: on its bracket (k moved by 7.6e-11, to the exact root)
+#: on its bracket (k moved by 7.6e-11, to the exact root).  Both report.csv
+#: were re-recorded when the asymptotic KS rows left them: each lost its two
+#: `asymptotic` rows, and its `parametric_bootstrap` rows kept their bytes
 PINNED_ANALYZE_SHA256 = {
     "c_unk": {
         "cloud.csv": "0d705d7814f782ce32205f6fbb71bfae6cbd3e310c7a89da9a3c09b444e4b160",
         "qq_normal.csv": "e7e5c1a731a76a85d0894cfc08722c529e6f106c1ce81d1a094229f3c35f1656",
         "qq_weibull.csv": "7313d63dc7ba7c269d7e1b7afa091f51625fa8c8857aead019aa97c139fc5efd",
-        "report.csv": "7c735d7f859466601956ee99f4ff43e1bc0fb0353d76f267f9d651f9e30e63e6",
+        "report.csv": "d8ac52cea12476633b2ecc4c525259edd21293387426f601ee17de7437a8133d",
         "verdict.csv": "fdb4bd539047f98a1d94f6d0f99da5b1db7a90c6c8fb5a9077027cd4ecf8ad8b",
     },
     "sigma_top": {
         "cloud.csv": "46c1aca23331094a9f1c051ce7ef524c096c74d66763910b82719d0fdf33369b",
         "qq_normal.csv": "67f95ae799abda9b8971ded17e4c60fed0be5479f3e06ab133553d05f2bc1868",
         "qq_weibull.csv": "8bc628729e0ee2d8f714433653fdba7ac1608e1951ecb956637257f77d8a7c8b",
-        "report.csv": "f7ea1c29fb2f38051061e8d862b6b543cdfe593820acc4b60fab2d6bf29d37fb",
+        "report.csv": "a244ced66f1e5350b18bebddf84fec313ec8cfbe14fa6ebc0b09503320d333d9",
         "verdict.csv": "726b6b5417a84df3fcf911ec87203e2c8df755cca1c3d1e0c7d534fd53f265ee",
     },
 }

@@ -1,6 +1,8 @@
 """Common neighbor analysis: signatures, labels, and defect bookkeeping."""
 
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as hs
 from oracles import bond_signature, dense_table, hcp_positions, oracle_cna_labels
 from scipy.spatial.transform import Rotation
 
+from gridsweep import cna
 from gridsweep.cna import (
     FCC,
     HCP,
@@ -18,7 +21,15 @@ from gridsweep.cna import (
     defect_counts,
 )
 from gridsweep.errors import ParameterError
-from gridsweep.md import A0_DEFAULT, build_crystal, fcc_positions, neighbor_pairs
+from gridsweep.md import (
+    A0_DEFAULT,
+    CUTOFF,
+    SKIN,
+    _cutoff_pairs,
+    build_crystal,
+    fcc_positions,
+    neighbor_pairs,
+)
 
 FCC_CUTOFF = 0.854  # between the first (0.707a) and second (a) FCC shells
 HCP_CUTOFF = 0.854 * math.sqrt(2.0)  # same ratio for nn distance 1
@@ -134,8 +145,27 @@ def test_labels_match_full_signature_oracle(kind, axis, strain, jitter, seed):
     box = box.copy()
     box[axis] *= 1.0 + strain
     cutoff = 0.854 * a
-    assert np.array_equal(labels_within(pos, box, periodic, cutoff),
-                          oracle_cna_labels(pos, box, periodic, cutoff))
+    expected = oracle_cna_labels(pos, box, periodic, cutoff)
+    assert np.array_equal(labels_within(pos, box, periodic, cutoff), expected)
+    with patch.object(cna, "CNA_BLOCK", 5):  # many blocks, the last one short
+        assert np.array_equal(labels_within(pos, box, periodic, cutoff), expected)
+
+
+def test_record_labels_run_in_bounded_memory():
+    # 4,000 atoms, 3,600 12-coordinated: classifying every centre at once
+    # peaked at 19.0 MB traced; CNA_BLOCK centres at a time peak near 4.6 MB
+    crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
+    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
+    i, j, _, r2 = _cutoff_pairs(crystal, skin)
+    shell = r2 < (0.854 * A0_DEFAULT) ** 2
+    tracemalloc.start()
+    try:
+        labels = cna_labels(crystal.positions, (i[shell], j[shell]))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 8.0
+    assert np.bincount(labels).tolist() == [3600, 0, 400]  # the open y faces are UNK
 
 
 # --- defect bookkeeping --------------------------------------------------

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st_h
 from oracles import (
@@ -24,7 +23,6 @@ from gridsweep.stats import (
     bootstrap_cloud,
     fit_normal,
     fit_weibull,
-    kolmogorov_sf,
     ks_statistic,
     ks_test,
     moment_summary,
@@ -146,23 +144,14 @@ def test_ks_statistic_matches_grid_scan():
     assert abs(ks_statistic(values, fit) - grid_scan_d(values, fit)) < 1e-9
 
 
-def test_kolmogorov_sf_matches_scipy():
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(-1.0) == 1.0
-    lams = np.linspace(0.3, 2.5, 23)
-    for lam in lams:
-        assert kolmogorov_sf(lam) == pytest.approx(
-            float(scipy.special.kolmogorov(lam)), abs=1e-10)
-    vals = [kolmogorov_sf(x) for x in lams]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert kolmogorov_sf(10.0) < 1e-80
-
-
-def test_ks_test_asymptotic_accepts_its_own_family():
-    rng = np.random.default_rng(12)
-    values = rng.normal(0.0, 1.0, size=500)
-    out = ks_test(values, fit_normal(values))
-    assert out.p_value > 0.05  # fitted-parameter bias makes this conservative
+def test_ks_test_has_only_the_bootstrap_p_value():
+    # the asymptotic Kolmogorov p is invalid for a fit to the same sample
+    values = np.random.default_rng(12).normal(0.0, 1.0, size=100)
+    fit = fit_normal(values)
+    with pytest.raises(ParameterError, match="unknown ks mode 'asymptotic'"):
+        ks_test(values, fit, mode="asymptotic")
+    assert ks_test(values, fit, n_resamples=99) == ks_test(
+        values, fit, mode="parametric_bootstrap", n_resamples=99)
 
 
 @pytest.mark.parametrize("n_resamples", [0, -1, -5])

@@ -293,7 +293,7 @@ def test_analyze_writes_all_artifacts(tmp_path):
     res = analyze_ensemble(tmp_path, 0.02, "c_unk", out, seed=0, n_resamples=199)
     assert res.verdict == "weibull"
     report = (out / "report.csv").read_text().splitlines()
-    assert len(report) == 1 + 4  # 2 families x 2 ks modes
+    assert len(report) == 1 + 2  # 2 families, one bootstrap KS row each
     assert all(row.startswith("c_unk@eps=0.02,") for row in report[1:])
     assert len((out / "cloud.csv").read_text().splitlines()) == 1 + 1000
     assert (out / "qq_normal.csv").exists()
@@ -302,6 +302,24 @@ def test_analyze_writes_all_artifacts(tmp_path):
     assert verdict_row[1] == "c_unk"
     assert verdict_row[2] == "80"
     assert verdict_row[3] == "weibull"
+
+
+@pytest.mark.parametrize("shift, families", [
+    (0.0, ["normal", "weibull"]),
+    (-0.05, ["normal"]),  # values below 0 get no Weibull fit
+])
+def test_report_has_one_bootstrap_row_per_converged_family(tmp_path, shift, families):
+    values = shift + 0.1 * np.random.default_rng(6).weibull(1.5, 60)
+    for i, v in enumerate(values):
+        fake_job(job_csv_path(tmp_path, i), [0.0, 0.02], [0.0, float(v)])
+    res = analyze_ensemble(tmp_path, 0.02, "c_unk", tmp_path / "out", n_resamples=99)
+    rows = [row.split(",") for row in
+            (tmp_path / "out" / "report.csv").read_text().splitlines()]
+    assert rows[0] == sweep.REPORT_CSV_HEADER
+    assert [(row[1], row[7]) for row in rows[1:]] == [
+        (family, "parametric_bootstrap") for family in families]
+    assert list(res.ks) == families
+    assert [row[6] for row in rows[1:]] == [repr(res.ks[f].p_value) for f in families]
 
 
 def test_analyze_is_deterministic(tmp_path):

@@ -27,8 +27,16 @@ parts, each measured on both checkouts:
   byte-identical and the largest ``cloud.csv`` difference.
 - ``n1000``: ``collect_observable``, ``classify_sample`` and
   ``bootstrap_cloud`` on three cells of the campaign ensemble written at
-  1,000 jobs, the minimum of ``REPEATS`` calls, in a fresh process per side
-  and round, alternating.
+  1,000 jobs, the median of ``REPEATS`` calls.
+- ``cna``: ``cna_labels`` on one checkpoint record's CNA shell of a 10^3 and
+  a 16^3 crystal: the tracemalloc peak of one call and the median time of
+  ``REPEATS`` untraced calls.
+
+Each probe runs in a fresh process per side and round, sides alternating
+first, for ``ROUNDS[probe]`` rounds.  Whole processes of the same code
+disagree by more than the calls inside one, so ``n1000_summary`` and
+``cna_summary`` give each side's median and interquartile range over its
+rounds, and the change's relative difference in medians.
 """
 
 from __future__ import annotations
@@ -47,7 +55,9 @@ from pathlib import Path
 PAIRS = 10
 REPEATS = 5
 STEPS = 100
+ROUNDS = {"md": 2, "n1000": 8, "cna": 8}
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
+CNA_GEOMETRIES = ((10, 10, 10), (16, 16, 16))
 
 
 def _campaign(root: Path, work: Path, n_jobs: int):
@@ -71,22 +81,54 @@ def probe_n1000(root: Path, work: Path) -> dict:
 
     ensemble = _campaign(root, work, 1000).ensemble
 
-    def best(fn):
+    def median_ms(fn):
         times = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
-        return round(1e3 * min(times), 2)
+        return round(1e3 * statistics.median(times), 2)
 
     out = {}
     for obs, strain in CELLS_N1000:
         v = sweep.collect_observable(ensemble, strain, obs)
         out[f"{obs}@{strain}"] = {
-            "collect_observable_ms": best(lambda: sweep.collect_observable(ensemble, strain, obs)),
-            "classify_sample_ms": best(lambda: sweep.classify_sample(v)),
-            "bootstrap_cloud_ms": best(lambda: stats.bootstrap_cloud(v, 1000)),
+            "collect_observable_ms": median_ms(
+                lambda: sweep.collect_observable(ensemble, strain, obs)),
+            "classify_sample_ms": median_ms(lambda: sweep.classify_sample(v)),
+            "bootstrap_cloud_ms": median_ms(lambda: stats.bootstrap_cloud(v, 1000)),
         }
+    return out
+
+
+def probe_cna(root: Path, work: Path) -> dict:
+    import time
+    import tracemalloc
+
+    from gridsweep import md
+    from gridsweep.cna import cna_labels
+
+    out = {}
+    for geometry in CNA_GEOMETRIES:
+        # a checkpoint record's CNA shell, as md.run_tensile's record() takes it
+        crystal = md.build_crystal(*geometry, temperature=0.05, seed=2)
+        skin = md.neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
+                                 md.CUTOFF + md.SKIN)
+        i, j, _, r2 = md._cutoff_pairs(crystal, skin)
+        shell = r2 < (0.854 * md.A0_DEFAULT) ** 2
+        pairs = (i[shell], j[shell])
+        tracemalloc.start()
+        cna_labels(crystal.positions, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            cna_labels(crystal.positions, pairs)
+            times.append(time.perf_counter() - t0)
+        out["x".join(map(str, geometry))] = {
+            "atoms": crystal.n_atoms, "traced_peak_mb": round(peak / 2**20, 2),
+            "median_ms": round(1e3 * statistics.median(times), 2)}
     return out
 
 
@@ -161,7 +203,7 @@ def probe_outputs(root: Path, work: Path) -> dict:
     return {"sha256": files, "clouds": clouds}
 
 
-PROBES = {"md": probe_md, "n1000": probe_n1000, "outputs": probe_outputs}
+PROBES = {"cna": probe_cna, "md": probe_md, "n1000": probe_n1000, "outputs": probe_outputs}
 
 
 def _probe(root: Path, name: str, work: Path) -> dict:
@@ -226,6 +268,23 @@ def _compare_md(rounds: dict) -> dict:
     return out
 
 
+def _spread(rounds: dict) -> dict:
+    """Per cell and number: each side's median and interquartile range over
+    its rounds, and the change's median relative to the parent's."""
+    out = {}
+    for cell, numbers in rounds["parent"][0].items():
+        out[cell] = {}
+        for key in numbers:
+            row = {}
+            for s in ("parent", "change"):
+                values = [r[cell][key] for r in rounds[s]]
+                q1, _, q3 = statistics.quantiles(values, n=4)
+                row[s] = {"median": statistics.median(values), "iqr": round(q3 - q1, 3)}
+            row["relative_change"] = row["change"]["median"] / row["parent"]["median"] - 1.0
+            out[cell][key] = row
+    return out
+
+
 def _compare_outputs(parent: dict, change: dict) -> dict:
     files, clouds = parent["sha256"], parent["clouds"]
     if files.keys() != change["sha256"].keys():
@@ -275,13 +334,14 @@ def main(argv=None) -> int:
         work = Path(tmp)
         outputs = {s: _probe(root, "outputs", work / s / "outputs") for s, root in sides.items()}
         record["outputs"] = _compare_outputs(outputs["parent"], outputs["change"])
-        for name, what in (("md", "two rounds, alternating"),
-                           ("n1000", f"min of {REPEATS} calls, ms; two rounds, alternating")):
-            record[name] = {"what": what, "parent": [], "change": []}
-            for order in (("parent", "change"), ("change", "parent")):
-                for s in order:
+        for name, rounds in ROUNDS.items():
+            record[name] = {"rounds": rounds, "parent": [], "change": []}
+            for r in range(rounds):
+                for s in (("parent", "change"), ("change", "parent"))[r % 2]:
                     record[name][s].append(_probe(sides[s], name, work / s))
         record["md_summary"] = _compare_md(record["md"])
+        record["n1000_summary"] = _spread(record["n1000"])
+        record["cna_summary"] = _spread(record["cna"])
 
     record["pairs"], record["summary"] = [], {}
     for workload in (w["name"] for w in bench["workloads"]):
