@@ -97,7 +97,7 @@ class RegimeSegmentation:
     degenerate: bool
 
 
-def scaled_runtime(task: TaskSpec, host: HostSpec) -> float:
+def _scaled_runtime(task: TaskSpec, host: HostSpec) -> float:
     """Job runtime on a host under linear FLOPs scaling, in seconds."""
     return task.t_job_ref_s * REF_GFLOPS / host.gflops
 
@@ -182,7 +182,7 @@ class _Sim:
             task = self.tasks[self.job_task[gid]]
             host.running.append(gid)
             self.events.append(TraceEvent(now, DISPATCH, gid, task.name, hi))
-            self._push(now + scaled_runtime(task, host.spec), "finish",
+            self._push(now + _scaled_runtime(task, host.spec), "finish",
                        (hi, gid, self.attempt[gid]))
         return True
 

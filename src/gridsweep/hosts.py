@@ -12,18 +12,22 @@ parameters only, never from hidden globals.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError, ScenarioParseError
-from .outputs import write_csv
+from .outputs import read_csv, write_csv
 
 #: Core counts actually observed on real hosts; sampled values snap to these.
 CPU_STEPS = (1, 2, 4, 6, 8, 16, 32, 48, 64, 128)
+
+#: redraws of sub-floor GFLOPs before ``sample_hosts`` rejects its parameters: a
+#: floor that keeps a fraction q of draws leaves about n (1 - q)^1000 of n hosts
+#: below it, so only q under about 1% fails (each preset needs one at seed 0)
+GFLOPS_REDRAWS = 1000
 
 _CPU_STEP_ARR = np.asarray(CPU_STEPS, dtype=float)
 _CPU_MIDPOINTS = (_CPU_STEP_ARR[:-1] + _CPU_STEP_ARR[1:]) / 2.0
@@ -126,21 +130,29 @@ def sample_hosts(params: PopulationParams) -> list[HostSpec]:
 
     GFLOPs are normal truncated below at ``gflops_floor`` (resampling the
     sub-floor tail); core counts are log-normal snapped to CPU_STEPS;
-    RAM/HDD are plain log-normal.
+    RAM/HDD are plain log-normal.  Parameters these draws fail on raise
+    ParameterError naming their keys.
     """
     rng = np.random.default_rng(params.seed)
     n = params.n_hosts
 
     gflops = rng.normal(params.gflops_mean, params.gflops_sd, size=n)
-    while True:
+    for _ in range(GFLOPS_REDRAWS):
         bad = gflops < params.gflops_floor
         if not bad.any():
             break
         gflops[bad] = rng.normal(params.gflops_mean, params.gflops_sd, size=int(bad.sum()))
+    if np.any(gflops < params.gflops_floor):
+        raise ParameterError("gflops_mean, gflops_sd and gflops_floor leave GFLOPs below "
+                             f"the floor after {GFLOPS_REDRAWS} redraws")
 
     cpus = snap_cpus(rng.lognormal(params.cpu_logmu, params.cpu_logsigma, size=n))
     ram = rng.lognormal(params.ram_logmu, params.ram_logsigma, size=n)
     hdd = rng.lognormal(params.hdd_logmu, params.hdd_logsigma, size=n)
+    for name, values in (("ram", ram), ("hdd", hdd)):
+        if not np.all((0 < values) & (values < math.inf)):  # exp over- or underflowed
+            raise ParameterError(f"{name}_logmu and {name}_logsigma draw sizes that are "
+                                 "not finite and > 0")
 
     return [
         HostSpec(
@@ -203,36 +215,26 @@ POPULATION_CSV_HEADER = ["id", "gflops", "n_cpus", "ram_gb", "hdd_gb", "on_rate"
 
 
 def write_population_csv(hosts: list[HostSpec], path) -> None:
-    write_csv(path, POPULATION_CSV_HEADER,
-              ([h.id, repr(h.gflops), h.n_cpus, repr(h.ram_gb), repr(h.hdd_gb),
-                repr(h.on_rate), repr(h.off_rate)] for h in hosts))
+    write_csv(path, POPULATION_CSV_HEADER, map(astuple, hosts))
 
 
 def read_population_csv(path) -> list[HostSpec]:
-    path = Path(path)
     hosts = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != POPULATION_CSV_HEADER:
-            raise ScenarioParseError(f"{path}: bad population header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                hosts.append(
-                    HostSpec(
-                        id=int(row[0]),
-                        gflops=float(row[1]),
-                        n_cpus=int(row[2]),
-                        ram_gb=float(row[3]),
-                        hdd_gb=float(row[4]),
-                        on_rate=float(row[5]),
-                        off_rate=float(row[6]),
-                    )
+    for line, row in read_csv(path, POPULATION_CSV_HEADER, ScenarioParseError):
+        try:
+            hosts.append(
+                HostSpec(
+                    id=int(row[0]),
+                    gflops=float(row[1]),
+                    n_cpus=int(row[2]),
+                    ram_gb=float(row[3]),
+                    hdd_gb=float(row[4]),
+                    on_rate=float(row[5]),
+                    off_rate=float(row[6]),
                 )
-            except (ValueError, IndexError, ParameterError) as exc:
-                raise ScenarioParseError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:  # HostSpec's ParameterError is a ValueError
+            raise ScenarioParseError(f"{path}:{line}: {exc}") from exc
     return hosts
 
 

@@ -49,6 +49,9 @@ A0_DEFAULT = 1.5496034240894725
 #: the 6th and 7th FCC shells, sqrt(3) and sqrt(3.5) * A0_DEFAULT (2.684, 2.899)
 CUTOFF = 2.5
 SKIN = 0.3
+#: CNA bond radius, near the midpoint of the first two FCC shells (a0/sqrt(2), a0)
+#: and inside CUTOFF, so a checkpoint's cutoff pairs hold every CNA bond
+CNA_CUTOFF = 0.854 * A0_DEFAULT
 #: strain between two recorded checkpoints
 CHECKPOINT_DSTRAIN = 0.01
 #: equilibration steps between two velocity rescales
@@ -457,14 +460,13 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
     state = equilibrate(crystal, params)
     steps = checkpoint_steps(params, crystal)
-    cna_cutoff = 0.854 * A0_DEFAULT
 
     def record(strain: float) -> DefectRecord:
         # the cutoff pairs of the skin list give the energy, the stress and,
-        # within 0.854 a < CUTOFF, the CNA shell
+        # within CNA_CUTOFF, the CNA shell
         cut = _cutoff_pairs(crystal, (state.i, state.j))
         i, j, _, r2 = cut
-        shell = r2 < cna_cutoff * cna_cutoff
+        shell = r2 < CNA_CUTOFF * CNA_CUTOFF
         labels = cna_labels(crystal.positions, (i[shell], j[shell]))
         energy = _potential_energy(r2) + kinetic_energy(crystal)
         return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),

@@ -1,4 +1,4 @@
-"""CSV output, and atomic output: files staged next to their targets and committed together."""
+"""The CSV dialect, read and written, and atomic output: files staged and committed together."""
 
 from __future__ import annotations
 
@@ -36,16 +36,25 @@ def staged_outputs():
 
 
 def write_csv(path, header, rows) -> None:
-    """Write one header row, then ``rows``."""
+    """Write one header row, then ``rows``; floats come out as their repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
-def write_float_csv(path, header, values) -> None:
-    """`write_csv` of the rows of the 2-D float array ``values``, each field its
-    repr, formatted in bulk to the same bytes."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+def read_csv(path, header, error):
+    """Yield ``(line, fields)`` for each non-blank row of the CSV file ``path``;
+    a first row other than ``header``, or a row of another width, raises
+    ``error``, the caller's exception class, naming ``path:line``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise error(f"{path}:1: bad header {first!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}:{reader.line_num}: expected {len(header)} fields")
+            yield reader.line_num, row

@@ -13,7 +13,6 @@ and a one-line verdict on which family describes the ensemble.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +25,7 @@ import numpy as np
 from . import gridsim, stats as st
 from .errors import DegenerateSampleError, ParameterError
 from .md import DefectRecord, MDParams, build_crystal, checkpoint_steps, run_tensile
-from .outputs import staged_outputs, write_csv, write_float_csv
+from .outputs import read_csv, staged_outputs, write_csv
 
 JOB_CSV_HEADER = ["strain", "c_fcc", "c_hcp", "c_unk", "sigma_top", "energy"]
 LEDGER_CSV_HEADER = ["job_id", "seed", "status", "wall_time_s", "cpu_time_s", "error"]
@@ -94,28 +93,18 @@ def job_csv_path(output_dir, job_id: int) -> Path:
 
 def write_records_csv(records: list[DefectRecord], path) -> None:
     with staged_outputs() as stage:
-        write_float_csv(stage(path), JOB_CSV_HEADER, np.array([astuple(r) for r in records], float))
+        write_csv(stage(path), JOB_CSV_HEADER, map(astuple, records))
 
 
 def read_records_csv(path) -> np.ndarray:
     """A job CSV's rows as an (m, 6) float array, columns in JOB_CSV_HEADER order."""
-    width = len(JOB_CSV_HEADER)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != JOB_CSV_HEADER:
-            raise ParameterError(f"{path}: bad job header {header!r}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(x) for x in row[:width]])
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{reader.line_num}: {exc}") from None
-            if len(row) != width:
-                raise ParameterError(f"{path}:{reader.line_num}: expected {width} fields")
-    return np.array(rows, dtype=float).reshape(-1, width)
+    rows = []
+    for line, fields in read_csv(path, JOB_CSV_HEADER, ParameterError):
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{line}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, len(JOB_CSV_HEADER))
 
 
 def _run_one(spec: SweepSpec, t_origin: float, job_id: int) -> JobResult:
@@ -241,15 +230,10 @@ def classify_sample(sample: np.ndarray, seed: int = 0,
               for family, fit in fits.items() if fit.converged}
     res.cloud = st.bootstrap_cloud(sample, n_resamples=1000, seed=seed)
 
-    p_n, p_w = res.ks.get("normal"), res.ks.get("weibull")
-    if p_w is None and p_n is None:
-        res.verdict = "degenerate"
-    elif p_w is None:
+    if "weibull" not in res.ks:  # fit_normal always converges, so res.ks has "normal"
         res.verdict = "normal"
-    elif p_n is None:
-        res.verdict = "weibull"
     else:
-        pn, pw = p_n.p_value, p_w.p_value
+        pn, pw = res.ks["normal"].p_value, res.ks["weibull"].p_value
         if pn > P_FLOOR and pw > P_FLOOR and max(pn, pw) <= TIE_FACTOR * min(pn, pw):
             res.verdict = "indistinguishable"
         else:
@@ -272,12 +256,12 @@ def analyze_ensemble(input_dir, strain: float, observable: str, out_dir,
                     repr(res.fits[family].params[1]), repr(res.fits[family].log_likelihood),
                     repr(ks.statistic), repr(ks.p_value), VERDICT_MODE]
                    for family, ks in res.ks.items()))
-        write_float_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
-                        np.empty((0, 2)) if res.cloud is None else res.cloud)
+        write_csv(stage(out / "cloud.csv"), CLOUD_CSV_HEADER,
+                  [] if res.cloud is None else res.cloud.tolist())
         for family, fit in res.fits.items():
             if fit.converged:
-                write_float_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
-                                st.qq_points(sample, fit))
+                write_csv(stage(out / f"qq_{family}.csv"), QQ_CSV_HEADER,
+                          st.qq_points(sample, fit).tolist())
         kn, kw = res.ks.get("normal"), res.ks.get("weibull")
         write_csv(stage(out / "verdict.csv"), VERDICT_CSV_HEADER,
                   [[repr(strain), observable, sample.size, res.verdict,

@@ -110,6 +110,38 @@ def test_hosts_sample_non_finite_params_exit_2_without_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, keys", [
+    ("gflops_mean = -100", ("gflops_mean", "gflops_sd", "gflops_floor")),
+    ("ram_logmu = 800", ("ram_logmu", "ram_logsigma")),
+], ids=["gflops_below_floor", "ram_overflow"])
+def test_hosts_sample_undrawable_params_fail_naming_them(tmp_path, line, keys):
+    # the sub-floor GFLOPs redraw once never ended, and an overflowing RAM draw
+    # failed in HostSpec without naming a key; in a subprocess so a hang fails
+    params = tmp_path / "bad.params"
+    params.write_text(f"n_hosts = 3\n{line}\n")
+    out = tmp_path / "pop.csv"
+    done = subprocess.run([sys.executable, "-m", "gridsweep.cli", "hosts", "sample",
+                           "--params", str(params), "--out", str(out)],
+                          capture_output=True, text=True, env=package_env(), timeout=60)
+    assert done.returncode != 0
+    error = done.stderr.splitlines()[-1]
+    assert error.startswith("error: ") and all(key in error for key in keys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["0,2.5,1,8.0,100.0,0.0", "0,2.5,1,8.0,100.0,0.0,0.0,9"],
+                         ids=["short", "extra"])
+def test_hosts_summary_population_row_of_other_width_exits_2(tmp_path, capsys, row):
+    # an 8-field row once passed, and a 6-field row failed with an IndexError
+    pop = tmp_path / "pop.csv"
+    ideal_pop_csv(pop, n_hosts=2)
+    pop.write_text(pop.read_text() + row + "\r\n")
+    out = tmp_path / "summary.csv"
+    assert main(["hosts", "summary", "--pop", str(pop), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {pop}:4: expected 7 fields\n"
+    assert not out.exists()
+
+
 # --- sim -----------------------------------------------------------------
 
 

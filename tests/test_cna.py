@@ -23,6 +23,7 @@ from gridsweep.cna import (
 from gridsweep.errors import ParameterError
 from gridsweep.md import (
     A0_DEFAULT,
+    CNA_CUTOFF,
     CUTOFF,
     SKIN,
     _cutoff_pairs,
@@ -111,8 +112,7 @@ def test_labels_are_rotation_and_translation_invariant():
 
 def test_label_crystal_default_cutoff_sees_perfect_lattice():
     crystal = build_crystal(4, 4, 4, temperature=0.0)
-    labels = labels_within(crystal.positions, crystal.box, crystal.periodic,
-                           0.854 * A0_DEFAULT)
+    labels = labels_within(crystal.positions, crystal.box, crystal.periodic, CNA_CUTOFF)
     conc = defect_concentrations(labels, crystal.grip_mask)
     assert conc == (1.0, 0.0, 0.0)
 
@@ -157,7 +157,7 @@ def test_record_labels_run_in_bounded_memory():
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     i, j, _, r2 = _cutoff_pairs(crystal, skin)
-    shell = r2 < (0.854 * A0_DEFAULT) ** 2
+    shell = r2 < CNA_CUTOFF * CNA_CUTOFF
     tracemalloc.start()
     try:
         labels = cna_labels(crystal.positions, (i[shell], j[shell]))

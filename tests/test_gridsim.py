@@ -26,8 +26,8 @@ from gridsweep.gridsim import (
     SimTrace,
     TaskSpec,
     TraceEvent,
+    _scaled_runtime,
     run_scenario,
-    scaled_runtime,
     speedup_table,
     write_regimes_csv,
     write_speedup_csv,
@@ -55,18 +55,18 @@ def makespan(trace, name):
 
 
 def test_scaled_runtime_identity_host():
-    assert scaled_runtime(TaskSpec("t", 15 * 60, 1), ideal_host(0)) == 15 * 60
+    assert _scaled_runtime(TaskSpec("t", 15 * 60, 1), ideal_host(0)) == 15 * 60
 
 
 def test_scaled_runtime_linear():
     h = ideal_host(0, gflops=2 * REF_GFLOPS)
-    assert scaled_runtime(TaskSpec("t", 15 * 60, 1), h) == pytest.approx(7.5 * 60)
+    assert _scaled_runtime(TaskSpec("t", 15 * 60, 1), h) == pytest.approx(7.5 * 60)
 
 
 def test_scaled_runtime_published_row():
     # 4 h of reference work on a half-speed host takes 8 h
     h = ideal_host(0, gflops=1.257)
-    assert scaled_runtime(TaskSpec("t", 4 * 3600, 1), h) == pytest.approx(8 * 3600)
+    assert _scaled_runtime(TaskSpec("t", 4 * 3600, 1), h) == pytest.approx(8 * 3600)
 
 
 def test_published_total_row_arithmetic():

@@ -108,6 +108,8 @@ def probe_cna(root: Path, work: Path) -> dict:
     from gridsweep import md
     from gridsweep.cna import cna_labels
 
+    # checkouts that predate md.CNA_CUTOFF wrote the same value inline
+    cna_cutoff = getattr(md, "CNA_CUTOFF", 0.854 * md.A0_DEFAULT)
     out = {}
     for geometry in CNA_GEOMETRIES:
         # a checkpoint record's CNA shell, as md.run_tensile's record() takes it
@@ -115,7 +117,7 @@ def probe_cna(root: Path, work: Path) -> dict:
         skin = md.neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
                                  md.CUTOFF + md.SKIN)
         i, j, _, r2 = md._cutoff_pairs(crystal, skin)
-        shell = r2 < (0.854 * md.A0_DEFAULT) ** 2
+        shell = r2 < cna_cutoff * cna_cutoff
         pairs = (i[shell], j[shell])
         tracemalloc.start()
         cna_labels(crystal.positions, pairs)
