@@ -67,7 +67,7 @@ class TraceEvent(NamedTuple):
     kind: str
     job_id: int  # -1 for host events
     task: str  # '' for host events
-    host_id: int
+    host_id: int  # the host's HostSpec.id
 
 
 @dataclass
@@ -119,6 +119,8 @@ class _Sim:
         names = [t.name for t in tasks]
         if len(set(names)) != len(names):
             raise ParameterError("task names must be unique")
+        if len({h.id for h in hosts}) != len(hosts):
+            raise ParameterError("host ids must be unique")
         self.tasks = list(tasks)
         self.shared_idx = [i for i, t in enumerate(self.tasks) if t.mode == "shared"]
         self.dedicated_idx = [i for i, t in enumerate(self.tasks) if t.mode == "dedicated"]
@@ -181,7 +183,7 @@ class _Sim:
                 return False
             task = self.tasks[self.job_task[gid]]
             host.running.append(gid)
-            self.events.append(TraceEvent(now, DISPATCH, gid, task.name, hi))
+            self.events.append(TraceEvent(now, DISPATCH, gid, task.name, host.spec.id))
             self._push(now + _scaled_runtime(task, host.spec), "finish",
                        (hi, gid, self.attempt[gid]))
         return True
@@ -200,15 +202,16 @@ class _Sim:
     # -- event handlers ---------------------------------------------------
 
     def _handle_host_up(self, hi, now):
-        self.hosts[hi].up = True
-        self.events.append(TraceEvent(now, HOST_UP, -1, "", hi))
+        host = self.hosts[hi]
+        host.up = True
+        self.events.append(TraceEvent(now, HOST_UP, -1, "", host.spec.id))
         self._schedule_transition(hi, now)
         self._offer_work(hi, now)
 
     def _handle_host_down(self, hi, now):
         host = self.hosts[hi]
         host.up = False
-        self.events.append(TraceEvent(now, HOST_DOWN, -1, "", hi))
+        self.events.append(TraceEvent(now, HOST_DOWN, -1, "", host.spec.id))
         # restart-from-zero: requeue everything this host was running, in
         # dispatch order
         for gid in host.running:
@@ -231,7 +234,7 @@ class _Sim:
         self.jobs_left -= 1
         if task.mode == "shared":
             self.shared_left -= 1
-        self.events.append(TraceEvent(now, COMPLETE, gid, task.name, hi))
+        self.events.append(TraceEvent(now, COMPLETE, gid, task.name, host.spec.id))
         self._offer_work(hi, now)
         if task.mode == "shared" and self.shared_left == 0:
             self._offer_all(now)  # dedicated work just became eligible everywhere

@@ -219,22 +219,25 @@ def write_population_csv(hosts: list[HostSpec], path) -> None:
 
 
 def read_population_csv(path) -> list[HostSpec]:
-    hosts = []
+    hosts, lines = [], {}  # the line of each host id
     for line, row in read_csv(path, POPULATION_CSV_HEADER, ScenarioParseError):
         try:
-            hosts.append(
-                HostSpec(
-                    id=int(row[0]),
-                    gflops=float(row[1]),
-                    n_cpus=int(row[2]),
-                    ram_gb=float(row[3]),
-                    hdd_gb=float(row[4]),
-                    on_rate=float(row[5]),
-                    off_rate=float(row[6]),
-                )
+            host = HostSpec(
+                id=int(row[0]),
+                gflops=float(row[1]),
+                n_cpus=int(row[2]),
+                ram_gb=float(row[3]),
+                hdd_gb=float(row[4]),
+                on_rate=float(row[5]),
+                off_rate=float(row[6]),
             )
         except ValueError as exc:  # HostSpec's ParameterError is a ValueError
             raise ScenarioParseError(f"{path}:{line}: {exc}") from exc
+        if host.id in lines:
+            raise ScenarioParseError(
+                f"{path}:{line}: host id {host.id} repeats line {lines[host.id]}")
+        lines[host.id] = line
+        hosts.append(host)
     return hosts
 
 

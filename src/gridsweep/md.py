@@ -12,7 +12,11 @@ gathers its cutoff pairs from it once, for the energy, grip stress and CNA.
 The integrator computes forces only.  Its kernel skips the pairs with no
 free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
 forces land only on grip rows, which the integrator never applies.  The
-energy and the observables use the whole list.
+energy and the observables use the whole list.  A step evaluates its forces
+in place, in a workspace allocated with the force list (as LAMMPS keeps its
+neighbour and force arrays across steps), so it allocates nothing that grows
+with the pairs; the energy checks and the records gather into fresh arrays.
+Both take their separations from one routine, `_separations`.
 
 Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
 order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
@@ -171,15 +175,23 @@ def build_crystal(nx: int, ny: int, nz: int, temperature: float = 0.0, seed: int
     return Crystal(pos, vel, box, periodic, side)
 
 
-def _min_image_r2(delta: np.ndarray, box, periodic) -> np.ndarray:
+def _min_image_r2(delta: np.ndarray, box, periodic, r2=None, tmp=None) -> np.ndarray:
     """Min-image the (3, m) separations ``delta`` in place, one axis row at a
-    time, and return their squared lengths summed as (x^2 + z^2) + y^2."""
+    time, and return their squared lengths summed as (x^2 + z^2) + y^2, written
+    into the (m,) rows ``r2`` and ``tmp`` (a temporary) when given."""
+    r2 = np.empty(delta.shape[1]) if r2 is None else r2
+    tmp = np.empty(delta.shape[1]) if tmp is None else tmp
     for ax in range(3):
         if periodic[ax]:
             L = box[ax]
-            delta[ax] -= L * np.rint(delta[ax] / L)
+            np.rint(np.divide(delta[ax], L, out=tmp), out=tmp)
+            tmp *= L
+            delta[ax] -= tmp
     dx, dy, dz = delta
-    return dx * dx + dz * dz + dy * dy
+    np.multiply(dx, dx, out=r2)
+    r2 += np.multiply(dz, dz, out=tmp)
+    r2 += np.multiply(dy, dy, out=tmp)
+    return r2
 
 
 #: cells are at least rmax / _REACH wide (with a slack against rounding), so a
@@ -188,7 +200,7 @@ def _min_image_r2(delta: np.ndarray, box, periodic) -> np.ndarray:
 _REACH = 2
 _CELL_SLACK = 1.0 + 1e-9
 #: candidate pairs tested at once: bounds the search's temporaries
-_BLOCK = 2**17
+_BLOCK = 2**16
 
 
 def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, np.ndarray]:
@@ -258,18 +270,42 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     return np.divmod(keys, n)
 
 
-def _gather(crystal: Crystal, pairs):
-    """r_i - r_j min-imaged as (3, m) for every listed pair, the indices of those
-    inside the cutoff and their r2 (see the module doc); BlowUpError below 0.5 sigma."""
-    pos = crystal.positions
-    delta = pos.T.take(pairs[0], axis=1) - pos.T.take(pairs[1], axis=1)
-    r2 = _min_image_r2(delta, crystal.box, crystal.periodic)
-    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
-    r2 = r2.take(inside)
+def _workspace(m: int, reuse=None):
+    """Buffers for the separations and forces of m pairs, 64 B per pair, as
+    views of one block: delta and spare (3, m), then r2 and coeff (m,).  The
+    block of the workspace ``reuse`` serves again when it holds m pairs."""
+    if reuse is None or reuse[0].base.size < 8 * m:
+        block = np.empty(8 * m)
+    else:
+        block = reuse[0].base
+    return (block[:3 * m].reshape(3, m), block[3 * m:6 * m].reshape(3, m),
+            block[6 * m:7 * m], block[7 * m:8 * m])
+
+
+def _separations(crystal: Crystal, pairs, work=None):
+    """(delta, r2): r_i - r_j min-imaged as (3, m) and its r2 for every listed
+    pair (see the module doc), written into the `_workspace` ``work`` if given,
+    else into fresh arrays; BlowUpError below 0.5 sigma."""
+    delta, spare, r2, _ = (None,) * 4 if work is None else work
+    pos = crystal.positions.T
+    # the listed indices are in range; in "raise" mode numpy buffers ``out``
+    delta = np.take(pos, pairs[0], axis=1, out=delta, mode="clip")
+    delta -= np.take(pos, pairs[1], axis=1, out=spare, mode="clip")
+    r2 = _min_image_r2(delta, crystal.box, crystal.periodic, r2,
+                       None if spare is None else spare[0])
+    # every pair closer than 0.5 sigma lies inside the cutoff
     if r2.size and r2.min() < 0.5 ** 2:
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
-    return delta, inside, r2
+    return delta, r2
+
+
+def _gather(crystal: Crystal, pairs):
+    """`_separations` into fresh arrays: the (3, m) delta of every listed
+    pair, the indices of those inside the cutoff and their r2."""
+    delta, r2 = _separations(crystal, pairs)
+    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
+    return delta, inside, r2.take(inside)
 
 
 def _cutoff_pairs(crystal: Crystal, pairs):
@@ -279,10 +315,16 @@ def _cutoff_pairs(crystal: Crystal, pairs):
     return pairs[0].take(inside), pairs[1].take(inside), delta.take(inside, axis=1), r2
 
 
-def _lj_coeff(r2: np.ndarray) -> np.ndarray:
-    """Truncated-shifted LJ dU/dr * (1/r) per pair inside the cutoff."""
-    inv_r6 = (1.0 / r2) ** 3
-    return 24.0 * (2.0 * inv_r6**2 - inv_r6) / r2
+def _lj_coeff(r2: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Truncated-shifted LJ dU/dr * (1/r) per pair inside the cutoff, written
+    into the (m,) rows ``out`` and ``tmp`` (a temporary) when given."""
+    inv_r6 = np.power(np.divide(1.0, r2, out=tmp), 3, out=tmp)
+    coeff = np.square(inv_r6, out=out)
+    coeff *= 2.0
+    coeff -= inv_r6
+    coeff *= 24.0
+    coeff /= r2
+    return coeff
 
 
 def _potential_energy(r2: np.ndarray) -> float:
@@ -291,13 +333,16 @@ def _potential_energy(r2: np.ndarray) -> float:
     return float(np.sum(4.0 * (inv_r6**2 - inv_r6) - _SHIFT))
 
 
-def _forces(crystal: Crystal, pairs) -> np.ndarray:
-    """Forces (n, 3) from the listed pairs, +f to i and -f to j: one bincount per
-    axis and side, each bin's terms in list order.  A pair outside the cutoff
-    adds +-0.0, which leaves a bincount sum (never -0.0) as it was."""
-    delta, inside, r2 = _gather(crystal, pairs)
-    coeff = np.zeros(delta.shape[1])
-    coeff[inside] = _lj_coeff(r2)
+def _forces(crystal: Crystal, pairs, work) -> np.ndarray:
+    """Forces (n, 3) from the listed pairs, +f to i and -f to j, computed in
+    their `_workspace` ``work``: the LJ coefficient of every pair times
+    r2 < CUTOFF^2, then one bincount per axis and side, each bin's terms in
+    list order.  A pair outside the cutoff adds +-0.0, which leaves a
+    bincount sum (never -0.0) as it was."""
+    delta, r2 = _separations(crystal, pairs, work)
+    _, spare, _, coeff = work
+    _lj_coeff(r2, coeff, spare[0])
+    coeff *= np.less(r2, CUTOFF * CUTOFF, out=spare[1])
     delta *= coeff
     n = crystal.n_atoms
     return np.array([np.bincount(pairs[0], d, n) - np.bincount(pairs[1], d, n) for d in delta]).T
@@ -316,24 +361,30 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
 
 
 #: what one `integrate` call hands the next: the skin pair list (i, j), its
-#: pairs with a free atom (fi, fj), the positions both were built at, and the
-#: current forces.  The forces come from (fi, fj) alone.  Their grip rows lack
-#: the grip-grip terms and only ever meet a zero kick, while a free atom's row
+#: pairs with a free atom (fi, fj) and their `_workspace`, the positions the
+#: lists were built at, and the current forces.  Each step evaluates its forces
+#: in that workspace, so a step allocates nothing that grows with the pairs.  A
+#: rebuild lays the new workspace out in the old one's block when the new list
+#: fits, so the caller's old state does not keep a second block alive.  (A
+#: realization's first list, built on the perfect lattice, was the largest at
+#: every rebuild of the default and big_slab realizations at seed 0.)  The
+#: forces come from (fi, fj) alone.  Their grip rows lack the grip-grip terms and only ever meet a zero kick, while a free atom's row
 #: gets the same terms in the same order as from (i, j): in i + j order j still
 #: rises for each i and i for each j, so each bin's terms come in list order, and
 #: an add need not wait on the last one to its bin.  So trajectories are bit for
 #: bit those of the whole list.  The energy is not carried: the callers that
 #: read it sum it over (i, j) with `potential_energy`.
-PairState = namedtuple("PairState", "i j fi fj ref_pos forces")
+PairState = namedtuple("PairState", "i j fi fj work ref_pos forces")
 
 
-def _skin_lists(crystal: Crystal):
-    """The sorted skin list (i, j) and its pairs with a free atom (fi, fj) in i + j order."""
+def _skin_lists(crystal: Crystal, work=None):
+    """The sorted skin list (i, j), its pairs with a free atom (fi, fj) in i + j
+    order, and the `_workspace` of (fi, fj), in the block of ``work`` if it fits."""
     i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     free = crystal.free_mask
     keep = np.flatnonzero(free[i] | free[j])
     keep = keep.take(np.argsort(i.take(keep) + j.take(keep), kind="stable"))
-    return i, j, i.take(keep), j.take(keep)
+    return i, j, i.take(keep), j.take(keep), _workspace(keep.size, work)
 
 
 def integrate(crystal: Crystal, params: MDParams, n_steps: int,
@@ -356,9 +407,9 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
     kick = np.where(side != 0, 0.0, 0.5 * dt)[:, None]  # grips ignore forces
     pos, per = crystal.positions, np.asarray(crystal.periodic)
     if state is None:
-        i, j, fi, fj = _skin_lists(crystal)
-        state = PairState(i, j, fi, fj, pos.copy(), _forces(crystal, (fi, fj)))
-    i, j, fi, fj, ref_pos, forces = state
+        i, j, fi, fj, work = _skin_lists(crystal)
+        state = PairState(i, j, fi, fj, work, pos.copy(), _forces(crystal, (fi, fj), work))
+    i, j, fi, fj, work, ref_pos, forces = state
     for _ in range(n_steps):
         crystal.velocities += kick * forces
         pos += dt * crystal.velocities
@@ -368,11 +419,11 @@ def integrate(crystal: Crystal, params: MDParams, n_steps: int,
         if not moved <= (0.5 * SKIN) ** 2:
             if not math.isfinite(moved):
                 raise BlowUpError("positions are no longer finite; dt too large?")
-            i, j, fi, fj = _skin_lists(crystal)
+            i, j, fi, fj, work = _skin_lists(crystal, work)
             ref_pos = pos.copy()
-        forces = _forces(crystal, (fi, fj))
+        forces = _forces(crystal, (fi, fj), work)
         crystal.velocities += kick * forces
-    return PairState(i, j, fi, fj, ref_pos, forces)
+    return PairState(i, j, fi, fj, work, ref_pos, forces)
 
 
 #: total-energy drift per atom over one equilibration chunk (NVE: no rescale

@@ -142,7 +142,46 @@ def test_hosts_summary_population_row_of_other_width_exits_2(tmp_path, capsys, r
     assert not out.exists()
 
 
+def repeated_id_pop_csv(path):
+    """Three hosts, the third with the first's id 5: line 4 repeats line 2."""
+    write_population_csv([HostSpec(id=k, gflops=2.514, n_cpus=1, ram_gb=8, hdd_gb=100)
+                          for k in (5, 6, 5)], path)
+
+
+def test_hosts_summary_repeated_host_id_exits_2(tmp_path, capsys):
+    pop = tmp_path / "pop.csv"
+    repeated_id_pop_csv(pop)
+    out = tmp_path / "summary.csv"
+    assert main(["hosts", "summary", "--pop", str(pop), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {pop}:4: host id 5 repeats line 2\n"
+    assert not out.exists()
+
+
 # --- sim -----------------------------------------------------------------
+
+
+def test_sim_repeated_host_id_exits_2_without_outputs(tmp_path, capsys):
+    # such a population once ran, its two hosts of id 5 in trace.csv as 0 and 2
+    pop_csv = tmp_path / "pop.csv"
+    repeated_id_pop_csv(pop_csv)
+    scn = tmp_path / "one.scenario"
+    one_task_scenario(scn, pop_csv)
+    out = tmp_path / "sim"
+    assert main(["sim", "run", "--scenario", str(scn), "--out-dir", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {pop_csv}:4: host id 5 repeats line 2\n"
+    assert not out.exists()
+
+
+def test_sim_trace_names_hosts_by_their_population_id(tmp_path):
+    pop_csv = tmp_path / "pop.csv"
+    write_population_csv([HostSpec(id=k, gflops=2.514, n_cpus=1, ram_gb=8, hdd_gb=100)
+                          for k in (40, 7)], pop_csv)
+    scn = tmp_path / "two.scenario"
+    scn.write_text(f"[hosts]\ncsv = {pop_csv}\n\n[sim]\nseed = 0\n\n" + TASK_1)
+    out = tmp_path / "sim"
+    assert main(["sim", "run", "--scenario", str(scn), "--out-dir", str(out)]) == EXIT_OK
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert {row.rsplit(",", 1)[1] for row in rows} == {"40", "7"}
 
 
 def test_sim_run_single_ideal_host(tmp_path):

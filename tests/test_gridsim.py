@@ -263,6 +263,13 @@ def test_determinism_and_seed_sensitivity():
     assert t1.events != t3.events
 
 
+def test_hosts_keep_their_ids_and_must_not_share_one():
+    trace = run_scenario([TaskSpec("t", 3600, 4)], [ideal_host(9), ideal_host(3)])
+    assert {e.host_id for e in trace.events} == {9, 3}
+    with pytest.raises(ParameterError, match="host ids must be unique"):
+        run_scenario([TaskSpec("t", 3600, 4)], [ideal_host(9), ideal_host(9)])
+
+
 def test_stall_when_no_host_ever_up():
     dead = [ideal_host(0, on_rate=0.0, off_rate=1.0)]
     with pytest.raises(SimulationStallError):

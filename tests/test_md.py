@@ -147,11 +147,12 @@ def test_neighbor_pairs_cell_grid_does_not_grow_with_empty_space(rmax):
 
 def test_neighbor_pairs_memory_does_not_scale_with_candidates():
     # 4,000 atoms at the skin radius: 161,200 pairs.  Testing every candidate
-    # at once peaked at 97 MB traced; candidate blocks peak near 15 MB
+    # at once peaked at 97 MB traced, blocks of 2^17 candidates at 14.5 MB;
+    # blocks of 2^16 peak at 9.1 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     rmax = md.CUTOFF + md.SKIN
     assert traced_peak_mb(
-        lambda: neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)) < 25.0
+        lambda: neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, rmax)) < 12.0
 
 
 def assert_same_pairs(pos, box, periodic, rmax):
@@ -219,8 +220,8 @@ KERNEL_CRYSTALS = {"slab": (4, 6, 4, 3), "bulk": (3, 3, 3, 0), "narrow": (4, 4, 
 def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed):
     nx, ny, nz, grip_planes = KERNEL_CRYSTALS[kind]
     crystal = build_crystal(nx, ny, nz, grip_planes=grip_planes)
-    # the integrator's skin lists, built before the atoms moved
-    i, j, fi, fj = md._skin_lists(crystal)
+    # the integrator's skin lists and workspace, built before the atoms moved
+    i, j, fi, fj, work = md._skin_lists(crystal)
     skin = (i, j)
     rng = np.random.default_rng(seed)
     crystal.positions += rng.uniform(-jitter, jitter, crystal.positions.shape)
@@ -228,19 +229,25 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
     crystal.box[axis] *= 1.0 + strain
 
     n, free = crystal.n_atoms, crystal.free_mask
-    cut = md._cutoff_pairs(crystal, cutoff_list(crystal))
+    cutoff = cutoff_list(crystal)
+    cut = md._cutoff_pairs(crystal, cutoff)
     skin_cut = md._cutoff_pairs(crystal, skin)
     want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
-    assert np.array_equal(md._forces(crystal, cutoff_list(crystal)), want_forces)
+    assert np.array_equal(md._forces(crystal, cutoff, md._workspace(cutoff[0].size)),
+                          want_forces)
     assert (energy(crystal), cut[3].min()) == (want_potential, want_r2_min)
-    # the step on the stale i + j list: every row as the oracle's over the same
-    # pairs in sorted order, with pairs drifted out of the cutoff adding +-0.0
+    # the step on the stale i + j list, in a workspace whose contents are
+    # stale too: every row as the oracle's over the same pairs in sorted order,
+    # with pairs drifted out of the cutoff adding +-0.0
+    for buffer in work:
+        buffer.fill(np.nan)
     order = np.argsort(fi * n + fj)
-    assert np.array_equal(md._forces(crystal, (fi, fj)),
+    assert np.array_equal(md._forces(crystal, (fi, fj), work),
                           rows_pair_forces(n, *rows_cutoff_pairs(crystal, (fi[order], fj[order]))))
     # and on the lists the integrator rebuilds here: the free rows of the
     # fresh search (grip rows lack grip-grip terms and are never applied)
-    forces = md._forces(crystal, md._skin_lists(crystal)[2:])
+    _, _, fi, fj, work = md._skin_lists(crystal)
+    forces = md._forces(crystal, (fi, fj), work)
     assert np.array_equal(forces[free], want_forces[free])
     if grip_planes:
         assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
@@ -297,6 +304,18 @@ def test_pair_oscillation_period_matches_fine_dt_reference():
     assert abs(coarse - fine) / fine < 1e-3
 
 
+def test_a_rebuilt_list_lays_its_workspace_out_in_the_old_block():
+    params = MDParams(temperature=0.1)
+    crystal = build_crystal(3, 4, 3, temperature=0.1, seed=6)
+    first = integrate(crystal, params, 0, grip_speed=0.2)
+    state = integrate(crystal, params, 300, grip_speed=0.2, state=first)
+    assert not np.array_equal(state.ref_pos, first.ref_pos)  # the list was rebuilt
+    assert state.fi.size <= first.fi.size
+    assert all(b.base is first.work[0].base for b in state.work)
+    # a list that does not fit gets a block of its own
+    assert md._workspace(first.fi.size + 1, first.work)[0].base is not first.work[0].base
+
+
 def test_threaded_state_matches_one_call():
     params = MDParams(temperature=0.1)
     start = build_crystal(3, 4, 3, temperature=0.1, seed=6)
@@ -341,7 +360,7 @@ def in_bin_order(fi, fj):
 @pytest.mark.parametrize("geometry,grip_planes", [((4, 6, 4), 3), ((3, 3, 3), 0), ((6, 8, 6), 3)])
 def test_force_list_is_the_free_subset_in_bin_order(geometry, grip_planes):
     crystal = build_crystal(*geometry, temperature=0.1, seed=3, grip_planes=grip_planes)
-    i, j, fi, fj = md._skin_lists(crystal)
+    i, j, fi, fj, work = md._skin_lists(crystal)
     n, free = crystal.n_atoms, crystal.free_mask
     assert np.all(np.diff(i * n + j) > 0)
     # a permutation of the sorted pairs with a free atom ...
@@ -350,6 +369,8 @@ def test_force_list_is_the_free_subset_in_bin_order(geometry, grip_planes):
     assert np.all(np.diff(fi + fj) >= 0)
     assert in_bin_order(fi, fj)
     assert not in_bin_order(fi[::-1], fj[::-1])
+    # the step's workspace: 64 B per force pair
+    assert [b.shape for b in work] == [(3, fi.size), (3, fi.size), (fi.size,), (fi.size,)]
 
 
 @pytest.mark.parametrize("geometry", [(4, 6, 4), (6, 8, 6)])
@@ -358,7 +379,7 @@ def test_skin_list_of_a_perfect_lattice_ends_between_the_6th_and_7th_shell(geome
     # 6th (2.684) and the 7th (2.899)
     crystal = build_crystal(*geometry)
     midpoint = (math.sqrt(3.0) + math.sqrt(3.5)) / 2 * A0_DEFAULT
-    i, j, _, _ = md._skin_lists(crystal)
+    i, j, *_ = md._skin_lists(crystal)
     want_i, want_j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, midpoint)
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
@@ -426,19 +447,34 @@ def counted_tensile_run(monkeypatch, *names):
 
 
 def test_each_step_evaluates_forces_once(monkeypatch):
-    # one force evaluation per step, plus the first forces of the run
-    _, steps, calls = counted_tensile_run(monkeypatch, "_forces")
+    # one force evaluation per step, plus the first forces of the run, each
+    # in the list's workspace: none allocates a workspace of its own
+    _, steps, calls = counted_tensile_run(monkeypatch, "_forces", "_skin_lists", "_workspace")
     assert calls["_forces"] == sum(steps) + 1
+    assert calls["_workspace"] == calls["_skin_lists"]
 
 
 def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
     # one cutoff gather per checkpoint for its energy, stress and CNA shell;
-    # every list gather: one per force evaluation, one energy per
-    # equilibration chunk boundary, and the checkpoints'
-    records, steps, calls = counted_tensile_run(monkeypatch, "_cutoff_pairs", "_gather")
+    # one fresh-buffer gather per energy at an equilibration chunk boundary
+    # and per checkpoint; every pass over the list's separations: one per force
+    # evaluation and one per gather
+    records, steps, calls = counted_tensile_run(monkeypatch, "_cutoff_pairs", "_gather",
+                                                "_separations")
     chunks = -(-COUNTED_RUN.equilibration_steps // md.RESCALE_INTERVAL)
     assert calls["_cutoff_pairs"] == len(records)
-    assert calls["_gather"] == sum(steps) + 1 + (chunks + 1) + len(records)
+    assert calls["_gather"] == (chunks + 1) + len(records)
+    assert calls["_separations"] == sum(steps) + 1 + calls["_gather"]
+
+
+def test_force_evaluation_allocates_nothing_that_grows_with_the_pairs():
+    # 4,000 atoms, 131,200 force pairs: the per-step gathers and coefficients
+    # peaked at 7.6 MB traced; in the list's workspace only the forces and
+    # their per-atom sums are allocated, 0.18 MB
+    crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
+    _, _, fi, fj, work = md._skin_lists(crystal)
+    md._forces(crystal, (fi, fj), work)
+    assert traced_peak_mb(lambda: md._forces(crystal, (fi, fj), work)) < 1.0
 
 
 def test_unstable_integration_raises():

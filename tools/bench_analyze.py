@@ -17,11 +17,21 @@ parts, each measured on both checkouts:
   first); ``summary`` gives, per workload, each metric's medians, the parent's
   interquartile range and the change's wins.
 - ``md``: for each sweep workload of ``perfbench/workloads.WORKLOADS``, at its
-  geometry, strain rate and target strain: microseconds per ``integrate`` step
-  (the minimum of ``REPEATS`` runs of ``STEPS`` straining steps after a default
-  equilibration, seed 0), and per realization at seeds 0 and 1 the neighbour
-  builds, the wall time and the job CSV's sha256; in a fresh process per side
-  and round, alternating.  ``md_summary`` compares the two sides.
+  geometry, strain rate and target strain, and for the paper-scale crystals
+  of ``PAPER_GEOMETRIES`` at the default strain rate: microseconds per
+  gripped ``integrate`` step (the minimum of ``REPEATS`` runs of ``STEPS``
+  straining steps, seed 0, after a default equilibration for the workloads
+  and after the first list build for the paper-scale crystals), the minor
+  page faults per step (``ru_minflt``) and the tracemalloc peak of one force
+  evaluation; for the workloads, per realization at seeds 0 and 1 the
+  neighbour builds, the wall time and the job CSV's sha256.  In a fresh process per side and round,
+  alternating.  ``md_summary`` compares the two sides.
+- ``block``: for each neighbour-build block size of ``BLOCKS``, in a fresh
+  process per side and size: one realization of each sweep workload (seed 0)
+  with its wall time, minor page faults and the process's ``ru_maxrss`` after
+  it, then per crystal of ``BLOCK_GEOMETRIES`` one ``neighbor_pairs`` build at
+  the skin radius: its best time of ``REPEATS``, its minor page faults and
+  its tracemalloc peak.  This is the measurement behind ``md._BLOCK``.
 - ``outputs``: ``analyze`` on every cell of the campaign workload's ensemble
   and ``sim run`` on each of its scenarios (seed 0): which files are
   byte-identical and the largest ``cloud.csv`` difference.
@@ -58,6 +68,9 @@ STEPS = 100
 ROUNDS = {"md": 2, "n1000": 8, "cna": 8}
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
 CNA_GEOMETRIES = ((10, 10, 10), (16, 16, 16))
+PAPER_GEOMETRIES = ((10, 10, 10), (16, 16, 16))
+BLOCKS = (2**13, 2**14, 2**15, 2**16, 2**17)
+BLOCK_GEOMETRIES = ((4, 6, 4), (6, 8, 6), (10, 10, 10), (16, 16, 16))
 
 
 def _campaign(root: Path, work: Path, n_jobs: int):
@@ -134,14 +147,27 @@ def probe_cna(root: Path, work: Path) -> dict:
     return out
 
 
+def _minor_faults() -> int:
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _sweep_workloads(root: Path) -> dict:
+    """The sweep workloads of the checkout's perfbench, by name."""
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads
+
+    made = {name: make() for name, make in workloads.WORKLOADS.items()}
+    return {name: w for name, w in made.items() if isinstance(w, workloads.SweepWorkload)}
+
+
 def probe_md(root: Path, work: Path) -> dict:
     import time
+    import tracemalloc
 
     from gridsweep import md
     from gridsweep.sweep import write_records_csv
-
-    sys.path.insert(0, str(root / "perfbench"))
-    import workloads
 
     builds = []
     search = md.neighbor_pairs
@@ -150,23 +176,33 @@ def probe_md(root: Path, work: Path) -> dict:
         builds.append(1)
         return search(*args)
 
-    md.neighbor_pairs = counting_search
-    out = {}
-    for name, make in workloads.WORKLOADS.items():
-        w = make()
-        if not isinstance(w, workloads.SweepWorkload):
-            continue
-        params = md.MDParams(strain_rate=w.strain_rate, target_strain=w.target_strain)
-        crystal = md.build_crystal(*w.geometry, temperature=params.temperature, seed=0)
-        state = md.equilibrate(crystal, params)
+    def step_row(geometry, params, crystal, state) -> dict:
         grip_speed = 0.5 * params.strain_rate * md.A0_DEFAULT
-        times = []
+        times, faults = [], _minor_faults()
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             state = md.integrate(crystal, params, STEPS, grip_speed=grip_speed, state=state)
             times.append(time.perf_counter() - t0)
-        row = {"geometry": list(w.geometry), "atoms": crystal.n_atoms,
-               "us_per_step": round(1e6 * min(times) / STEPS, 1), "realizations": {}}
+        faults = _minor_faults() - faults
+        # checkouts before the force list's workspace took no third argument
+        workspace = [state.work] if "work" in md.PairState._fields else []
+        tracemalloc.start()
+        md._forces(crystal, (state.fi, state.fj), *workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"geometry": list(geometry), "atoms": crystal.n_atoms,
+                "force_pairs": int(state.fi.size),
+                "us_per_step": round(1e6 * min(times) / STEPS, 1),
+                "minor_faults_per_step": round(faults / (REPEATS * STEPS), 1),
+                "force_traced_peak_mb": round(peak / 2**20, 2)}
+
+    md.neighbor_pairs = counting_search
+    out = {}
+    for name, w in _sweep_workloads(root).items():
+        params = md.MDParams(strain_rate=w.strain_rate, target_strain=w.target_strain)
+        crystal = md.build_crystal(*w.geometry, temperature=params.temperature, seed=0)
+        row = step_row(w.geometry, params, crystal, md.equilibrate(crystal, params))
+        row["realizations"] = {}
         for seed in (0, 1):
             builds.clear()
             t0 = time.perf_counter()
@@ -178,6 +214,48 @@ def probe_md(root: Path, work: Path) -> dict:
                 "neighbor_builds": len(builds), "wall_s": round(wall, 3),
                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
         out[name] = row
+    params = md.MDParams()
+    for geometry in PAPER_GEOMETRIES:
+        crystal = md.build_crystal(*geometry, temperature=params.temperature, seed=0)
+        state = md.integrate(crystal, params, 0)  # the list and first forces, untimed
+        out["x".join(map(str, geometry))] = step_row(geometry, params, crystal, state)
+    return out
+
+
+def probe_block(root: Path, work: Path, block: int) -> dict:
+    import resource
+    import time
+    import tracemalloc
+
+    from gridsweep import md
+
+    md._BLOCK = block
+    out = {"realizations": {}, "builds": {}}
+    for name, w in _sweep_workloads(root).items():
+        params = md.MDParams(strain_rate=w.strain_rate, target_strain=w.target_strain)
+        t0, faults = time.perf_counter(), _minor_faults()
+        md.run_tensile(params, w.geometry, seed=0)
+        out["realizations"][name] = {
+            "wall_s": round(time.perf_counter() - t0, 3),
+            "minor_faults": _minor_faults() - faults,
+            "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+    for geometry in BLOCK_GEOMETRIES:
+        crystal = md.build_crystal(*geometry, temperature=0.05, seed=2)
+        args = (crystal.positions, crystal.box, crystal.periodic, md.CUTOFF + md.SKIN)
+        md.neighbor_pairs(*args)
+        times, faults = [], _minor_faults()
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            md.neighbor_pairs(*args)
+            times.append(time.perf_counter() - t0)
+        faults = _minor_faults() - faults
+        tracemalloc.start()
+        md.neighbor_pairs(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out["builds"]["x".join(map(str, geometry))] = {
+            "atoms": crystal.n_atoms, "ms": round(1e3 * min(times), 2),
+            "minor_faults": round(faults / REPEATS, 1), "traced_peak_mb": round(peak / 2**20, 2)}
     return out
 
 
@@ -205,15 +283,16 @@ def probe_outputs(root: Path, work: Path) -> dict:
     return {"sha256": files, "clouds": clouds}
 
 
-PROBES = {"cna": probe_cna, "md": probe_md, "n1000": probe_n1000, "outputs": probe_outputs}
+PROBES = {"block": probe_block, "cna": probe_cna, "md": probe_md, "n1000": probe_n1000,
+          "outputs": probe_outputs}
 
 
-def _probe(root: Path, name: str, work: Path) -> dict:
+def _probe(root: Path, name: str, work: Path, *args: str) -> dict:
     work.mkdir(parents=True, exist_ok=True)
     # in the checkout, where perfbench's workloads find the scenarios
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--probe", name, "--root", str(root),
-         "--work", str(work)],
+         "--work", str(work), *args],
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -254,19 +333,26 @@ def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def _compare_md(rounds: dict) -> dict:
-    """Per workload: each side's best microseconds per step over the rounds, and
-    whether every job digest of every round is the same on both sides."""
+    """Per row: each side's best microseconds and fewest minor faults per step
+    over the rounds and its force evaluation's traced peak; for the workloads,
+    the neighbour builds and whether every job digest of every round is the
+    same on both sides."""
     out, sides = {}, ("parent", "change")
-    for name in rounds["parent"][0]:
+    for name, first in rounds["parent"][0].items():
         best = {s: min(r[name]["us_per_step"] for r in rounds[s]) for s in sides}
-        digests = {s: {(k, v["sha256"]) for r in rounds[s]
-                       for k, v in r[name]["realizations"].items()} for s in sides}
-        out[name] = {"us_per_step": best,
-                     "relative_change": best["change"] / best["parent"] - 1.0,
-                     "neighbor_builds": {s: [v["neighbor_builds"] for v in
-                                             rounds[s][0][name]["realizations"].values()]
-                                         for s in sides},
-                     "same_job_digests": digests["parent"] == digests["change"]}
+        row = out[name] = {
+            "us_per_step": best, "relative_change": best["change"] / best["parent"] - 1.0,
+            "minor_faults_per_step": {s: min(r[name]["minor_faults_per_step"] for r in rounds[s])
+                                      for s in sides},
+            "force_traced_peak_mb": {s: rounds[s][0][name]["force_traced_peak_mb"]
+                                     for s in sides}}
+        if "realizations" in first:
+            digests = {s: {(k, v["sha256"]) for r in rounds[s]
+                           for k, v in r[name]["realizations"].items()} for s in sides}
+            row["neighbor_builds"] = {s: [v["neighbor_builds"] for v in
+                                          rounds[s][0][name]["realizations"].values()]
+                                      for s in sides}
+            row["same_job_digests"] = digests["parent"] == digests["change"]
     return out
 
 
@@ -308,10 +394,12 @@ def main(argv=None) -> int:
     p.add_argument("--probe", choices=sorted(PROBES), help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--block", type=int, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
 
     if args.probe:
-        print(json.dumps(PROBES[args.probe](args.root.resolve(), args.work)))
+        extra = () if args.block is None else (args.block,)
+        print(json.dumps(PROBES[args.probe](args.root.resolve(), args.work, *extra)))
         return 0
     if not (args.parent and args.change and args.out and args.first_seed is not None):
         p.error("--parent, --change, --out and --first-seed are required")
@@ -341,6 +429,8 @@ def main(argv=None) -> int:
             for r in range(rounds):
                 for s in (("parent", "change"), ("change", "parent"))[r % 2]:
                     record[name][s].append(_probe(sides[s], name, work / s))
+        record["block"] = {s: {block: _probe(root, "block", work / s, "--block", str(block))
+                               for block in BLOCKS} for s, root in sides.items()}
         record["md_summary"] = _compare_md(record["md"])
         record["n1000_summary"] = _spread(record["n1000"])
         record["cna_summary"] = _spread(record["cna"])
