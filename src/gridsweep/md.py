@@ -8,15 +8,15 @@ cheap enough for desk-scale ensembles while leaving the whole statistics
 chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
 call.  The energy checks take their pairs from it, and each checkpoint
-gathers its cutoff pairs from it once, for the energy, grip stress and CNA.
+gathers its separations from it once, for the energy, grip stress and CNA.
 The integrator computes forces only.  Its kernel skips the pairs with no
 free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
 forces land only on grip rows, which the integrator never applies.  The
-energy and the observables use the whole list.  A step evaluates its forces
-in place, in a workspace allocated with the force list (as LAMMPS keeps its
-neighbour and force arrays across steps), so it allocates nothing that grows
-with the pairs; the energy checks and the records gather into fresh arrays.
-Both take their separations from one routine, `_separations`.
+energy and the observables use the whole list, masked to their radius.
+Every pass over the list -- a step, an energy check, a record -- gathers its
+separations with `_separations` into one workspace allocated with the list
+(as LAMMPS keeps its neighbour and force arrays across steps), so a step
+allocates nothing that grows with the pairs.
 
 Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
 order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
@@ -54,7 +54,7 @@ A0_DEFAULT = 1.5496034240894725
 CUTOFF = 2.5
 SKIN = 0.3
 #: CNA bond radius, near the midpoint of the first two FCC shells (a0/sqrt(2), a0)
-#: and inside CUTOFF, so a checkpoint's cutoff pairs hold every CNA bond
+#: and inside CUTOFF, so the skin list holds every CNA bond
 CNA_CUTOFF = 0.854 * A0_DEFAULT
 #: strain between two recorded checkpoints
 CHECKPOINT_DSTRAIN = 0.01
@@ -283,36 +283,21 @@ def _workspace(m: int, reuse=None):
 
 
 def _separations(crystal: Crystal, pairs, work=None):
-    """(delta, r2): r_i - r_j min-imaged as (3, m) and its r2 for every listed
-    pair (see the module doc), written into the `_workspace` ``work`` if given,
-    else into fresh arrays; BlowUpError below 0.5 sigma."""
-    delta, spare, r2, _ = (None,) * 4 if work is None else work
+    """The `_workspace` of the listed pairs, in the block of ``work`` if it
+    fits: delta holds r_i - r_j min-imaged as (3, m), r2 its squared lengths
+    (see the module doc); spare and coeff are free rows.  BlowUpError below 0.5 sigma."""
+    work = _workspace(len(pairs[0]), work)
+    delta, spare, r2, _ = work
     pos = crystal.positions.T
     # the listed indices are in range; in "raise" mode numpy buffers ``out``
-    delta = np.take(pos, pairs[0], axis=1, out=delta, mode="clip")
+    np.take(pos, pairs[0], axis=1, out=delta, mode="clip")
     delta -= np.take(pos, pairs[1], axis=1, out=spare, mode="clip")
-    r2 = _min_image_r2(delta, crystal.box, crystal.periodic, r2,
-                       None if spare is None else spare[0])
+    _min_image_r2(delta, crystal.box, crystal.periodic, r2, spare[0])
     # every pair closer than 0.5 sigma lies inside the cutoff
     if r2.size and r2.min() < 0.5 ** 2:
         raise BlowUpError(
             f"atom pair at r = {math.sqrt(r2.min()):.3g} < 0.5 sigma; dt too large?")
-    return delta, r2
-
-
-def _gather(crystal: Crystal, pairs):
-    """`_separations` into fresh arrays: the (3, m) delta of every listed
-    pair, the indices of those inside the cutoff and their r2."""
-    delta, r2 = _separations(crystal, pairs)
-    inside = np.flatnonzero(r2 < CUTOFF * CUTOFF)
-    return delta, inside, r2.take(inside)
-
-
-def _cutoff_pairs(crystal: Crystal, pairs):
-    """(i, j, delta, r2) of the pairs inside the cutoff, as `_gather`; on a sorted skin
-    list, exactly those of a search at the cutoff, each bin's terms in list order."""
-    delta, inside, r2 = _gather(crystal, pairs)
-    return pairs[0].take(inside), pairs[1].take(inside), delta.take(inside, axis=1), r2
+    return work
 
 
 def _lj_coeff(r2: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -328,8 +313,9 @@ def _lj_coeff(r2: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 
 def _potential_energy(r2: np.ndarray) -> float:
-    """Truncated-shifted LJ energy summed over pairs inside the cutoff."""
-    inv_r6 = (1.0 / r2) ** 3
+    """Truncated-shifted LJ energy summed, in list order, over the pairs of
+    squared separations ``r2`` that lie inside the cutoff."""
+    inv_r6 = (1.0 / r2[r2 < CUTOFF * CUTOFF]) ** 3
     return float(np.sum(4.0 * (inv_r6**2 - inv_r6) - _SHIFT))
 
 
@@ -339,8 +325,7 @@ def _forces(crystal: Crystal, pairs, work) -> np.ndarray:
     r2 < CUTOFF^2, then one bincount per axis and side, each bin's terms in
     list order.  A pair outside the cutoff adds +-0.0, which leaves a
     bincount sum (never -0.0) as it was."""
-    delta, r2 = _separations(crystal, pairs, work)
-    _, spare, _, coeff = work
+    delta, spare, r2, coeff = _separations(crystal, pairs, work)
     _lj_coeff(r2, coeff, spare[0])
     coeff *= np.less(r2, CUTOFF * CUTOFF, out=spare[1])
     delta *= coeff
@@ -348,11 +333,11 @@ def _forces(crystal: Crystal, pairs, work) -> np.ndarray:
     return np.array([np.bincount(pairs[0], d, n) - np.bincount(pairs[1], d, n) for d in delta]).T
 
 
-def potential_energy(crystal: Crystal, pairs) -> float:
+def potential_energy(crystal: Crystal, pairs, work=None) -> float:
     """Truncated-shifted LJ energy of the sorted pair list ``pairs``, one that
-    holds every pair inside the cutoff, such as the integrator's skin list;
-    BlowUpError as `_gather`."""
-    return _potential_energy(_gather(crystal, pairs)[2])
+    holds every pair inside the cutoff, such as the integrator's skin list,
+    gathered by `_separations` into ``work``; BlowUpError as `_separations`."""
+    return _potential_energy(_separations(crystal, pairs, work)[2])
 
 
 def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
@@ -361,30 +346,31 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
 
 
 #: what one `integrate` call hands the next: the skin pair list (i, j), its
-#: pairs with a free atom (fi, fj) and their `_workspace`, the positions the
-#: lists were built at, and the current forces.  Each step evaluates its forces
-#: in that workspace, so a step allocates nothing that grows with the pairs.  A
-#: rebuild lays the new workspace out in the old one's block when the new list
-#: fits, so the caller's old state does not keep a second block alive.  (A
-#: realization's first list, built on the perfect lattice, was the largest at
-#: every rebuild of the default and big_slab realizations at seed 0.)  The
-#: forces come from (fi, fj) alone.  Their grip rows lack the grip-grip terms and only ever meet a zero kick, while a free atom's row
-#: gets the same terms in the same order as from (i, j): in i + j order j still
-#: rises for each i and i for each j, so each bin's terms come in list order, and
-#: an add need not wait on the last one to its bin.  So trajectories are bit for
-#: bit those of the whole list.  The energy is not carried: the callers that
-#: read it sum it over (i, j) with `potential_energy`.
+#: pairs with a free atom (fi, fj), the `_workspace` of (i, j), the positions
+#: the lists were built at, and the current forces.  Each step's forces, energy
+#: check and record lays its views out in that workspace's block; only the
+#: returned forces outlive a pass.  A rebuild lays the new workspace out in the
+#: old one's block when the new list fits, so the caller's old state does not
+#: keep a second block alive (no rebuild outgrew the first list, built on the
+#: perfect lattice, in default realizations at seeds 0 and 1).  The forces come
+#: from (fi, fj) alone.  Their grip rows lack the grip-grip terms and only ever
+#: meet a zero kick, while a free atom's row gets the same terms in the same
+#: order as from (i, j): in i + j order j still rises for each i and i for each
+#: j, so each bin's terms come in list order, and an add need not wait on the
+#: last one to its bin.  So trajectories are bit for bit those of the whole
+#: list.  The energy is not carried: the callers that read it sum it over (i, j)
+#: with `potential_energy`.
 PairState = namedtuple("PairState", "i j fi fj work ref_pos forces")
 
 
 def _skin_lists(crystal: Crystal, work=None):
     """The sorted skin list (i, j), its pairs with a free atom (fi, fj) in i + j
-    order, and the `_workspace` of (fi, fj), in the block of ``work`` if it fits."""
+    order, and the `_workspace` of (i, j), in the block of ``work`` if it fits."""
     i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     free = crystal.free_mask
     keep = np.flatnonzero(free[i] | free[j])
     keep = keep.take(np.argsort(i.take(keep) + j.take(keep), kind="stable"))
-    return i, j, i.take(keep), j.take(keep), _workspace(keep.size, work)
+    return i, j, i.take(keep), j.take(keep), _workspace(i.size, work)
 
 
 def integrate(crystal: Crystal, params: MDParams, n_steps: int,
@@ -437,12 +423,12 @@ def equilibrate(crystal: Crystal, params: MDParams) -> PairState:
     MAX_CHUNK_DRIFT per atom.  Returns the state for the next `integrate`."""
     steps, interval = params.equilibration_steps, RESCALE_INTERVAL
     state = integrate(crystal, params, 0)
-    potential = potential_energy(crystal, (state.i, state.j))
+    potential = potential_energy(crystal, (state.i, state.j), state.work)
     for done in range(0, steps, interval):
         chunk = min(interval, steps - done)
         e0 = potential + kinetic_energy(crystal)
         state = integrate(crystal, params, chunk, state=state)
-        potential = potential_energy(crystal, (state.i, state.j))
+        potential = potential_energy(crystal, (state.i, state.j), state.work)
         drift = (potential + kinetic_energy(crystal) - e0) / crystal.n_atoms
         if not abs(drift) <= MAX_CHUNK_DRIFT:
             raise BlowUpError(f"energy drifted by {drift:.3g} per atom in {chunk} steps; "
@@ -464,22 +450,24 @@ def grip_separation(crystal: Crystal) -> float:
     return float(y[side > 0].mean() - y[side < 0].mean())
 
 
-def grip_stress(crystal: Crystal, cut) -> float:
+def grip_stress(crystal: Crystal, gathered) -> float:
     """Normal stress at the top grip, tension positive.
 
     Sum of y-forces exerted by free atoms on top-grip atoms, divided by the
     x-z cross-section; under tension the free bulk pulls the top grip
-    inward (-y), so the sign is flipped to make tension positive.  ``cut`` is
-    the `_cutoff_pairs` gather of a list holding every pair inside the cutoff.
+    inward (-y), so the sign is flipped to make tension positive.
+    ``gathered`` is (i, j, delta, r2): a list holding every pair inside the
+    cutoff, such as the skin list, and its `_separations`.
     """
     if not crystal.grip_side.any():
         raise ParameterError("crystal has no grip layers")
     top = crystal.grip_side > 0
     free = crystal.free_mask
-    i, j, delta, r2 = cut
+    i, j, delta, r2 = gathered
+    inside = r2 < CUTOFF * CUTOFF
     # y-force of free j on top-grip i, then of free i on top-grip j, in list
     # order; the force coefficient is elementwise, so it is taken on these alone
-    on_i, on_j = top[i] & free[j], top[j] & free[i]
+    on_i, on_j = top[i] & free[j] & inside, top[j] & free[i] & inside
     f_y = np.concatenate([_lj_coeff(r2[on_i]) * delta[1, on_i],
                           -(_lj_coeff(r2[on_j]) * delta[1, on_j])])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
@@ -513,16 +501,16 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     steps = checkpoint_steps(params, crystal)
 
     def record(strain: float) -> DefectRecord:
-        # the cutoff pairs of the skin list give the energy, the stress and,
-        # within CNA_CUTOFF, the CNA shell
-        cut = _cutoff_pairs(crystal, (state.i, state.j))
-        i, j, _, r2 = cut
+        # the skin list's separations, gathered once into its workspace, give
+        # the energy and the stress; its pairs within CNA_CUTOFF, the CNA shell
+        i, j = state.i, state.j
+        delta, _, r2, _ = _separations(crystal, (i, j), state.work)
+        energy = _potential_energy(r2) + kinetic_energy(crystal)
+        sigma_top = grip_stress(crystal, (i, j, delta, r2))
         shell = r2 < CNA_CUTOFF * CNA_CUTOFF
         labels = cna_labels(crystal.positions, (i[shell], j[shell]))
-        energy = _potential_energy(r2) + kinetic_energy(crystal)
         return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
-                            sigma_top=grip_stress(crystal, cut),
-                            energy=energy / crystal.n_atoms)
+                            sigma_top=sigma_top, energy=energy / crystal.n_atoms)
 
     records = [record(0.0)]
     grip_speed = 0.5 * params.strain_rate * A0_DEFAULT  # per grip; separation rate is 2x

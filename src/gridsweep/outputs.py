@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,9 +14,10 @@ def staged_outputs():
     """Stage output files, then commit them all or none.
 
     Yields ``stage(path) -> Path``, the temporary path to write ``path`` to.
-    When the block completes, every staged file is renamed onto its target;
-    when it raises, every temporary file is removed, so a failing command
-    leaves neither partial outputs nor stray temporary files.
+    When the block completes, every staged file is renamed onto its target,
+    unless a target is a directory: then none is.  When the block or a rename
+    raises, every temporary file not yet renamed is removed, so a failing
+    command leaves neither partial outputs nor stray temporary files.
     """
     staged: list[tuple[Path, Path]] = []
 
@@ -27,12 +29,16 @@ def staged_outputs():
 
     try:
         yield stage
+        for _, path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    for tmp, path in staged:
-        os.replace(tmp, path)
 
 
 def write_csv(path, header, rows) -> None:

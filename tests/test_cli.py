@@ -17,6 +17,7 @@ from gridsweep import gridsim, sweep as sweep_mod
 from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from gridsweep.hosts import HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
+from gridsweep.outputs import staged_outputs
 from gridsweep.scenario import parse_scenario
 from gridsweep.stats import _weibull_profile, fit_weibull
 from gridsweep.sweep import job_csv_path, write_records_csv
@@ -480,6 +481,34 @@ def test_pinned_c_unk_weibull_fit_is_the_exact_newton_root(tmp_path):
     y = v[None, :] / v.max()
     g, _ = _weibull_profile(np.array([k]), y, np.log(y), np.log(y).mean(axis=1))
     assert g[0] == 0.0
+
+
+def test_analyze_onto_a_directory_commits_no_output(tmp_path, capsys):
+    # a directory in verdict.csv's place once failed the last rename, after
+    # the other four outputs had been committed, and left verdict.csv.tmp
+    write_pinned_ensemble(tmp_path / "jobs")
+    out = tmp_path / "analysis"
+    (out / "verdict.csv").mkdir(parents=True)
+    code = main(["analyze", "--input-dir", str(tmp_path / "jobs"), "--strain", "0.1",
+                 "--observable", "c_unk", "--out-dir", str(out), "--n-resamples", "19"])
+    assert code == EXIT_RUNTIME
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["verdict.csv"]
+
+
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == "b.csv":
+            raise OSError("rename failed")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="rename failed"), staged_outputs() as stage:
+        for name in "abc":
+            stage(tmp_path / f"{name}.csv").write_text(name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
 
 @pytest.mark.parametrize("row, problem", [

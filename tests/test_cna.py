@@ -26,7 +26,7 @@ from gridsweep.md import (
     CNA_CUTOFF,
     CUTOFF,
     SKIN,
-    _cutoff_pairs,
+    _separations,
     build_crystal,
     fcc_positions,
     neighbor_pairs,
@@ -156,11 +156,11 @@ def test_record_labels_run_in_bounded_memory():
     # peaked at 19.0 MB traced; CNA_BLOCK centres at a time peak near 4.6 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
-    i, j, _, r2 = _cutoff_pairs(crystal, skin)
+    _, _, r2, _ = _separations(crystal, skin)
     shell = r2 < CNA_CUTOFF * CNA_CUTOFF
     tracemalloc.start()
     try:
-        labels = cna_labels(crystal.positions, (i[shell], j[shell]))
+        labels = cna_labels(crystal.positions, (skin[0][shell], skin[1][shell]))
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

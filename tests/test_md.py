@@ -43,9 +43,15 @@ def energy(crystal):
     return potential_energy(crystal, cutoff_list(crystal))
 
 
+def gathered(crystal, pairs, work=None):
+    """(i, j, delta, r2) of the listed pairs, as `_separations` gathers them."""
+    delta, _, r2, _ = md._separations(crystal, pairs, work)
+    return (*pairs, delta, r2)
+
+
 def stress(crystal):
     """Grip stress over a fresh search at the cutoff."""
-    return grip_stress(crystal, md._cutoff_pairs(crystal, cutoff_list(crystal)))
+    return grip_stress(crystal, gathered(crystal, cutoff_list(crystal)))
 
 
 def two_atom_crystal(separation, box_side=30.0):
@@ -230,28 +236,31 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
 
     n, free = crystal.n_atoms, crystal.free_mask
     cutoff = cutoff_list(crystal)
-    cut = md._cutoff_pairs(crystal, cutoff)
-    skin_cut = md._cutoff_pairs(crystal, skin)
+    cut = gathered(crystal, cutoff)
     want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
     assert np.array_equal(md._forces(crystal, cutoff, md._workspace(cutoff[0].size)),
                           want_forces)
     assert (energy(crystal), cut[3].min()) == (want_potential, want_r2_min)
-    # the step on the stale i + j list, in a workspace whose contents are
-    # stale too: every row as the oracle's over the same pairs in sorted order,
-    # with pairs drifted out of the cutoff adding +-0.0
+    # the step on the stale i + j list, in the skin list's workspace, whose
+    # contents are stale too: every row as the oracle's over the same pairs in
+    # sorted order, with pairs drifted out of the cutoff adding +-0.0
     for buffer in work:
         buffer.fill(np.nan)
     order = np.argsort(fi * n + fj)
     assert np.array_equal(md._forces(crystal, (fi, fj), work),
                           rows_pair_forces(n, *rows_cutoff_pairs(crystal, (fi[order], fj[order]))))
+    # the energy and the stress of the stale skin list, gathered into its
+    # workspace after the step: those of its pairs still inside the cutoff
+    assert potential_energy(crystal, skin, work) == md._potential_energy(
+        rows_cutoff_pairs(crystal, skin)[3])
+    if grip_planes:
+        assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
+        assert grip_stress(crystal, gathered(crystal, skin, work)) == rows_grip_stress(crystal, skin)
     # and on the lists the integrator rebuilds here: the free rows of the
     # fresh search (grip rows lack grip-grip terms and are never applied)
     _, _, fi, fj, work = md._skin_lists(crystal)
     forces = md._forces(crystal, (fi, fj), work)
     assert np.array_equal(forces[free], want_forces[free])
-    if grip_planes:
-        assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
-        assert grip_stress(crystal, skin_cut) == rows_grip_stress(crystal, skin)
 
 
 @pytest.mark.parametrize("evaluate", [pytest.param(energy, id="potential_energy"),
@@ -310,10 +319,10 @@ def test_a_rebuilt_list_lays_its_workspace_out_in_the_old_block():
     first = integrate(crystal, params, 0, grip_speed=0.2)
     state = integrate(crystal, params, 300, grip_speed=0.2, state=first)
     assert not np.array_equal(state.ref_pos, first.ref_pos)  # the list was rebuilt
-    assert state.fi.size <= first.fi.size
+    assert state.i.size <= first.i.size
     assert all(b.base is first.work[0].base for b in state.work)
     # a list that does not fit gets a block of its own
-    assert md._workspace(first.fi.size + 1, first.work)[0].base is not first.work[0].base
+    assert md._workspace(first.i.size + 1, first.work)[0].base is not first.work[0].base
 
 
 def test_threaded_state_matches_one_call():
@@ -369,8 +378,8 @@ def test_force_list_is_the_free_subset_in_bin_order(geometry, grip_planes):
     assert np.all(np.diff(fi + fj) >= 0)
     assert in_bin_order(fi, fj)
     assert not in_bin_order(fi[::-1], fj[::-1])
-    # the step's workspace: 64 B per force pair
-    assert [b.shape for b in work] == [(3, fi.size), (3, fi.size), (fi.size,), (fi.size,)]
+    # the workspace of every pass over the lists: 64 B per skin pair
+    assert [b.shape for b in work] == [(3, i.size), (3, i.size), (i.size,), (i.size,)]
 
 
 @pytest.mark.parametrize("geometry", [(4, 6, 4), (6, 8, 6)])
@@ -447,24 +456,36 @@ def counted_tensile_run(monkeypatch, *names):
 
 
 def test_each_step_evaluates_forces_once(monkeypatch):
-    # one force evaluation per step, plus the first forces of the run, each
-    # in the list's workspace: none allocates a workspace of its own
-    _, steps, calls = counted_tensile_run(monkeypatch, "_forces", "_skin_lists", "_workspace")
+    # one force evaluation per step, plus the first forces of the run; the
+    # block each one gathers into is checked with every other pass below
+    _, steps, calls = counted_tensile_run(monkeypatch, "_forces")
     assert calls["_forces"] == sum(steps) + 1
-    assert calls["_workspace"] == calls["_skin_lists"]
 
 
 def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
-    # one cutoff gather per checkpoint for its energy, stress and CNA shell;
-    # one fresh-buffer gather per energy at an equilibration chunk boundary
-    # and per checkpoint; every pass over the list's separations: one per force
-    # evaluation and one per gather
-    records, steps, calls = counted_tensile_run(monkeypatch, "_cutoff_pairs", "_gather",
-                                                "_separations")
+    # every pass over the list's separations -- one per force evaluation, one
+    # per energy at an equilibration chunk boundary and one per checkpoint for
+    # its energy, stress and CNA shell -- gathers into the block of the run's
+    # current list: a new block comes only with a list build
+    blocks, passes = [], []
+    skin_lists, separations = md._skin_lists, md._separations
+
+    def building(crystal, work=None):
+        lists = skin_lists(crystal, work)
+        blocks.append(lists[-1][0].base)
+        return lists
+
+    def gathering(crystal, pairs, work=None):
+        work = separations(crystal, pairs, work)
+        passes.append(work[0].base is blocks[-1])
+        return work
+
+    monkeypatch.setattr(md, "_skin_lists", building)
+    monkeypatch.setattr(md, "_separations", gathering)
+    records, steps, _ = counted_tensile_run(monkeypatch)
     chunks = -(-COUNTED_RUN.equilibration_steps // md.RESCALE_INTERVAL)
-    assert calls["_cutoff_pairs"] == len(records)
-    assert calls["_gather"] == (chunks + 1) + len(records)
-    assert calls["_separations"] == sum(steps) + 1 + calls["_gather"]
+    assert len(passes) == (sum(steps) + 1) + (chunks + 1) + len(records)
+    assert all(passes)
 
 
 def test_force_evaluation_allocates_nothing_that_grows_with_the_pairs():
@@ -558,14 +579,24 @@ def test_stress_sign_and_energy_derivative(strain, sign):
 
 
 def test_grip_stress_takes_the_record_gather_in_bounded_memory():
-    # 4,000 atoms, 146,800 cutoff pairs: re-gathering them from the skin list
-    # inside grip_stress peaked at 15.4 MB traced; keeping the top-grip pairs
-    # of the caller's gather first peaks near 0.6 MB
+    # 4,000 atoms, 161,200 skin pairs: re-gathering them from the skin list
+    # inside grip_stress peaked at 15.4 MB traced; masking the record's gather
+    # of the whole list to its top-grip pairs inside the cutoff peaks near 0.8 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
-    skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, md.CUTOFF + md.SKIN)
-    cut = md._cutoff_pairs(crystal, skin)
-    assert traced_peak_mb(lambda: grip_stress(crystal, cut)) < 3.0
-    assert grip_stress(crystal, cut) == rows_grip_stress(crystal, skin)
+    i, j, _, _, work = md._skin_lists(crystal)
+    skin = gathered(crystal, (i, j), work)
+    assert traced_peak_mb(lambda: grip_stress(crystal, skin)) < 3.0
+    assert grip_stress(crystal, skin) == rows_grip_stress(crystal, (i, j))
+
+
+def test_energy_check_runs_in_the_list_workspace_in_bounded_memory():
+    # 4,000 atoms, 161,200 skin pairs: gathering them into fresh arrays for
+    # the energy peaked at 7.8 MB traced; in the list's workspace only the
+    # energies of the pairs inside the cutoff are allocated, 2.2 MB
+    crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
+    i, j, _, _, work = md._skin_lists(crystal)
+    assert traced_peak_mb(lambda: potential_energy(crystal, (i, j), work)) < 4.0
+    assert potential_energy(crystal, (i, j), work) == energy(crystal)
 
 
 # --- tensile runs --------------------------------------------------------

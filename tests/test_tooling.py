@@ -1,7 +1,8 @@
-"""Source hygiene of the package modules, and the argument names perfbench's
-tracer binds."""
+"""Source hygiene of the package modules, the package names the benchmark
+scripts use, and the argument names perfbench's tracer binds."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,9 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "gridsweep"
 PERFBENCH = TESTS.parent / "perfbench"
+#: scripts outside the package that use its modules, as run from the repo root
+SCRIPTS = {p.relative_to(TESTS.parent).as_posix(): p
+           for p in [TESTS.parent / "tools" / "bench_analyze.py", *PERFBENCH.glob("*.py")]}
 #: every module scanned for unused imports: the package's by file name, the
 #: tests' as tests/NAME
 SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
@@ -88,6 +92,45 @@ def uncalled_public_functions(sources: dict[str, str]) -> list[str]:
     return sorted(f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                   and (mod, node.name) not in used)
+
+
+def package_uses(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each name a script takes from a gridsweep module: an
+    attribute ``alias.name``, read or set, on a module bound by ``from
+    gridsweep import module as alias``, or a ``from gridsweep.module import
+    name``.  A ``getattr(alias, "name", default)`` is no use of ``name``: the
+    script copes without it, as it does with a field it reads only when
+    ``"name" in ..._fields``, which is not a module attribute either."""
+    alias, uses = {}, set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "gridsweep":
+                alias.update((a.asname or a.name, a.name) for a in node.names)
+            elif node.module.startswith("gridsweep."):
+                uses.update((node.module.removeprefix("gridsweep."), a.name) for a in node.names)
+    uses.update((alias[node.value.id], node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in alias)
+    return sorted(uses)
+
+
+def test_package_use_scan_sees_attributes_and_imports():
+    source = ("from gridsweep import md, stats as st\nfrom gridsweep.cna import cna_labels\n"
+              "def f(state, np):\n    md._BLOCK = 2\n    old = getattr(md, 'OLD', 0)\n"
+              "    fields = md.PairState._fields\n"
+              "    return st.ks_test, np.take, state.work if 'work' in fields else old\n")
+    assert package_uses(source) == [("cna", "cna_labels"), ("md", "PairState"),
+                                    ("md", "_BLOCK"), ("stats", "ks_test")]
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_uses_only_names_the_package_has(script):
+    # the benchmark tools measure older checkouts too, and no other test runs
+    # them: a helper renamed or removed in the package breaks them silently
+    missing = [f"{module}.{name}" for module, name in package_uses(SCRIPTS[script].read_text())
+               if not hasattr(importlib.import_module(f"gridsweep.{module}"), name)]
+    assert missing == []
 
 
 def test_unused_import_scan_sees_unused_names():

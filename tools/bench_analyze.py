@@ -125,13 +125,10 @@ def probe_cna(root: Path, work: Path) -> dict:
     cna_cutoff = getattr(md, "CNA_CUTOFF", 0.854 * md.A0_DEFAULT)
     out = {}
     for geometry in CNA_GEOMETRIES:
-        # a checkpoint record's CNA shell, as md.run_tensile's record() takes it
+        # a checkpoint record's CNA shell: the skin list's pairs within
+        # CNA_CUTOFF, the same sorted pairs as a search at that radius lists
         crystal = md.build_crystal(*geometry, temperature=0.05, seed=2)
-        skin = md.neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
-                                 md.CUTOFF + md.SKIN)
-        i, j, _, r2 = md._cutoff_pairs(crystal, skin)
-        shell = r2 < cna_cutoff * cna_cutoff
-        pairs = (i[shell], j[shell])
+        pairs = md.neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, cna_cutoff)
         tracemalloc.start()
         cna_labels(crystal.positions, pairs)
         peak = tracemalloc.get_traced_memory()[1]
