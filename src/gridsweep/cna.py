@@ -10,13 +10,12 @@ surfaces, dislocation cores and atom-vacancy perturbations.
 Labels depend only on the bond list the caller passes (Honeycutt & Andersen,
 J. Phys. Chem. 91, 4950, 1987); bonds within a distance cutoff make them
 invariant under rigid rotation and translation (on non-periodic data).
+The defect fractions come from one count of the labels of the free atoms.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ParameterError
 
 FCC = 0
 HCP = 1
@@ -73,26 +72,11 @@ def cna_labels(positions, pairs) -> np.ndarray:
     return labels
 
 
-def defect_counts(labels, grip_mask=None) -> tuple[int, int, int]:
-    """(n_fcc, n_hcp, n_unk) over non-grip atoms."""
-    labels = np.asarray(labels)
-    if grip_mask is None:
-        grip_mask = np.zeros(labels.shape, dtype=bool)
-    grip_mask = np.asarray(grip_mask, dtype=bool)
-    if labels.shape != grip_mask.shape:
-        raise ParameterError("labels and grip mask must have the same length")
-    counted = labels[~grip_mask]
-    if counted.size == 0:
-        raise ParameterError("all atoms are gripped; nothing to count")
-    return (int(np.sum(counted == FCC)), int(np.sum(counted == HCP)),
-            int(np.sum(counted == UNK)))
-
-
-def defect_concentrations(labels, grip_mask=None) -> tuple[float, float, float]:
-    """(c_fcc, c_hcp, c_unk) fractions over non-grip atoms; counts sum exactly
-    to the total, so the exact quotients behind these correctly rounded floats
-    sum exactly to 1."""
-    n_fcc, n_hcp, n_unk = defect_counts(labels, grip_mask)
-    total = n_fcc + n_hcp + n_unk
-    return n_fcc / total, n_hcp / total, n_unk / total
-
+def defect_concentrations(labels, free) -> tuple[float, float, float]:
+    """(c_fcc, c_hcp, c_unk): the fractions of the atoms the mask ``free``
+    selects, from one count of their labels.  The counts sum exactly to the
+    total, so the exact quotients behind these correctly rounded floats sum
+    exactly to 1."""
+    counts = np.bincount(labels[free], minlength=3).tolist()
+    total = sum(counts)
+    return tuple(c / total for c in counts)

@@ -8,7 +8,8 @@ cheap enough for desk-scale ensembles while leaving the whole statistics
 chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
 call.  The energy checks take their pairs from it, and each checkpoint
-gathers its separations from it once, for the energy, grip stress and CNA.
+gathers its separations from it once, for the energy, grip stress and CNA;
+one count of the free atoms' CNA labels gives the record's defect fractions.
 The integrator computes forces only.  Its kernel skips the pairs with no
 free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
 forces land only on grip rows, which the integrator never applies.  The
@@ -79,6 +80,10 @@ class MDParams:
             raise ParameterError("strain_rate must be finite and > 0")
         if not (0 <= self.target_strain <= 1):
             raise ParameterError("target_strain must lie in [0, 1]")
+        n_checkpoints = round(self.target_strain / CHECKPOINT_DSTRAIN)
+        if not abs(self.target_strain - n_checkpoints * CHECKPOINT_DSTRAIN) <= 1e-9:
+            raise ParameterError(f"target_strain {self.target_strain:g} is not a multiple "
+                                 f"of the checkpoint strain {CHECKPOINT_DSTRAIN:g}")
         if not 0 <= self.temperature < math.inf:
             raise ParameterError("temperature must be finite and >= 0")
 
@@ -94,11 +99,6 @@ class Crystal:
     @property
     def n_atoms(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def grip_mask(self) -> np.ndarray:
-        """(n,) bool; True = grip atom (rigidly driven)."""
-        return self.grip_side != 0
 
     @property
     def free_mask(self) -> np.ndarray:
@@ -509,7 +509,7 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
         sigma_top = grip_stress(crystal, (i, j, delta, r2))
         shell = r2 < CNA_CUTOFF * CNA_CUTOFF
         labels = cna_labels(crystal.positions, (i[shell], j[shell]))
-        return DefectRecord(strain, *defect_concentrations(labels, crystal.grip_mask),
+        return DefectRecord(strain, *defect_concentrations(labels, crystal.free_mask),
                             sigma_top=sigma_top, energy=energy / crystal.n_atoms)
 
     records = [record(0.0)]

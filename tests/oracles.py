@@ -7,8 +7,9 @@ must reproduce element for element.  ``bond_signature`` and
 by exhaustive search.  The search is exponential in the number of bonds
 among the common neighbours, so keep oracle inputs close to a lattice.
 ``rows_compute_forces`` and ``rows_grip_stress`` run the LJ pair kernel on
-(m, 3) rows -- row gathers, an einsum for r2 and one bincount per axis -- and
-the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
+(m, 3) rows -- row gathers, an einsum for r2 and one bincount per axis --
+with their own LJ formulas (``rows_lj_coeff``, ``rows_potential_energy``),
+and the (3, m) kernel in ``gridsweep.md`` must match them bit for bit.
 ``cutoff_list`` is a fresh search at the LJ cutoff, for the tests to hand to
 the observables, which take their pairs from the caller.
 ``oracle_verlet`` integrates with forces from a fresh search over all pairs
@@ -49,7 +50,7 @@ from gridsweep.gridsim import (
     SpeedupRow,
 )
 from gridsweep.hosts import snap_cpus
-from gridsweep.md import CUTOFF, _lj_coeff, _potential_energy, neighbor_pairs
+from gridsweep.md import CUTOFF, neighbor_pairs
 from gridsweep.outputs import write_csv
 from gridsweep.stats import FitResult, fit_normal
 
@@ -181,8 +182,23 @@ def rows_cutoff_pairs(crystal, pairs=None):
     return i.take(inside), j.take(inside), delta.take(inside, axis=0), r2.take(inside)
 
 
+def rows_lj_coeff(r2):
+    """LJ dU/dr * (1/r) = 24 (2 r^-12 - r^-6) / r^2 per squared separation
+    (the shift drops out of the derivative), in the kernel's operation order."""
+    inv_r6 = (1.0 / r2) ** 3
+    return 24.0 * (2.0 * inv_r6**2 - inv_r6) / r2
+
+
+def rows_potential_energy(r2):
+    """The sum of U(r) - U(CUTOFF), U = 4 (r^-12 - r^-6), over the squared
+    separations ``r2``, all inside the cutoff, in their order."""
+    inv_r6 = (1.0 / r2) ** 3
+    shift = 4.0 * ((1.0 / CUTOFF) ** 12 - (1.0 / CUTOFF) ** 6)
+    return float(np.sum(4.0 * (inv_r6**2 - inv_r6) - shift))
+
+
 def rows_pair_forces(n, i, j, delta, r2):
-    fpair = _lj_coeff(r2)[:, None] * delta
+    fpair = rows_lj_coeff(r2)[:, None] * delta
     forces = np.empty((n, 3))
     for ax in range(3):
         forces[:, ax] = (np.bincount(i, weights=fpair[:, ax], minlength=n)
@@ -193,16 +209,16 @@ def rows_pair_forces(n, i, j, delta, r2):
 def rows_compute_forces(crystal):
     i, j, delta, r2 = rows_cutoff_pairs(crystal)
     forces = rows_pair_forces(crystal.n_atoms, i, j, delta, r2)
-    return forces, _potential_energy(r2), float(r2.min()) if r2.size else math.inf
+    return forces, rows_potential_energy(r2), float(r2.min()) if r2.size else math.inf
 
 
 def rows_grip_stress(crystal, pairs=None):
-    grips = crystal.grip_mask
+    grips = ~crystal.free_mask
     y = crystal.positions[:, 1]
     top = grips & (y > y[grips].mean())
     free = crystal.free_mask
     i, j, delta, r2 = rows_cutoff_pairs(crystal, pairs)
-    f_y = _lj_coeff(r2) * delta[:, 1]
+    f_y = rows_lj_coeff(r2) * delta[:, 1]
     f_y = np.concatenate([f_y[top[i] & free[j]], -f_y[top[j] & free[i]]])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, files, determinism."""
 
 import configparser
+import csv
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 import gridsweep
 from gridsweep import gridsim, sweep as sweep_mod
 from gridsweep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
+from gridsweep.errors import BlowUpError
 from gridsweep.hosts import HostSpec, write_population_csv
 from gridsweep.md import DefectRecord
 from gridsweep.outputs import staged_outputs
@@ -580,6 +582,41 @@ def test_sweep_impossible_geometry_exits_1_before_any_job(tmp_path, capsys, geom
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["0.005", "0.015", "0.025"])
+def test_sweep_off_grid_target_strain_exits_1_before_any_job(tmp_path, capsys, target):
+    # such a target once ran silently to a neighbouring checkpoint: rows up
+    # to 0.02 for 0.015, to 0.02 for 0.025, and strain 0 alone for 0.005
+    out = tmp_path / "sweep"
+    code = main(["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2",
+                 "--target-strain", target, "--n-realizations", "1", "--parallelism", "1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: target_strain {target} is not a multiple of the checkpoint strain 0.01\n")
+    assert not out.exists()
+
+
+def test_sweep_whose_every_job_fails_exits_1_with_its_ledger(tmp_path, capsys, monkeypatch):
+    def blow_up(params, geometry, seed=0):
+        raise BlowUpError("positions are no longer finite; dt too large?")
+
+    monkeypatch.setattr(sweep_mod, "run_tensile", blow_up)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "run", "--nx", "2", "--ny", "4", "--nz", "2",
+                 "--target-strain", "0.01", "--n-realizations", "3", "--parallelism", "1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == "all sweep jobs failed\n"
+    with open(out / "ledger.csv", newline="") as f:
+        ledger = list(csv.DictReader(f))
+    assert [(row["job_id"], row["status"], row["error"]) for row in ledger] == [
+        (str(k), "failed", "BlowUpError: positions are no longer finite; dt too large?")
+        for k in range(3)]
+    assert (out / "ledger_summary.csv").read_text().splitlines() == [
+        "n_jobs,n_ok,n_failed", "3,0,3"]
+    assert not list(out.glob("job_*.csv"))
 
 
 #: run each argv through cli.main in turn, then print whether scipy.special

@@ -5,7 +5,6 @@ import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from oracles import bond_signature, dense_table, hcp_positions, oracle_cna_labels
@@ -18,9 +17,7 @@ from gridsweep.cna import (
     UNK,
     cna_labels,
     defect_concentrations,
-    defect_counts,
 )
-from gridsweep.errors import ParameterError
 from gridsweep.md import (
     A0_DEFAULT,
     CNA_CUTOFF,
@@ -113,7 +110,7 @@ def test_labels_are_rotation_and_translation_invariant():
 def test_label_crystal_default_cutoff_sees_perfect_lattice():
     crystal = build_crystal(4, 4, 4, temperature=0.0)
     labels = labels_within(crystal.positions, crystal.box, crystal.periodic, CNA_CUTOFF)
-    conc = defect_concentrations(labels, crystal.grip_mask)
+    conc = defect_concentrations(labels, crystal.free_mask)
     assert conc == (1.0, 0.0, 0.0)
 
 
@@ -172,31 +169,22 @@ def test_record_labels_run_in_bounded_memory():
 
 
 def test_counts_and_concentrations_closed_form():
-    labels = [FCC, FCC, HCP, UNK]
-    assert defect_counts(labels) == (2, 1, 1)
-    assert defect_concentrations(labels) == (0.5, 0.25, 0.25)
+    labels = np.array([FCC, FCC, HCP, UNK])
+    assert defect_concentrations(labels, np.ones(4, dtype=bool)) == (0.5, 0.25, 0.25)
 
 
 def test_grip_atoms_are_excluded():
-    labels = [FCC, HCP, UNK, FCC]
-    grip = [False, False, False, True]
-    assert defect_counts(labels, grip) == (1, 1, 1)
-    c_fcc, c_hcp, c_unk = defect_concentrations(labels, grip)
-    assert c_fcc == c_hcp == c_unk == pytest.approx(1 / 3)
+    labels = np.array([FCC, HCP, UNK, FCC])
+    free = np.array([True, True, True, False])
+    assert defect_concentrations(labels, free) == (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_concentrations_sum_to_one_exactly():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 3, size=97)
-    grip = rng.random(97) < 0.3
-    if grip.all():
-        grip[0] = False
-    c = defect_concentrations(labels, grip)
+    free = rng.random(97) >= 0.3
+    c = defect_concentrations(labels, free)
     assert sum(c) == 1.0
-
-
-def test_all_gripped_is_an_error():
-    with pytest.raises(ParameterError):
-        defect_counts([FCC, HCP], [True, True])
-    with pytest.raises(ParameterError):
-        defect_counts([FCC, HCP], [True])
+    # each fraction is its label's count over the free atoms, divided as ints
+    n_free = int(free.sum())
+    assert c == tuple(int(np.sum(labels[free] == k)) / n_free for k in (FCC, HCP, UNK))

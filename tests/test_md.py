@@ -16,6 +16,7 @@ from oracles import (
     rows_cutoff_pairs,
     rows_grip_stress,
     rows_pair_forces,
+    rows_potential_energy,
 )
 
 from gridsweep import md
@@ -91,8 +92,8 @@ def test_build_rejects_small_or_overgripped():
 def test_grip_layers_marked_and_velocity_free():
     crystal = build_crystal(3, 4, 3, temperature=0.1, seed=1)
     # 3 planes of the 8 (010) planes per end
-    assert crystal.grip_mask.sum() == 3 * crystal.n_atoms // 4
-    assert np.all(crystal.velocities[crystal.grip_mask] == 0)
+    assert (~crystal.free_mask).sum() == 3 * crystal.n_atoms // 4
+    assert np.all(crystal.velocities[~crystal.free_mask] == 0)
     # the bottom grip (-1) lies below every free atom, the top grip (+1) above
     y, side = crystal.positions[:, 1], crystal.grip_side
     assert (side < 0).sum() == (side > 0).sum() == 3 * crystal.n_atoms // 8
@@ -251,7 +252,7 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
                           rows_pair_forces(n, *rows_cutoff_pairs(crystal, (fi[order], fj[order]))))
     # the energy and the stress of the stale skin list, gathered into its
     # workspace after the step: those of its pairs still inside the cutoff
-    assert potential_energy(crystal, skin, work) == md._potential_energy(
+    assert potential_energy(crystal, skin, work) == rows_potential_energy(
         rows_cutoff_pairs(crystal, skin)[3])
     if grip_planes:
         assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
@@ -414,7 +415,7 @@ def test_checkpoint_record_matches_public_observables():
         bonds = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
                                0.854 * A0_DEFAULT)
         labels = cna_labels(crystal.positions, bonds)
-        return (*defect_concentrations(labels, crystal.grip_mask), stress(crystal),
+        return (*defect_concentrations(labels, crystal.free_mask), stress(crystal),
                 (energy(crystal) + kinetic_energy(crystal)) / crystal.n_atoms)
 
     crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=4)
@@ -531,6 +532,12 @@ def test_close_pair_blows_up():
 def test_params_validation():
     with pytest.raises(ParameterError):
         MDParams(target_strain=1.5)
+    # a target off the checkpoint grid once ran to a neighbouring checkpoint
+    for bad in (0.005, 0.015, 0.025):
+        with pytest.raises(ParameterError, match="not a multiple of the checkpoint strain"):
+            MDParams(target_strain=bad)
+    for good in (0.0, 0.01, 0.07, 0.2, 1.0):  # 0.07 / 0.01 is 7.000000000000001
+        assert MDParams(target_strain=good).target_strain == good
     for bad in (0.0, -0.1, math.nan, math.inf):
         for name in ("dt", "strain_rate"):
             with pytest.raises(ParameterError):
@@ -554,7 +561,8 @@ def stretched(crystal, strain):
 def fd_stress_oracle(crystal, delta=1e-5):
     """Central difference of potential energy under a rigid top-grip shift."""
     y = crystal.positions[:, 1]
-    top = crystal.grip_mask & (y > y[crystal.grip_mask].mean())
+    grips = ~crystal.free_mask
+    top = grips & (y > y[grips].mean())
     energies = []
     for sign in (+1.0, -1.0):
         probe = crystal.copy()
@@ -576,6 +584,14 @@ def test_stress_sign_and_energy_derivative(strain, sign):
     sigma = stress(crystal)
     assert sign * sigma > 0
     assert sigma == pytest.approx(fd_stress_oracle(crystal), rel=1e-4)
+
+
+def test_grip_observables_of_an_ungripped_crystal_are_errors():
+    crystal = build_crystal(3, 4, 3, grip_planes=0)
+    with pytest.raises(ParameterError, match="no grip layers"):
+        grip_separation(crystal)
+    with pytest.raises(ParameterError, match="no grip layers"):
+        stress(crystal)
 
 
 def test_grip_stress_takes_the_record_gather_in_bounded_memory():

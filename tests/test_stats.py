@@ -336,6 +336,12 @@ def test_two_point_moments_sit_on_the_boundary():
     assert m.beta2 == m.beta1 + 1.0  # Pearson inequality is tight here
 
 
+def test_moments_of_an_underflowing_variance_are_degenerate():
+    # two distinct values whose squared deviations underflow to zero
+    with pytest.raises(DegenerateSampleError, match="variance underflows"):
+        moment_summary([0.0, 5e-324])
+
+
 def test_normal_sample_sits_near_0_3():
     values = np.random.default_rng(2).normal(size=100_000)
     m = moment_summary(values)

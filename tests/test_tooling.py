@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,13 @@ SCRIPTS = {p.relative_to(TESTS.parent).as_posix(): p
 SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
            | {f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
-#: public functions that no other package code calls, each kept on purpose
+#: public functions, methods and properties that no other package code calls
+#: or reads, each kept on purpose
 UNCALLED_BY_DESIGN = {
     "stats.moment_summary": "an ensemble's point on the Pearson (beta1, beta2) plane",
     "stats.weibull_locus": "the Weibull curve on the Pearson (beta1, beta2) plane",
+    "stats.MomentSummary.beta1": "the moment analysis's x axis (ROADMAP item 9)",
+    "stats.MomentSummary.beta2": "the moment analysis's y axis (ROADMAP item 9)",
 }
 
 
@@ -63,15 +67,31 @@ def eager_scipy_submodules(source: str) -> list[str]:
     return sorted(found)
 
 
+def attribute_reads(tree) -> Counter:
+    """How often each attribute name is read (``x.name`` in a load) in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def uncalled_public_functions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each public top-level function that no code of the
-    package refers to outside the function's own body.
+    package refers to outside the function's own body, and ``module.Class.name``
+    of each public method or property of a top-level class whose name no
+    attribute read of the package shares outside the method's own body.
 
-    ``sources`` maps module names to source text.  A reference is a bare name
-    in the defining module, a ``from .module import name``, or an attribute
-    ``alias.name`` on a module bound by ``from . import module as alias``.
+    ``sources`` maps module names to source text.  A reference to a function is
+    a bare name in the defining module, a ``from .module import name``, or an
+    attribute ``alias.name`` on a module bound by ``from . import module as
+    alias``.  Methods go by attribute name alone, whatever the object read: a
+    ``copy`` method counts as read wherever a numpy array's ``.copy`` is.
     """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    unread = [f"{mod}.{cls.name}.{node.name}" for mod, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")
+              and reads[node.name] == attribute_reads(node)[node.name]]
     used = set()
     for mod, tree in trees.items():
         alias = {}
@@ -89,9 +109,10 @@ def uncalled_public_functions(sources: dict[str, str]) -> list[str]:
                 elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                       and node.value.id in alias):
                     used.add((alias[node.value.id], node.attr))
-    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                  and (mod, node.name) not in used)
+    uncalled = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and (mod, node.name) not in used]
+    return sorted(uncalled + unread)
 
 
 def package_uses(source: str) -> list[tuple[str, str]]:
@@ -167,6 +188,20 @@ def test_uncalled_function_scan_sees_every_kind_of_reference():
     }
     # f is never called, rec only by itself, and b.m is not a.m
     assert uncalled_public_functions(sources) == ["a.f", "a.m", "a.rec", "b.m"]
+
+
+def test_uncalled_method_scan_goes_by_attribute_name():
+    sources = {
+        "a": "class C:\n    def run(self): return self.step()\n    def step(self): pass\n"
+             "    def rec(self): return self.rec()\n"
+             "    @property\n    def size(self): return 1\n"
+             "    def copy(self): return C()\n    def grip(self): pass\n"
+             "    def _p(self): pass\n    def __len__(self): return 0\n",
+        "b": "def f(c, arr):\n    c.run()\n    arr.copy()\n    return c.size\n",
+    }
+    # step is read by run, and copy by an array's .copy; grip is never read,
+    # rec only by itself, and f is never called
+    assert uncalled_public_functions(sources) == ["a.C.grip", "a.C.rec", "b.f"]
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
