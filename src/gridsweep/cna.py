@@ -22,8 +22,10 @@ HCP = 1
 UNK = 2
 
 #: centre atoms classified at once: the (m, 12, 12) shell arrays, a few kB per
-#: centre, stay bounded, and the default 384-atom crystal is one block
-CNA_BLOCK = 512
+#: centre, stay bounded.  128 against 512 (tools/bench_analyze.py's cna
+#: probe): a 6x8x6 shell's labels peak at 1.3 against 3.6 MB traced and 16^3's
+#: at 6.6 against 8.8 MB, and their times differ by less than the rounds' spread
+CNA_BLOCK = 128
 
 
 def cna_labels(positions, pairs) -> np.ndarray:

@@ -14,15 +14,18 @@ The integrator computes forces only.  Its kernel skips the pairs with no
 free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
 forces land only on grip rows, which the integrator never applies.  The
 energy and the observables use the whole list, masked to their radius.
-Every pass over the list -- a step, an energy check, a record -- gathers its
-separations with `_separations` into one workspace allocated with the list
-(as LAMMPS keeps its neighbour and force arrays across steps), so a step
-allocates nothing that grows with the pairs.
+Every pass over the list -- a step, an energy check, a record -- walks it in
+blocks of _PAIR_BLOCK pairs, in list order, and gathers each block's
+separations with `_separations` into one block-sized workspace allocated with
+the list (as LAMMPS keeps its neighbour and force arrays across steps).  So a
+step allocates nothing that grows with the pairs, an energy check only the
+energy terms that its one `np.sum` adds, and a record those and its CNA shell.
 
 Pair separations are (3, m), one row per axis.  Every sum keeps the terms and
 order of the (m, 3) kernel in tests/oracles.py, so trajectories match it bit
 for bit: r2 adds (x^2 + z^2) + y^2, as numpy's einsum("ij,ij->i") does on
-3-wide rows, and each force bin (atom, axis) takes its terms in list order.
+3-wide rows, and each force bin (atom, axis) takes its terms in list order,
+from one bincount or, across blocks, from np.add.at.
 
 The lattice constant is the 0 K equilibrium spacing of the
 truncated-shifted potential (a ~ 1.5496, slightly tighter than the
@@ -86,6 +89,8 @@ class MDParams:
                                  f"of the checkpoint strain {CHECKPOINT_DSTRAIN:g}")
         if not 0 <= self.temperature < math.inf:
             raise ParameterError("temperature must be finite and >= 0")
+        if self.equilibration_steps < 0:
+            raise ParameterError("equilibration_steps must be >= 0")
 
 
 @dataclass
@@ -199,8 +204,13 @@ def _min_image_r2(delta: np.ndarray, box, periodic, r2=None, tmp=None) -> np.nda
 #: per kept pair at reach 2, ~6.4 at 1 (Mattson & Rice, CPC 119, 135, 1999)
 _REACH = 2
 _CELL_SLACK = 1.0 + 1e-9
-#: candidate pairs tested at once: bounds the search's temporaries
-_BLOCK = 2**16
+#: candidate pairs tested at once: bounds the search's temporaries.  2^15
+#: against 2^16 (tools/bench_analyze.py's block probe): a 6x8x6 build peaks at
+#: 3.6 against 6.4 MB traced and a big_slab realization's process at 44.0
+#: against 46.4 MB; single 16^3 builds took 141-177 against 144-155 ms, inside
+#: this shared host's spread.  Testing the candidates one axis at a time at
+#: 2^16 peaked at 4.9 MB and built 16^3 in 151-157 against 128-148 ms.
+_BLOCK = 2**15
 
 
 def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,6 +280,23 @@ def neighbor_pairs(positions, box, periodic, rmax: float) -> tuple[np.ndarray, n
     return np.divmod(keys, n)
 
 
+#: pairs per block of a pass over a pair list: the block's workspace is 1 MiB,
+#: inside the 2 MiB L2 per core of the 2-core Xeon it was measured on, where a
+#: 16^3 step took a median 23.4 ms against 34.9 ms in a whole-list workspace
+#: (tools/bench_analyze.py's paper probe).  Single 16^3 processes at 2^13 and
+#: 2^14 peaked at 98.1 and 98.3 MB against 104.8 and 101.8 MB at 2^15 and 2^16,
+#: and 2^14 stepped in 26.0 ms against 30.3 ms at 2^13 (its pair_block probe)
+_PAIR_BLOCK = 2**14
+
+
+def _blocks(pairs):
+    """The pair list ``pairs`` as consecutive (i, j) slices of _PAIR_BLOCK
+    pairs, at least one."""
+    i, j = pairs
+    return [(i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK])
+            for lo in range(0, max(len(i), 1), _PAIR_BLOCK)]
+
+
 def _workspace(m: int, reuse=None):
     """Buffers for the separations and forces of m pairs, 64 B per pair, as
     views of one block: delta and spare (3, m), then r2 and coeff (m,).  The
@@ -312,32 +339,52 @@ def _lj_coeff(r2: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return coeff
 
 
-def _potential_energy(r2: np.ndarray) -> float:
-    """Truncated-shifted LJ energy summed, in list order, over the pairs of
-    squared separations ``r2`` that lie inside the cutoff."""
-    inv_r6 = (1.0 / r2[r2 < CUTOFF * CUTOFF]) ** 3
-    return float(np.sum(4.0 * (inv_r6**2 - inv_r6) - _SHIFT))
-
-
-def _forces(crystal: Crystal, pairs, work) -> np.ndarray:
-    """Forces (n, 3) from the listed pairs, +f to i and -f to j, computed in
-    their `_workspace` ``work``: the LJ coefficient of every pair times
-    r2 < CUTOFF^2, then one bincount per axis and side, each bin's terms in
-    list order.  A pair outside the cutoff adds +-0.0, which leaves a
-    bincount sum (never -0.0) as it was."""
+def _pair_forces(crystal: Crystal, pairs, work) -> np.ndarray:
+    """The (3, m) forces on i of the listed pairs, in their `_workspace`
+    ``work``: the LJ coefficient of every pair times r2 < CUTOFF^2."""
     delta, spare, r2, coeff = _separations(crystal, pairs, work)
     _lj_coeff(r2, coeff, spare[0])
     coeff *= np.less(r2, CUTOFF * CUTOFF, out=spare[1])
     delta *= coeff
+    return delta
+
+
+def _forces(crystal: Crystal, pairs, work) -> np.ndarray:
+    """Forces (n, 3) from the listed pairs, +f to i and -f to j, computed
+    block by block in the workspace ``work``, each bin's terms in list order:
+    the first block's per-side sums are one bincount per axis, and np.add.at
+    adds each later block's, in index order as bincount does (it costs ~35%
+    more per pair, so a list of one block is bincount's alone).  A pair
+    outside the cutoff adds +-0.0, which leaves a sum started at 0.0 (never
+    -0.0) as it was."""
     n = crystal.n_atoms
-    return np.array([np.bincount(pairs[0], d, n) - np.bincount(pairs[1], d, n) for d in delta]).T
+    (i, j), *rest = _blocks(pairs)
+    delta = _pair_forces(crystal, (i, j), work)
+    on_i = np.array([np.bincount(i, d, n) for d in delta])
+    on_j = np.array([np.bincount(j, d, n) for d in delta])
+    for i, j in rest:
+        for d, fi, fj in zip(_pair_forces(crystal, (i, j), work), on_i, on_j):
+            np.add.at(fi, i, d)
+            np.add.at(fj, j, d)
+    return (on_i - on_j).T
 
 
-def potential_energy(crystal: Crystal, pairs, work=None) -> float:
+def potential_energy(crystal: Crystal, pairs, work=None, visit=None) -> float:
     """Truncated-shifted LJ energy of the sorted pair list ``pairs``, one that
-    holds every pair inside the cutoff, such as the integrator's skin list,
-    gathered by `_separations` into ``work``; BlowUpError as `_separations`."""
-    return _potential_energy(_separations(crystal, pairs, work)[2])
+    holds every pair inside the cutoff, such as the integrator's skin list:
+    one np.sum over the terms of its pairs inside the cutoff in list order,
+    gathered block by block by `_separations` into ``work``.  Each block
+    (i, j, delta, r2) is handed to ``visit`` when given; BlowUpError as
+    `_separations`."""
+    terms, k = np.empty(len(pairs[0])), 0
+    for block in _blocks(pairs):
+        delta, _, r2, _ = _separations(crystal, block, work)
+        inv_r6 = (1.0 / r2[r2 < CUTOFF * CUTOFF]) ** 3
+        terms[k:k + inv_r6.size] = 4.0 * (inv_r6**2 - inv_r6) - _SHIFT
+        k += inv_r6.size
+        if visit is not None:
+            visit(*block, delta, r2)
+    return float(np.sum(terms[:k]))
 
 
 def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
@@ -346,13 +393,15 @@ def kinetic_energy(crystal: Crystal, free_only: bool = False) -> float:
 
 
 #: what one `integrate` call hands the next: the skin pair list (i, j), its
-#: pairs with a free atom (fi, fj), the `_workspace` of (i, j), the positions
-#: the lists were built at, and the current forces.  Each step's forces, energy
-#: check and record lays its views out in that workspace's block; only the
-#: returned forces outlive a pass.  A rebuild lays the new workspace out in the
-#: old one's block when the new list fits, so the caller's old state does not
-#: keep a second block alive (no rebuild outgrew the first list, built on the
-#: perfect lattice, in default realizations at seeds 0 and 1).  The forces come
+#: pairs with a free atom (fi, fj), one block-sized `_workspace` (for
+#: min(len(i), _PAIR_BLOCK) pairs), the positions the lists were built at, and
+#: the current forces.  Each block of a step's forces, an energy check and a
+#: record lays its views out in that workspace's block; only the returned
+#: forces and energy terms outlive a block.  A rebuild lays the new workspace
+#: out in the old one's block when the new list's block fits, so the caller's
+#: old state does not keep a second block alive (no rebuild outgrew the first
+#: list, built on the perfect lattice, in default realizations at seeds 0 and
+#: 1, and a list of _PAIR_BLOCK pairs or more always fits).  The forces come
 #: from (fi, fj) alone.  Their grip rows lack the grip-grip terms and only ever
 #: meet a zero kick, while a free atom's row gets the same terms in the same
 #: order as from (i, j): in i + j order j still rises for each i and i for each
@@ -365,12 +414,13 @@ PairState = namedtuple("PairState", "i j fi fj work ref_pos forces")
 
 def _skin_lists(crystal: Crystal, work=None):
     """The sorted skin list (i, j), its pairs with a free atom (fi, fj) in i + j
-    order, and the `_workspace` of (i, j), in the block of ``work`` if it fits."""
+    order, and the `_workspace` of one block of (i, j), in the block of
+    ``work`` if it fits."""
     i, j = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     free = crystal.free_mask
     keep = np.flatnonzero(free[i] | free[j])
     keep = keep.take(np.argsort(i.take(keep) + j.take(keep), kind="stable"))
-    return i, j, i.take(keep), j.take(keep), _workspace(i.size, work)
+    return i, j, i.take(keep), j.take(keep), _workspace(min(i.size, _PAIR_BLOCK), work)
 
 
 def integrate(crystal: Crystal, params: MDParams, n_steps: int,
@@ -450,26 +500,30 @@ def grip_separation(crystal: Crystal) -> float:
     return float(y[side > 0].mean() - y[side < 0].mean())
 
 
-def grip_stress(crystal: Crystal, gathered) -> float:
+def _grip_forces(crystal: Crystal, i, j, delta, r2) -> tuple[np.ndarray, np.ndarray]:
+    """The y-forces of free j on top-grip i, then of free i on top-grip j, in
+    list order, of the pairs (i, j) inside the cutoff with `_separations`
+    (delta, r2); the force coefficient is elementwise, so it is taken on these
+    alone."""
+    top, free = crystal.grip_side > 0, crystal.free_mask
+    inside = r2 < CUTOFF * CUTOFF
+    on_i, on_j = top[i] & free[j] & inside, top[j] & free[i] & inside
+    return _lj_coeff(r2[on_i]) * delta[1, on_i], -(_lj_coeff(r2[on_j]) * delta[1, on_j])
+
+
+def grip_stress(crystal: Crystal, forces) -> float:
     """Normal stress at the top grip, tension positive.
 
     Sum of y-forces exerted by free atoms on top-grip atoms, divided by the
     x-z cross-section; under tension the free bulk pulls the top grip
     inward (-y), so the sign is flipped to make tension positive.
-    ``gathered`` is (i, j, delta, r2): a list holding every pair inside the
-    cutoff, such as the skin list, and its `_separations`.
+    ``forces`` holds the `_grip_forces` of each block of a list holding
+    every pair inside the cutoff, such as the skin list, in list order; one
+    sum takes all their i-side terms, then all their j-side terms.
     """
     if not crystal.grip_side.any():
         raise ParameterError("crystal has no grip layers")
-    top = crystal.grip_side > 0
-    free = crystal.free_mask
-    i, j, delta, r2 = gathered
-    inside = r2 < CUTOFF * CUTOFF
-    # y-force of free j on top-grip i, then of free i on top-grip j, in list
-    # order; the force coefficient is elementwise, so it is taken on these alone
-    on_i, on_j = top[i] & free[j] & inside, top[j] & free[i] & inside
-    f_y = np.concatenate([_lj_coeff(r2[on_i]) * delta[1, on_i],
-                          -(_lj_coeff(r2[on_j]) * delta[1, on_j])])
+    f_y = np.concatenate([f[side] for side in (0, 1) for f in forces])
     return -float(np.sum(f_y)) / float(crystal.box[0] * crystal.box[2])
 
 
@@ -488,6 +542,26 @@ def checkpoint_steps(params: MDParams, crystal: Crystal) -> list[int]:
     return steps
 
 
+def _record(crystal: Crystal, state: PairState, strain: float) -> DefectRecord:
+    """The checkpoint record of ``crystal`` at ``strain``: one walk over the
+    skin list of ``state``, each block gathered once into its workspace, gives
+    the energy, the grip forces and the CNA shell (the pairs within
+    CNA_CUTOFF)."""
+    forces, shell = [], []
+
+    def visit(i, j, delta, r2):
+        forces.append(_grip_forces(crystal, i, j, delta, r2))
+        near = r2 < CNA_CUTOFF * CNA_CUTOFF
+        shell.append((i[near], j[near]))
+
+    energy = potential_energy(crystal, (state.i, state.j), state.work, visit)
+    energy += kinetic_energy(crystal)
+    sigma_top = grip_stress(crystal, forces)
+    labels = cna_labels(crystal.positions, [np.concatenate(side) for side in zip(*shell)])
+    return DefectRecord(strain, *defect_concentrations(labels, crystal.free_mask),
+                        sigma_top=sigma_top, energy=energy / crystal.n_atoms)
+
+
 def run_tensile(params: MDParams, geometry: tuple[int, int, int],
                 seed: int = 0) -> list[DefectRecord]:
     """Equilibrate, then strain to target, emitting a record per checkpoint.
@@ -499,23 +573,10 @@ def run_tensile(params: MDParams, geometry: tuple[int, int, int],
     crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
     state = equilibrate(crystal, params)
     steps = checkpoint_steps(params, crystal)
-
-    def record(strain: float) -> DefectRecord:
-        # the skin list's separations, gathered once into its workspace, give
-        # the energy and the stress; its pairs within CNA_CUTOFF, the CNA shell
-        i, j = state.i, state.j
-        delta, _, r2, _ = _separations(crystal, (i, j), state.work)
-        energy = _potential_energy(r2) + kinetic_energy(crystal)
-        sigma_top = grip_stress(crystal, (i, j, delta, r2))
-        shell = r2 < CNA_CUTOFF * CNA_CUTOFF
-        labels = cna_labels(crystal.positions, (i[shell], j[shell]))
-        return DefectRecord(strain, *defect_concentrations(labels, crystal.free_mask),
-                            sigma_top=sigma_top, energy=energy / crystal.n_atoms)
-
-    records = [record(0.0)]
+    records = [_record(crystal, state, 0.0)]
     grip_speed = 0.5 * params.strain_rate * A0_DEFAULT  # per grip; separation rate is 2x
     for k in range(1, len(steps)):
         state = integrate(crystal, params, steps[k] - steps[k - 1],
                           grip_speed=grip_speed, state=state)
-        records.append(record(k * CHECKPOINT_DSTRAIN))
+        records.append(_record(crystal, state, k * CHECKPOINT_DSTRAIN))
     return records

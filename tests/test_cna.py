@@ -150,7 +150,8 @@ def test_labels_match_full_signature_oracle(kind, axis, strain, jitter, seed):
 
 def test_record_labels_run_in_bounded_memory():
     # 4,000 atoms, 3,600 12-coordinated: classifying every centre at once
-    # peaked at 19.0 MB traced; CNA_BLOCK centres at a time peak near 4.6 MB
+    # peaked at 19.0 MB traced, 512 at a time at 4.6 MB; CNA_BLOCK (128)
+    # centres at a time peak near 2.6 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     skin = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, CUTOFF + SKIN)
     _, _, r2, _ = _separations(crystal, skin)

@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 from oracles import (
     cutoff_list,
     dense_pairs,
+    oracle_cna_labels,
     oracle_verlet,
     rows_compute_forces,
     rows_cutoff_pairs,
@@ -19,7 +20,7 @@ from oracles import (
     rows_potential_energy,
 )
 
-from gridsweep import md
+from gridsweep import cna, md
 from gridsweep.cna import cna_labels, defect_concentrations
 from gridsweep.errors import BlowUpError, ParameterError
 from gridsweep.md import (
@@ -44,15 +45,13 @@ def energy(crystal):
     return potential_energy(crystal, cutoff_list(crystal))
 
 
-def gathered(crystal, pairs, work=None):
-    """(i, j, delta, r2) of the listed pairs, as `_separations` gathers them."""
-    delta, _, r2, _ = md._separations(crystal, pairs, work)
-    return (*pairs, delta, r2)
-
-
-def stress(crystal):
-    """Grip stress over a fresh search at the cutoff."""
-    return grip_stress(crystal, gathered(crystal, cutoff_list(crystal)))
+def stress(crystal, pairs=None, work=None):
+    """Grip stress over the listed pairs, or a fresh search at the cutoff, from
+    the grip forces of each block as a checkpoint record walks them."""
+    forces = []
+    potential_energy(crystal, cutoff_list(crystal) if pairs is None else pairs, work,
+                     lambda *block: forces.append(md._grip_forces(crystal, *block)))
+    return grip_stress(crystal, forces)
 
 
 def two_atom_crystal(separation, box_side=30.0):
@@ -154,8 +153,8 @@ def test_neighbor_pairs_cell_grid_does_not_grow_with_empty_space(rmax):
 
 def test_neighbor_pairs_memory_does_not_scale_with_candidates():
     # 4,000 atoms at the skin radius: 161,200 pairs.  Testing every candidate
-    # at once peaked at 97 MB traced, blocks of 2^17 candidates at 14.5 MB;
-    # blocks of 2^16 peak at 9.1 MB
+    # at once peaked at 97 MB traced, blocks of 2^17 candidates at 14.5 MB,
+    # blocks of 2^16 at 9.1 MB; blocks of 2^15 peak at 6.4 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     rmax = md.CUTOFF + md.SKIN
     assert traced_peak_mb(
@@ -237,11 +236,11 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
 
     n, free = crystal.n_atoms, crystal.free_mask
     cutoff = cutoff_list(crystal)
-    cut = gathered(crystal, cutoff)
     want_forces, want_potential, want_r2_min = rows_compute_forces(crystal)
     assert np.array_equal(md._forces(crystal, cutoff, md._workspace(cutoff[0].size)),
                           want_forces)
-    assert (energy(crystal), cut[3].min()) == (want_potential, want_r2_min)
+    assert (energy(crystal), md._separations(crystal, cutoff)[2].min()) == (want_potential,
+                                                                            want_r2_min)
     # the step on the stale i + j list, in the skin list's workspace, whose
     # contents are stale too: every row as the oracle's over the same pairs in
     # sorted order, with pairs drifted out of the cutoff adding +-0.0
@@ -255,8 +254,8 @@ def test_pair_kernel_matches_row_layout_oracle(kind, axis, strain, jitter, seed)
     assert potential_energy(crystal, skin, work) == rows_potential_energy(
         rows_cutoff_pairs(crystal, skin)[3])
     if grip_planes:
-        assert grip_stress(crystal, cut) == rows_grip_stress(crystal)
-        assert grip_stress(crystal, gathered(crystal, skin, work)) == rows_grip_stress(crystal, skin)
+        assert stress(crystal) == rows_grip_stress(crystal)
+        assert stress(crystal, skin, work) == rows_grip_stress(crystal, skin)
     # and on the lists the integrator rebuilds here: the free rows of the
     # fresh search (grip rows lack grip-grip terms and are never applied)
     _, _, fi, fj, work = md._skin_lists(crystal)
@@ -314,16 +313,81 @@ def test_pair_oscillation_period_matches_fine_dt_reference():
     assert abs(coarse - fine) / fine < 1e-3
 
 
-def test_a_rebuilt_list_lays_its_workspace_out_in_the_old_block():
+def test_a_rebuilt_list_lays_its_workspace_out_in_the_old_block(monkeypatch):
+    # the list of 4,680 skin pairs is one block, then three of 2,000
     params = MDParams(temperature=0.1)
-    crystal = build_crystal(3, 4, 3, temperature=0.1, seed=6)
-    first = integrate(crystal, params, 0, grip_speed=0.2)
-    state = integrate(crystal, params, 300, grip_speed=0.2, state=first)
-    assert not np.array_equal(state.ref_pos, first.ref_pos)  # the list was rebuilt
-    assert state.i.size <= first.i.size
-    assert all(b.base is first.work[0].base for b in state.work)
-    # a list that does not fit gets a block of its own
-    assert md._workspace(first.i.size + 1, first.work)[0].base is not first.work[0].base
+    for pair_block in (md._PAIR_BLOCK, 2000):
+        monkeypatch.setattr(md, "_PAIR_BLOCK", pair_block)
+        crystal = build_crystal(3, 4, 3, temperature=0.1, seed=6)
+        first = integrate(crystal, params, 0, grip_speed=0.2)
+        state = integrate(crystal, params, 300, grip_speed=0.2, state=first)
+        assert not np.array_equal(state.ref_pos, first.ref_pos)  # the list was rebuilt
+        assert state.i.size <= first.i.size
+        # the workspace holds one block of the list, 64 B per pair
+        block = min(first.i.size, pair_block)
+        assert first.work[0].base.nbytes == 64 * block
+        assert all(b.base is first.work[0].base for b in state.work)
+        # a block that does not fit gets a block of its own
+        assert md._workspace(block + 1, first.work)[0].base is not first.work[0].base
+
+
+def small_blocks(monkeypatch):
+    """Blocks of a few hundred pairs and candidates: a pass over a 3x4x3 or
+    4x6x4 list spans 7 to 50 of them.  CNA takes 40 centres at a time, so that
+    a 3x4x3 crystal's shell spans several blocks too."""
+    monkeypatch.setattr(md, "_PAIR_BLOCK", 300)
+    monkeypatch.setattr(md, "_BLOCK", 400)
+    monkeypatch.setattr(cna, "CNA_BLOCK", 40)
+
+
+def test_blocked_passes_keep_the_bits(monkeypatch):
+    crystal = build_crystal(4, 6, 4, temperature=0.1, seed=7)
+    crystal.positions += np.random.default_rng(7).uniform(-0.1, 0.1, crystal.positions.shape)
+    n = crystal.n_atoms
+    i, j, fi, fj, work = md._skin_lists(crystal)  # one block: the bincount path
+    skin = (i, j)
+    whole = (md._forces(crystal, (fi, fj), work), potential_energy(crystal, skin, work),
+             stress(crystal, skin, work))
+    small_blocks(monkeypatch)
+    *lists, work = md._skin_lists(crystal)
+    assert all(np.array_equal(a, b) for a, b in zip(lists, (i, j, fi, fj)))
+    assert work[0].base.nbytes == 64 * 300
+    assert (len(md._blocks(skin)), len(md._blocks((fi, fj)))) == (52, 36)
+    order = np.argsort(fi * n + fj)
+    forces = md._forces(crystal, (fi, fj), work)
+    assert np.array_equal(forces, whole[0])
+    assert np.array_equal(forces, rows_pair_forces(n, *rows_cutoff_pairs(crystal,
+                                                                         (fi[order], fj[order]))))
+    assert potential_energy(crystal, skin, work) == whole[1] == rows_potential_energy(
+        rows_cutoff_pairs(crystal, skin)[3])
+    assert stress(crystal, skin, work) == whole[2] == rows_grip_stress(crystal, skin)
+
+
+def test_blocked_trajectory_matches_fresh_search_verlet(monkeypatch):
+    params = MDParams(temperature=0.1)
+    start = build_crystal(3, 4, 3, temperature=0.1, seed=6)
+    whole, blocked, reference = start.copy(), start.copy(), start.copy()
+    free = start.free_mask
+    integrate(whole, params, 300, grip_speed=0.2)  # lists of one block
+    small_blocks(monkeypatch)
+    first = state = integrate(blocked, params, 0, grip_speed=0.2)
+    for n in (1, 37, 100, 162):
+        state = integrate(blocked, params, n, grip_speed=0.2, state=state)
+        oracle_verlet(reference, params.dt, n, grip_speed=0.2)
+        assert np.array_equal(blocked.positions, reference.positions)
+        assert np.array_equal(blocked.velocities[free], reference.velocities[free])
+    # the rebuild took the force list from 2,268 pairs in 8 blocks to 1,965 in 7
+    assert len(md._blocks((first.fi, first.fj))) == 8
+    assert len(md._blocks((state.fi, state.fj))) == 7
+    assert np.array_equal(blocked.positions, whole.positions)
+    assert np.array_equal(blocked.velocities, whole.velocities)
+
+
+def test_params_reject_negative_equilibration_steps():
+    # -5 once ran no equilibration chunk at all and strained the bare lattice
+    with pytest.raises(ParameterError, match="equilibration_steps"):
+        MDParams(equilibration_steps=-5)
+    assert MDParams(equilibration_steps=0).equilibration_steps == 0
 
 
 def test_threaded_state_matches_one_call():
@@ -379,8 +443,10 @@ def test_force_list_is_the_free_subset_in_bin_order(geometry, grip_planes):
     assert np.all(np.diff(fi + fj) >= 0)
     assert in_bin_order(fi, fj)
     assert not in_bin_order(fi[::-1], fj[::-1])
-    # the workspace of every pass over the lists: 64 B per skin pair
-    assert [b.shape for b in work] == [(3, i.size), (3, i.size), (i.size,), (i.size,)]
+    # the workspace of every pass over the lists: 64 B per pair of one block
+    # of the skin list, which 6x8x6's 45,648 pairs overflow
+    k = min(i.size, md._PAIR_BLOCK)
+    assert [b.shape for b in work] == [(3, k), (3, k), (k,), (k,)]
 
 
 @pytest.mark.parametrize("geometry", [(4, 6, 4), (6, 8, 6)])
@@ -464,35 +530,51 @@ def test_each_step_evaluates_forces_once(monkeypatch):
 
 
 def test_each_checkpoint_gathers_its_pairs_once(monkeypatch):
-    # every pass over the list's separations -- one per force evaluation, one
-    # per energy at an equilibration chunk boundary and one per checkpoint for
-    # its energy, stress and CNA shell -- gathers into the block of the run's
-    # current list: a new block comes only with a list build
-    blocks, passes = [], []
+    # every pass over a list -- one per force evaluation over (fi, fj), one per
+    # energy at an equilibration chunk boundary and one per checkpoint for its
+    # energy, stress and CNA shell over (i, j) -- gathers each of the list's
+    # blocks once, in list order, into the block of the run's current
+    # workspace: a new block comes only with a list build.  Lists of one
+    # block, then blocks of 300 pairs, 8 to 16 per pass
     skin_lists, separations = md._skin_lists, md._separations
+    for pair_block, blocks_per_pass in ((md._PAIR_BLOCK, 1), (300, 7)):
+        monkeypatch.setattr(md, "_PAIR_BLOCK", pair_block)
+        lists, gathers = [], []
 
-    def building(crystal, work=None):
-        lists = skin_lists(crystal, work)
-        blocks.append(lists[-1][0].base)
-        return lists
+        def building(crystal, work=None):
+            lists.append(skin_lists(crystal, work))
+            return lists[-1]
 
-    def gathering(crystal, pairs, work=None):
-        work = separations(crystal, pairs, work)
-        passes.append(work[0].base is blocks[-1])
-        return work
+        def gathering(crystal, pairs, work=None):
+            work = separations(crystal, pairs, work)
+            i, _, fi, _, current = lists[-1]
+            view = pairs[0]
+            whole = view if view.base is None else view.base
+            kind = "forces" if whole is fi else "skin" if whole is i else None
+            gathers.append((kind, (view.ctypes.data - whole.ctypes.data) // view.itemsize,
+                            view.size, whole.size, work[0].base is current[0].base))
+            return work
 
-    monkeypatch.setattr(md, "_skin_lists", building)
-    monkeypatch.setattr(md, "_separations", gathering)
-    records, steps, _ = counted_tensile_run(monkeypatch)
-    chunks = -(-COUNTED_RUN.equilibration_steps // md.RESCALE_INTERVAL)
-    assert len(passes) == (sum(steps) + 1) + (chunks + 1) + len(records)
-    assert all(passes)
+        monkeypatch.setattr(md, "_skin_lists", building)
+        monkeypatch.setattr(md, "_separations", gathering)
+        records, steps, _ = counted_tensile_run(monkeypatch)
+        passes, at = {"forces": 0, "skin": 0}, 0
+        for kind, offset, size, total, in_current_block in gathers:
+            assert kind and in_current_block and size <= pair_block
+            assert offset == at  # each pass from the list's start, block after block
+            at = offset + size
+            if at == total:
+                passes[kind], at = passes[kind] + 1, 0
+        chunks = -(-COUNTED_RUN.equilibration_steps // md.RESCALE_INTERVAL)
+        assert at == 0
+        assert passes == {"forces": sum(steps) + 1, "skin": (chunks + 1) + len(records)}
+        assert len(gathers) >= blocks_per_pass * sum(passes.values())
 
 
 def test_force_evaluation_allocates_nothing_that_grows_with_the_pairs():
     # 4,000 atoms, 131,200 force pairs: the per-step gathers and coefficients
     # peaked at 7.6 MB traced; in the list's workspace only the forces and
-    # their per-atom sums are allocated, 0.18 MB
+    # their per-atom sums are allocated, 0.28 MB over 9 blocks
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     _, _, fi, fj, work = md._skin_lists(crystal)
     md._forces(crystal, (fi, fj), work)
@@ -600,19 +682,69 @@ def test_grip_stress_takes_the_record_gather_in_bounded_memory():
     # of the whole list to its top-grip pairs inside the cutoff peaks near 0.8 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     i, j, _, _, work = md._skin_lists(crystal)
-    skin = gathered(crystal, (i, j), work)
-    assert traced_peak_mb(lambda: grip_stress(crystal, skin)) < 3.0
-    assert grip_stress(crystal, skin) == rows_grip_stress(crystal, (i, j))
+    assert traced_peak_mb(lambda: stress(crystal, (i, j), work)) < 3.0
+    assert stress(crystal, (i, j), work) == rows_grip_stress(crystal, (i, j))
 
 
 def test_energy_check_runs_in_the_list_workspace_in_bounded_memory():
     # 4,000 atoms, 161,200 skin pairs: gathering them into fresh arrays for
-    # the energy peaked at 7.8 MB traced; in the list's workspace only the
-    # energies of the pairs inside the cutoff are allocated, 2.2 MB
+    # the energy peaked at 7.8 MB traced, in a whole-list workspace at 2.2 MB;
+    # block by block only the energies of the pairs inside the cutoff grow
+    # with the list, 1.6 MB
     crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
     i, j, _, _, work = md._skin_lists(crystal)
     assert traced_peak_mb(lambda: potential_energy(crystal, (i, j), work)) < 4.0
     assert potential_energy(crystal, (i, j), work) == energy(crystal)
+
+
+def test_a_paper_scale_list_holds_one_block_through_every_pass():
+    # 4,000 atoms, 161,200 skin pairs.  With a whole-list workspace its
+    # PairState held 14.5 MiB traced, 9.84 MiB of it the workspace, and an
+    # energy check peaked at 2.24 MiB, a record at 5.08 MiB.  In one block of
+    # _PAIR_BLOCK pairs: 5.65, 1.00, 1.58 and 3.06 MiB.  A step allocated only
+    # its forces in either, 0.28 against 0.31 MiB.
+    crystal = build_crystal(10, 10, 10, temperature=0.05, seed=2)
+    params = MDParams()
+    tracemalloc.start()
+    try:
+        state = integrate(crystal, params, 0)
+        held_mib = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert state.i.size == 161_200
+    assert state.work[0].base.nbytes <= 2**20
+    assert held_mib < 7.0
+    assert state.work[0].base.nbytes == 64 * md._PAIR_BLOCK
+    grip_speed = 0.5 * params.strain_rate * A0_DEFAULT
+    assert traced_peak_mb(lambda: integrate(crystal, params, 1, grip_speed=grip_speed,
+                                            state=state)) < 0.5
+    assert traced_peak_mb(lambda: potential_energy(crystal, (state.i, state.j),
+                                                   state.work)) < 1.9
+    assert traced_peak_mb(lambda: md._record(crystal, state, 0.0)) < 4.0
+
+
+def test_blocked_records_match_the_row_oracles(monkeypatch):
+    # four checkpoints of a 3x4x3 run; the skin list of 4,680 pairs spans 16
+    # blocks of 300
+    whole = run_tensile(COUNTED_RUN, (3, 4, 3), seed=4)  # lists of one block
+    small_blocks(monkeypatch)
+    records = run_tensile(COUNTED_RUN, (3, 4, 3), seed=4)
+    assert records == whole
+    crystal = build_crystal(3, 4, 3, temperature=COUNTED_RUN.temperature, seed=4)
+    state = equilibrate(crystal, COUNTED_RUN)
+    steps = md.checkpoint_steps(COUNTED_RUN, crystal)
+    grip_speed = 0.5 * COUNTED_RUN.strain_rate * A0_DEFAULT
+    for k, record in enumerate(records):
+        if k:
+            state = integrate(crystal, COUNTED_RUN, steps[k] - steps[k - 1],
+                              grip_speed=grip_speed, state=state)
+        assert len(md._blocks((state.i, state.j))) >= 15
+        labels = oracle_cna_labels(crystal.positions, crystal.box, crystal.periodic,
+                                   md.CNA_CUTOFF)
+        r2 = rows_cutoff_pairs(crystal)[3]
+        energy = (rows_potential_energy(r2) + kinetic_energy(crystal)) / crystal.n_atoms
+        assert (record.c_fcc, record.c_hcp, record.c_unk, record.sigma_top, record.energy) == (
+            *defect_concentrations(labels, crystal.free_mask), rows_grip_stress(crystal), energy)
 
 
 # --- tensile runs --------------------------------------------------------

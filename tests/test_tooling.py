@@ -17,7 +17,7 @@ PACKAGE = TESTS.parent / "src" / "gridsweep"
 PERFBENCH = TESTS.parent / "perfbench"
 #: scripts outside the package that use its modules, as run from the repo root
 SCRIPTS = {p.relative_to(TESTS.parent).as_posix(): p
-           for p in [TESTS.parent / "tools" / "bench_analyze.py", *PERFBENCH.glob("*.py")]}
+           for p in [*(TESTS.parent / "tools").glob("*.py"), *PERFBENCH.glob("*.py")]}
 #: every module scanned for unused imports: the package's by file name, the
 #: tests' as tests/NAME
 SCANNED = ({p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}

@@ -17,15 +17,22 @@ parts, each measured on both checkouts:
   first); ``summary`` gives, per workload, each metric's medians, the parent's
   interquartile range and the change's wins.
 - ``md``: for each sweep workload of ``perfbench/workloads.WORKLOADS``, at its
-  geometry, strain rate and target strain, and for the paper-scale crystals
-  of ``PAPER_GEOMETRIES`` at the default strain rate: microseconds per
-  gripped ``integrate`` step (the minimum of ``REPEATS`` runs of ``STEPS``
-  straining steps, seed 0, after a default equilibration for the workloads
-  and after the first list build for the paper-scale crystals), the minor
-  page faults per step (``ru_minflt``) and the tracemalloc peak of one force
-  evaluation; for the workloads, per realization at seeds 0 and 1 the
-  neighbour builds, the wall time and the job CSV's sha256.  In a fresh process per side and round,
-  alternating.  ``md_summary`` compares the two sides.
+  geometry, strain rate and target strain: microseconds per gripped
+  ``integrate`` step (the minimum of ``REPEATS`` runs of ``STEPS`` straining
+  steps, seed 0, after a default equilibration), the minor page faults per
+  step (``ru_minflt``) and the tracemalloc peak of one force evaluation; per
+  realization at seeds 0 and 1 the neighbour builds, the wall time and the
+  job CSV's sha256.  ``md_summary`` gives each side's median and
+  interquartile range of the step over its rounds.
+- ``paper``: for each paper-scale crystal of ``PAPER_GEOMETRIES`` at the
+  default strain rate, in a fresh process of its own: milliseconds per step
+  as in ``md`` but after the first list build, the minor page faults per
+  step, the force evaluation's traced peak and the process's ``ru_maxrss``.
+  ``paper_summary`` gives each side's median and interquartile range over its
+  rounds.
+- ``pair_block``: the same for the 16^3 crystal once per size of
+  ``PAIR_BLOCKS``, on the change alone: the measurement behind
+  ``md._PAIR_BLOCK``.
 - ``block``: for each neighbour-build block size of ``BLOCKS``, in a fresh
   process per side and size: one realization of each sweep workload (seed 0)
   with its wall time, minor page faults and the process's ``ru_maxrss`` after
@@ -38,15 +45,17 @@ parts, each measured on both checkouts:
 - ``n1000``: ``collect_observable``, ``classify_sample`` and
   ``bootstrap_cloud`` on three cells of the campaign ensemble written at
   1,000 jobs, the median of ``REPEATS`` calls.
-- ``cna``: ``cna_labels`` on one checkpoint record's CNA shell of a 10^3 and
-  a 16^3 crystal: the tracemalloc peak of one call and the median time of
-  ``REPEATS`` untraced calls.
+- ``cna``: ``cna_labels`` on one checkpoint record's CNA shell of each crystal
+  of ``CNA_GEOMETRIES``, at each ``cna.CNA_BLOCK`` of ``CNA_BLOCKS``: the
+  tracemalloc peak of one call and the median time of ``REPEATS`` untraced
+  calls.
 
 Each probe runs in a fresh process per side and round, sides alternating
 first, for ``ROUNDS[probe]`` rounds.  Whole processes of the same code
-disagree by more than the calls inside one, so ``n1000_summary`` and
-``cna_summary`` give each side's median and interquartile range over its
-rounds, and the change's relative difference in medians.
+disagree by more than the calls inside one: two rounds of the same ``md``
+code once read 1,861 and 1,272 us per 6x8x6 step.  So every summary gives
+each side's median and interquartile range over its rounds, and the change's
+relative difference in medians.
 """
 
 from __future__ import annotations
@@ -65,10 +74,12 @@ from pathlib import Path
 PAIRS = 10
 REPEATS = 5
 STEPS = 100
-ROUNDS = {"md": 2, "n1000": 8, "cna": 8}
+ROUNDS = {"md": 8, "paper": 8, "n1000": 8, "cna": 8}
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
-CNA_GEOMETRIES = ((10, 10, 10), (16, 16, 16))
-PAPER_GEOMETRIES = ((10, 10, 10), (16, 16, 16))
+CNA_GEOMETRIES = ((6, 8, 6), (10, 10, 10), (16, 16, 16))
+CNA_BLOCKS = (128, 512)
+PAPER_GEOMETRIES = ("10x10x10", "16x16x16")
+PAIR_BLOCKS = (2**13, 2**14, 2**15, 2**16)
 BLOCKS = (2**13, 2**14, 2**15, 2**16, 2**17)
 BLOCK_GEOMETRIES = ((4, 6, 4), (6, 8, 6), (10, 10, 10), (16, 16, 16))
 
@@ -118,7 +129,7 @@ def probe_cna(root: Path, work: Path) -> dict:
     import time
     import tracemalloc
 
-    from gridsweep import md
+    from gridsweep import cna, md
     from gridsweep.cna import cna_labels
 
     # checkouts that predate md.CNA_CUTOFF wrote the same value inline
@@ -129,18 +140,20 @@ def probe_cna(root: Path, work: Path) -> dict:
         # CNA_CUTOFF, the same sorted pairs as a search at that radius lists
         crystal = md.build_crystal(*geometry, temperature=0.05, seed=2)
         pairs = md.neighbor_pairs(crystal.positions, crystal.box, crystal.periodic, cna_cutoff)
-        tracemalloc.start()
-        cna_labels(crystal.positions, pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
+        for block in CNA_BLOCKS:
+            cna.CNA_BLOCK = block
+            tracemalloc.start()
             cna_labels(crystal.positions, pairs)
-            times.append(time.perf_counter() - t0)
-        out["x".join(map(str, geometry))] = {
-            "atoms": crystal.n_atoms, "traced_peak_mb": round(peak / 2**20, 2),
-            "median_ms": round(1e3 * statistics.median(times), 2)}
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            times = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                cna_labels(crystal.positions, pairs)
+                times.append(time.perf_counter() - t0)
+            out["x".join(map(str, geometry)) + f"@{block}"] = {
+                "atoms": crystal.n_atoms, "traced_peak_mb": round(peak / 2**20, 2),
+                "median_ms": round(1e3 * statistics.median(times), 2)}
     return out
 
 
@@ -159,9 +172,54 @@ def _sweep_workloads(root: Path) -> dict:
     return {name: w for name, w in made.items() if isinstance(w, workloads.SweepWorkload)}
 
 
-def probe_md(root: Path, work: Path) -> dict:
+def _step_row(crystal, params, state) -> dict:
+    """The best of REPEATS runs of STEPS gripped steps of ``crystal`` from
+    ``state``, their minor faults, and one force evaluation's traced peak."""
     import time
     import tracemalloc
+
+    from gridsweep import md
+
+    grip_speed = 0.5 * params.strain_rate * md.A0_DEFAULT
+    times, faults = [], _minor_faults()
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        state = md.integrate(crystal, params, STEPS, grip_speed=grip_speed, state=state)
+        times.append(time.perf_counter() - t0)
+    faults = _minor_faults() - faults
+    # checkouts before the force list's workspace took no third argument
+    workspace = [state.work] if "work" in md.PairState._fields else []
+    tracemalloc.start()
+    md._forces(crystal, (state.fi, state.fj), *workspace)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"atoms": crystal.n_atoms, "force_pairs": int(state.fi.size),
+            "us_per_step": round(1e6 * min(times) / STEPS, 1),
+            "minor_faults_per_step": round(faults / (REPEATS * STEPS), 1),
+            "force_traced_peak_mb": round(peak / 2**20, 2)}
+
+
+def probe_paper(root: Path, work: Path, cell: str) -> dict:
+    """``cell`` is NXxNYxNZ, or NXxNYxNZ@PAIR_BLOCK to set ``md._PAIR_BLOCK``."""
+    import resource
+
+    from gridsweep import md
+
+    geometry, _, block = cell.partition("@")
+    if block:
+        md._PAIR_BLOCK = int(block)
+    params = md.MDParams()
+    crystal = md.build_crystal(*map(int, geometry.split("x")), temperature=params.temperature,
+                               seed=0)
+    state = md.integrate(crystal, params, 0)  # the list and first forces, untimed
+    row = _step_row(crystal, params, state)
+    row["ms_per_step"] = round(row.pop("us_per_step") / 1e3, 3)
+    row["max_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return {cell: row}
+
+
+def probe_md(root: Path, work: Path) -> dict:
+    import time
 
     from gridsweep import md
     from gridsweep.sweep import write_records_csv
@@ -173,33 +231,13 @@ def probe_md(root: Path, work: Path) -> dict:
         builds.append(1)
         return search(*args)
 
-    def step_row(geometry, params, crystal, state) -> dict:
-        grip_speed = 0.5 * params.strain_rate * md.A0_DEFAULT
-        times, faults = [], _minor_faults()
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            state = md.integrate(crystal, params, STEPS, grip_speed=grip_speed, state=state)
-            times.append(time.perf_counter() - t0)
-        faults = _minor_faults() - faults
-        # checkouts before the force list's workspace took no third argument
-        workspace = [state.work] if "work" in md.PairState._fields else []
-        tracemalloc.start()
-        md._forces(crystal, (state.fi, state.fj), *workspace)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return {"geometry": list(geometry), "atoms": crystal.n_atoms,
-                "force_pairs": int(state.fi.size),
-                "us_per_step": round(1e6 * min(times) / STEPS, 1),
-                "minor_faults_per_step": round(faults / (REPEATS * STEPS), 1),
-                "force_traced_peak_mb": round(peak / 2**20, 2)}
-
     md.neighbor_pairs = counting_search
     out = {}
     for name, w in _sweep_workloads(root).items():
         params = md.MDParams(strain_rate=w.strain_rate, target_strain=w.target_strain)
         crystal = md.build_crystal(*w.geometry, temperature=params.temperature, seed=0)
-        row = step_row(w.geometry, params, crystal, md.equilibrate(crystal, params))
-        row["realizations"] = {}
+        row = _step_row(crystal, params, md.equilibrate(crystal, params))
+        row["geometry"], row["realizations"] = list(w.geometry), {}
         for seed in (0, 1):
             builds.clear()
             t0 = time.perf_counter()
@@ -211,22 +249,17 @@ def probe_md(root: Path, work: Path) -> dict:
                 "neighbor_builds": len(builds), "wall_s": round(wall, 3),
                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
         out[name] = row
-    params = md.MDParams()
-    for geometry in PAPER_GEOMETRIES:
-        crystal = md.build_crystal(*geometry, temperature=params.temperature, seed=0)
-        state = md.integrate(crystal, params, 0)  # the list and first forces, untimed
-        out["x".join(map(str, geometry))] = step_row(geometry, params, crystal, state)
     return out
 
 
-def probe_block(root: Path, work: Path, block: int) -> dict:
+def probe_block(root: Path, work: Path, block: str) -> dict:
     import resource
     import time
     import tracemalloc
 
     from gridsweep import md
 
-    md._BLOCK = block
+    md._BLOCK = int(block)
     out = {"realizations": {}, "builds": {}}
     for name, w in _sweep_workloads(root).items():
         params = md.MDParams(strain_rate=w.strain_rate, target_strain=w.target_strain)
@@ -281,7 +314,9 @@ def probe_outputs(root: Path, work: Path) -> dict:
 
 
 PROBES = {"block": probe_block, "cna": probe_cna, "md": probe_md, "n1000": probe_n1000,
-          "outputs": probe_outputs}
+          "outputs": probe_outputs, "paper": probe_paper}
+#: the probes that run one fresh process per argument, and their arguments
+PROBE_ARGS = {"paper": PAPER_GEOMETRIES}
 
 
 def _probe(root: Path, name: str, work: Path, *args: str) -> dict:
@@ -293,6 +328,15 @@ def _probe(root: Path, name: str, work: Path, *args: str) -> dict:
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def _round(root: Path, name: str, work: Path) -> dict:
+    """One round of probe ``name`` in ``root``: one process, or one per
+    argument of ``PROBE_ARGS[name]`` with their cells merged."""
+    out = {}
+    for arg in PROBE_ARGS.get(name, (None,)):
+        out.update(_probe(root, name, work, *(() if arg is None else ("--arg", arg))))
+    return out
 
 
 # --- paired runs and comparisons ---------------------------------------
@@ -330,26 +374,20 @@ def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def _compare_md(rounds: dict) -> dict:
-    """Per row: each side's best microseconds and fewest minor faults per step
-    over the rounds and its force evaluation's traced peak; for the workloads,
-    the neighbour builds and whether every job digest of every round is the
-    same on both sides."""
+    """Per workload: `_spread` of its step over the rounds, the neighbour
+    builds, and whether every job digest of every round is the same on both
+    sides."""
     out, sides = {}, ("parent", "change")
-    for name, first in rounds["parent"][0].items():
-        best = {s: min(r[name]["us_per_step"] for r in rounds[s]) for s in sides}
-        row = out[name] = {
-            "us_per_step": best, "relative_change": best["change"] / best["parent"] - 1.0,
-            "minor_faults_per_step": {s: min(r[name]["minor_faults_per_step"] for r in rounds[s])
-                                      for s in sides},
-            "force_traced_peak_mb": {s: rounds[s][0][name]["force_traced_peak_mb"]
-                                     for s in sides}}
-        if "realizations" in first:
-            digests = {s: {(k, v["sha256"]) for r in rounds[s]
-                           for k, v in r[name]["realizations"].items()} for s in sides}
-            row["neighbor_builds"] = {s: [v["neighbor_builds"] for v in
-                                          rounds[s][0][name]["realizations"].values()]
-                                      for s in sides}
-            row["same_job_digests"] = digests["parent"] == digests["change"]
+    steps = {s: [{name: {k: v for k, v in row.items() if k != "realizations"}
+                  for name, row in r.items()} for r in rounds[s]] for s in sides}
+    for name, row in _spread(steps).items():
+        digests = {s: {(k, v["sha256"]) for r in rounds[s]
+                       for k, v in r[name]["realizations"].items()} for s in sides}
+        row["neighbor_builds"] = {s: [v["neighbor_builds"] for v in
+                                      rounds[s][0][name]["realizations"].values()]
+                                  for s in sides}
+        row["same_job_digests"] = digests["parent"] == digests["change"]
+        out[name] = row
     return out
 
 
@@ -359,13 +397,16 @@ def _spread(rounds: dict) -> dict:
     out = {}
     for cell, numbers in rounds["parent"][0].items():
         out[cell] = {}
-        for key in numbers:
+        for key, value in numbers.items():
+            if not isinstance(value, (int, float)):
+                continue
             row = {}
             for s in ("parent", "change"):
                 values = [r[cell][key] for r in rounds[s]]
                 q1, _, q3 = statistics.quantiles(values, n=4)
                 row[s] = {"median": statistics.median(values), "iqr": round(q3 - q1, 3)}
-            row["relative_change"] = row["change"]["median"] / row["parent"]["median"] - 1.0
+            parent = row["parent"]["median"]
+            row["relative_change"] = row["change"]["median"] / parent - 1.0 if parent else None
             out[cell][key] = row
     return out
 
@@ -391,11 +432,11 @@ def main(argv=None) -> int:
     p.add_argument("--probe", choices=sorted(PROBES), help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--work", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--block", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--arg", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
 
     if args.probe:
-        extra = () if args.block is None else (args.block,)
+        extra = () if args.arg is None else (args.arg,)
         print(json.dumps(PROBES[args.probe](args.root.resolve(), args.work, *extra)))
         return 0
     if not (args.parent and args.change and args.out and args.first_seed is not None):
@@ -425,12 +466,15 @@ def main(argv=None) -> int:
             record[name] = {"rounds": rounds, "parent": [], "change": []}
             for r in range(rounds):
                 for s in (("parent", "change"), ("change", "parent"))[r % 2]:
-                    record[name][s].append(_probe(sides[s], name, work / s))
-        record["block"] = {s: {block: _probe(root, "block", work / s, "--block", str(block))
+                    record[name][s].append(_round(sides[s], name, work / s))
+        record["block"] = {s: {block: _probe(root, "block", work / s, "--arg", str(block))
                                for block in BLOCKS} for s, root in sides.items()}
+        record["pair_block"] = {block: _probe(sides["change"], "paper", work / "change", "--arg",
+                                              f"16x16x16@{block}")["16x16x16@" + str(block)]
+                                for block in PAIR_BLOCKS}
         record["md_summary"] = _compare_md(record["md"])
-        record["n1000_summary"] = _spread(record["n1000"])
-        record["cna_summary"] = _spread(record["cna"])
+        for name in ("paper", "n1000", "cna"):
+            record[f"{name}_summary"] = _spread(record[name])
 
     record["pairs"], record["summary"] = [], {}
     for workload in (w["name"] for w in bench["workloads"]):
