@@ -7,9 +7,11 @@ rate.  The pair potential is LJ truncated and shifted at the cutoff --
 cheap enough for desk-scale ensembles while leaving the whole statistics
 chain potential-agnostic.  One Verlet pair list (cutoff + skin) lasts a
 whole realization: `integrate` hands it, with the last forces, to the next
-call.  The energy checks take their pairs from it, and each checkpoint
-gathers its separations from it once, for the energy, grip stress and CNA;
-one count of the free atoms' CNA labels gives the record's defect fractions.
+call; `checkpoints` carries it from call to call, yielding it with each record
+and crystal, and `run_tensile` is that stream's records.  The energy checks
+take their pairs from it, and each checkpoint gathers its separations from it
+once, for the energy, grip stress and CNA; one count of the free atoms' CNA
+labels gives the record's defect fractions.
 The integrator computes forces only.  Its kernel skips the pairs with no
 free atom, as LAMMPS's ``neigh_modify exclude`` does for a rigid group: their
 forces land only on grip rows, which the integrator never applies.  The
@@ -562,21 +564,24 @@ def _record(crystal: Crystal, state: PairState, strain: float) -> DefectRecord:
                         sigma_top=sigma_top, energy=energy / crystal.n_atoms)
 
 
+def checkpoints(params: MDParams, geometry: tuple[int, int, int], seed: int = 0):
+    """Build, equilibrate and strain a crystal, yielding (record, crystal,
+    state) at each step of `checkpoint_steps` (strain: the grip separation's
+    relative change): its `DefectRecord`, the live `Crystal` and the `PairState`
+    to resume from.  Both are live: the next draw moves them on, so a caller
+    that keeps one copies the crystal.  The grid is checked before `equilibrate`."""
+    crystal = build_crystal(*geometry, temperature=params.temperature, seed=seed)
+    steps = checkpoint_steps(params, crystal)  # the grips stand still in equilibrate
+    state = equilibrate(crystal, params)
+    grip_speed = 0.5 * params.strain_rate * A0_DEFAULT  # per grip; separation rate is 2x
+    for k, step in enumerate(steps):
+        if k:
+            state = integrate(crystal, params, step - steps[k - 1], grip_speed=grip_speed,
+                              state=state)
+        yield _record(crystal, state, k * CHECKPOINT_DSTRAIN), crystal, state
+
+
 def run_tensile(params: MDParams, geometry: tuple[int, int, int],
                 seed: int = 0) -> list[DefectRecord]:
-    """Equilibrate, then strain to target, emitting a record per checkpoint.
-
-    Strain is the relative change of grip separation; records land on the
-    steps of `checkpoint_steps`.
-    """
-    nx, ny, nz = geometry
-    crystal = build_crystal(nx, ny, nz, temperature=params.temperature, seed=seed)
-    state = equilibrate(crystal, params)
-    steps = checkpoint_steps(params, crystal)
-    records = [_record(crystal, state, 0.0)]
-    grip_speed = 0.5 * params.strain_rate * A0_DEFAULT  # per grip; separation rate is 2x
-    for k in range(1, len(steps)):
-        state = integrate(crystal, params, steps[k] - steps[k - 1],
-                          grip_speed=grip_speed, state=state)
-        records.append(_record(crystal, state, k * CHECKPOINT_DSTRAIN))
-    return records
+    """The records of `checkpoints`, from strain 0 to target."""
+    return [record for record, _, _ in checkpoints(params, geometry, seed)]

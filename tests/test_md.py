@@ -28,7 +28,6 @@ from gridsweep.md import (
     Crystal,
     MDParams,
     build_crystal,
-    equilibrate,
     fcc_positions,
     grip_separation,
     grip_stress,
@@ -474,8 +473,8 @@ def test_ungripped_forces_use_the_skin_list_itself():
 
 
 def test_checkpoint_record_matches_public_observables():
-    params = MDParams(strain_rate=0.2, target_strain=0.01, equilibration_steps=60)
-    records = run_tensile(params, (3, 4, 3), seed=4)
+    params = MDParams(strain_rate=0.2, target_strain=0.03, equilibration_steps=60)
+    travel = params.strain_rate * A0_DEFAULT * params.dt  # grip separation per step
 
     def observables(crystal):
         bonds = neighbor_pairs(crystal.positions, crystal.box, crystal.periodic,
@@ -484,15 +483,13 @@ def test_checkpoint_record_matches_public_observables():
         return (*defect_concentrations(labels, crystal.free_mask), stress(crystal),
                 (energy(crystal) + kinetic_energy(crystal)) / crystal.n_atoms)
 
-    crystal = build_crystal(3, 4, 3, temperature=params.temperature, seed=4)
-    state = equilibrate(crystal, params)
-    expected = [observables(crystal)]
-    grip_speed = 0.5 * params.strain_rate * A0_DEFAULT
-    n_steps = int(round(0.01 * grip_separation(crystal) / (2.0 * grip_speed * params.dt)))
-    integrate(crystal, params, n_steps, grip_speed=grip_speed, state=state)
-    expected.append(observables(crystal))
-    got = [(r.c_fcc, r.c_hcp, r.c_unk, r.sigma_top, r.energy) for r in records]
-    assert got == expected
+    l0 = grip_separation(build_crystal(3, 4, 3))
+    for k, (record, crystal, _) in enumerate(md.checkpoints(params, (3, 4, 3), seed=4)):
+        assert record.strain == k * 0.01
+        assert abs(grip_separation(crystal) - (1 + record.strain) * l0) <= travel
+        assert (record.c_fcc, record.c_hcp, record.c_unk, record.sigma_top,
+                record.energy) == observables(crystal)
+    assert k == 3
 
 
 COUNTED_RUN = MDParams(strain_rate=0.2, target_strain=0.03, equilibration_steps=45)
@@ -582,10 +579,21 @@ def test_force_evaluation_allocates_nothing_that_grows_with_the_pairs():
 
 
 def test_unstable_integration_raises():
+    # at strain_rate 0.4 this dt also puts two checkpoints on one step
     params = MDParams(dt=0.3, temperature=0.5, equilibration_steps=100,
-                      strain_rate=0.4, target_strain=0.04)
+                      strain_rate=0.01, target_strain=0.04)
     with pytest.raises(BlowUpError, match="drift"):
         run_tensile(params, (3, 4, 3), seed=0)
+
+
+def test_an_impossible_strain_rate_fails_before_any_step(monkeypatch):
+    # the grid needs no equilibrated crystal, whose steps would take about
+    # 0.18 s at 4x6x4 and 12 s at 16^3 before the error
+    calls = []
+    monkeypatch.setattr(md, "integrate", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ParameterError, match="two checkpoints on one integration step"):
+        run_tensile(MDParams(strain_rate=50), (4, 6, 4))
+    assert calls == []
 
 
 def test_non_finite_state_raises():
@@ -728,16 +736,9 @@ def test_blocked_records_match_the_row_oracles(monkeypatch):
     # blocks of 300
     whole = run_tensile(COUNTED_RUN, (3, 4, 3), seed=4)  # lists of one block
     small_blocks(monkeypatch)
-    records = run_tensile(COUNTED_RUN, (3, 4, 3), seed=4)
-    assert records == whole
-    crystal = build_crystal(3, 4, 3, temperature=COUNTED_RUN.temperature, seed=4)
-    state = equilibrate(crystal, COUNTED_RUN)
-    steps = md.checkpoint_steps(COUNTED_RUN, crystal)
-    grip_speed = 0.5 * COUNTED_RUN.strain_rate * A0_DEFAULT
-    for k, record in enumerate(records):
-        if k:
-            state = integrate(crystal, COUNTED_RUN, steps[k] - steps[k - 1],
-                              grip_speed=grip_speed, state=state)
+    records = []
+    for record, crystal, state in md.checkpoints(COUNTED_RUN, (3, 4, 3), seed=4):
+        records.append(record)
         assert len(md._blocks((state.i, state.j))) >= 15
         labels = oracle_cna_labels(crystal.positions, crystal.box, crystal.periodic,
                                    md.CNA_CUTOFF)
@@ -745,6 +746,40 @@ def test_blocked_records_match_the_row_oracles(monkeypatch):
         energy = (rows_potential_energy(r2) + kinetic_energy(crystal)) / crystal.n_atoms
         assert (record.c_fcc, record.c_hcp, record.c_unk, record.sigma_top, record.energy) == (
             *defect_concentrations(labels, crystal.free_mask), rows_grip_stress(crystal), energy)
+    assert records == whole
+
+
+def test_checkpoints_stream_each_record_with_the_state_to_resume_from(monkeypatch):
+    # the stream's records are run_tensile's; a draw runs only the steps up to
+    # its checkpoint; and from a copy of the crystal and the state of checkpoint
+    # k - 1, kept while the stream moves on, one integrate over the interval
+    # and a record give checkpoint k's record bit for bit
+    whole = run_tensile(COUNTED_RUN, (3, 4, 3), seed=4)
+    drawn = []  # (n_steps, grip_speed) of each integrate call the stream makes
+
+    def counting(crystal, params, n_steps, grip_speed=0.0, state=None):
+        drawn.append((n_steps, grip_speed))
+        return integrate(crystal, params, n_steps, grip_speed=grip_speed, state=state)
+
+    monkeypatch.setattr(md, "integrate", counting)
+    stream = md.checkpoints(COUNTED_RUN, (3, 4, 3), seed=4)
+    assert drawn == []
+    record, crystal, state = next(stream)
+    assert sum(n for n, _ in drawn) == COUNTED_RUN.equilibration_steps
+    assert {v for _, v in drawn} == {0.0}
+    steps = md.checkpoint_steps(COUNTED_RUN, crystal)
+    grip_speed = 0.5 * COUNTED_RUN.strain_rate * A0_DEFAULT
+    records = [record]
+    for k in range(1, len(steps)):
+        kept, resume = crystal.copy(), state
+        record, crystal, state = next(stream)
+        records.append(record)
+        assert sum(n for n, _ in drawn) == COUNTED_RUN.equilibration_steps + steps[k]
+        replayed = integrate(kept, COUNTED_RUN, steps[k] - steps[k - 1],
+                             grip_speed=grip_speed, state=resume)
+        assert md._record(kept, replayed, k * md.CHECKPOINT_DSTRAIN) == record
+    assert next(stream, None) is None
+    assert records == whole
 
 
 # --- tensile runs --------------------------------------------------------

@@ -3,6 +3,7 @@ scripts use, and the argument names perfbench's tracer binds."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -240,3 +241,23 @@ def test_perfbench_tracer_binds_the_arguments_it_names(tmp_path):
     assert {"cna.cna_labels", "md.grip_stress",
             "stats.ks_test[parametric_bootstrap]"} <= set(traced["spans"])
     assert traced["counts"]["cna.atoms"] > 0 and traced["counts"]["md.steps"] > 0
+
+
+def test_paper_realization_counts_one_run_and_leaves_md_as_it_was():
+    # the script wraps md.integrate and md.neighbor_pairs to time and count
+    # them; unrestored, a second call wrapped the first call's wrappers and
+    # counted into its lists too
+    from gridsweep import md
+    spec = importlib.util.spec_from_file_location(
+        "paper_realization", SCRIPTS["tools/paper_realization.py"])
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    own = md.integrate, md.neighbor_pairs
+    params = md.MDParams(target_strain=0.01)
+    last_step = md.checkpoint_steps(params, md.build_crystal(2, 4, 2))[-1]
+    for _ in range(2):
+        run = script.realization((2, 4, 2), 0.01, 0)
+        assert run["steps"] == params.equilibration_steps + last_step
+        assert run["neighbor_builds"] >= 1
+        assert len(run["records"]) == 2
+        assert (md.integrate, md.neighbor_pairs) == own

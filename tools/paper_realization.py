@@ -9,8 +9,10 @@ It runs `md.run_tensile` at the default `MDParams` but for ``--target-strain``
 in this process, and prints the geometry, the atom and pair counts, the
 integration steps (equilibration and strain), the wall time, the seconds per
 step spent in `integrate`, the neighbour builds, the process's peak RSS
-(``ru_maxrss``) and the records.  With ``--into`` the record is also added to
-that JSON file under ``realization_<geometry>``.
+(``ru_maxrss``) and the records.  `md.integrate` and `md.neighbor_pairs` are
+wrapped to time and count them during the run, and restored after it.  With
+``--into`` the record is also added to that JSON file under
+``realization_<geometry>``.
 """
 
 from __future__ import annotations
@@ -44,11 +46,14 @@ def realization(geometry: tuple[int, int, int], target_strain: float, seed: int)
         builds.append(1)
         return search(*args)
 
-    md.integrate, md.neighbor_pairs = timed_integrate, counting_search
     params = md.MDParams(target_strain=target_strain)
-    t0 = time.perf_counter()
-    records = md.run_tensile(params, geometry, seed=seed)
-    wall = time.perf_counter() - t0
+    md.integrate, md.neighbor_pairs = timed_integrate, counting_search
+    try:
+        t0 = time.perf_counter()
+        records = md.run_tensile(params, geometry, seed=seed)
+        wall = time.perf_counter() - t0
+    finally:
+        md.integrate, md.neighbor_pairs = integrate, search
     n_steps = sum(steps)
     return {
         "geometry": list(geometry), "seed": seed, "params": asdict(params),
