@@ -632,7 +632,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_analyze_loads_scipy_special(tmp_path):
+def test_no_command_loads_scipy_special(tmp_path):
     # a fresh interpreter: the stats tests have already loaded scipy.special here
     sweep = str(tmp_path / "sweep")
     commands = [
@@ -646,7 +646,7 @@ def test_only_analyze_loads_scipy_special(tmp_path):
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, env=package_env(), timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, True]
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, False]
     assert (tmp_path / "analysis" / "verdict.csv").exists()
 
 

@@ -1,6 +1,9 @@
-"""Fits, KS machinery, moment summaries, and bootstrap clouds."""
+"""Fits, KS machinery, the normal CDF and its inverse, moment summaries, and
+bootstrap clouds."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +15,15 @@ from oracles import (
     oracle_pearson_point,
     weibull_log_likelihood,
 )
+from scipy.special import ndtr, ndtri
 
 from gridsweep import stats
 from gridsweep.errors import DegenerateSampleError, DomainError, ParameterError
 from gridsweep.stats import (
     FitResult,
     _moments_rows,
+    _ndtr,
+    _ndtri,
     _resample_distances,
     _weibull_rows,
     bootstrap_cloud,
@@ -299,14 +305,22 @@ def test_weibull_solver_stops_at_a_root_on_its_bracket(monkeypatch):
     v = campaign_cell(10, 1)
     fit = fit_weibull(v)
     profile, calls = stats._weibull_profile, []
+    rows, per_rows = stats._weibull_rows, []
 
     def counted(*args):
         calls.append(args)
         return profile(*args)
 
+    def counted_rows(x):
+        before = len(calls)
+        out = rows(x)
+        per_rows.append(len(calls) - before)
+        return out
+
     monkeypatch.setattr(stats, "_weibull_profile", counted)
+    monkeypatch.setattr(stats, "_weibull_rows", counted_rows)
     ks_test(v, fit, "parametric_bootstrap", n_resamples=999, seed=0)
-    assert len(calls) <= 10
+    assert len(per_rows) == 4 and max(per_rows) <= 10  # blocks of 327 rows
 
     # a seeded batch: the open-bracket rule took 18,271 row evaluations
     rng = np.random.default_rng(17)
@@ -314,6 +328,34 @@ def test_weibull_solver_stops_at_a_root_on_its_bracket(monkeypatch):
     calls.clear()
     assert stats._weibull_rows(x)[2].all()
     assert sum(len(k) for k, *_ in calls) <= 0.6 * 18271
+
+
+@pytest.mark.parametrize("fit, n", [
+    (FitResult("normal", (2.0, 0.5), 0.0, True), 40),
+    (FitResult("weibull", (1.5, 2.0), 0.0, True), 40),
+    (FitResult("weibull", (0.05, 1e-290), 0.0, True), 3),  # some resamples clamp to 1e-300
+])
+def test_resample_blocks_equal_one_block(monkeypatch, fit, n):
+    one = _resample_distances(fit, n, 200, 5)  # 2^15 // n rows: one block
+    monkeypatch.setattr(stats, "_RESAMPLE_BLOCK", 7 * n)  # 28 blocks of 7 rows, then 4
+    blocks = _resample_distances(fit, n, 200, 5)
+    assert np.array_equal(blocks.view(np.int64), one.view(np.int64))
+    if fit.params[1] < 1e-200:
+        degenerate = np.isinf(one).reshape(-1)[:196].reshape(28, 7).any(axis=1)
+        assert 1 < degenerate.sum() < 28
+
+
+def test_weibull_bootstrap_at_n_1000_stays_in_a_few_megabytes():
+    # one (999, 1000) array with its refit's temporaries peaked at 72 MB traced
+    v = np.random.default_rng(8).weibull(2.0, 1000)
+    fit = fit_weibull(v)
+    tracemalloc.start()
+    try:
+        ks_test(v, fit, n_resamples=999, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_ks_test_input_validation():
@@ -325,6 +367,49 @@ def test_ks_test_input_validation():
     bad = FitResult("normal", (0.0, 1.0), 0.0, False)
     with pytest.raises(ParameterError):
         ks_test([0.1, 0.2], bad)
+
+
+# --- the normal CDF and its inverse: bit for bit scipy.special ---------
+
+
+def assert_same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours, dtype=float), np.asarray(theirs, dtype=float)
+    assert ours.shape == theirs.shape
+    assert np.count_nonzero(ours.view(np.int64) != theirs.view(np.int64)) == 0
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(999, 100))
+    standardized = (np.sort(x, axis=1) - x.mean(axis=1)[:, None]) / x.std(axis=1)[:, None]
+    # each side of the erf/erfc switch at |a| = sqrt2, the tables' switch at
+    # 8 sqrt2 and erfc's underflow near 37.68, where a^2/2 passes MAXLOG
+    switches = [s * t for s in (math.sqrt(2), 8 * math.sqrt(2), 37.67, 37.68) for t in (1, -1)]
+    edges = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, *switches,
+                      *np.nextafter(switches, 0.0), *np.nextafter(switches, np.inf)])
+    for a in (standardized, rng.normal(0.0, 3.0, 100_000), rng.uniform(-60.0, 60.0, 100_000),
+              edges):
+        assert_same_bits(_ndtr(a), ndtr(a))
+
+
+def test_ndtri_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(29)
+    exp_m2 = 0.13533528323661269189  # the central table's bounds: exp(-2), 1 - exp(-2)
+    bounds = [exp_m2, 1.0 - exp_m2, 0.5]
+    grids = [(np.arange(1, n + 1) - 0.5) / n for n in (2, 3, 100, 583, 1000)]
+    for p in (rng.uniform(size=100_000), 10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+              1.0 - 10.0 ** rng.uniform(-16.0, -0.1, 100_000),
+              np.array([*bounds, *np.nextafter(bounds, 0.0), *np.nextafter(bounds, 1.0),
+                        5e-324, 1e-300, 1e-14, np.nextafter(1.0, 0.0)]), *grids):
+        assert_same_bits(_ndtri(p), ndtri(p))
+
+
+def test_ndtr_of_infinities_is_exact_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(_ndtr(np.array([-np.inf, np.inf, -1e300, 1e300])), [0.0, 1.0, 0.0, 1.0])
+        assert np.isnan(_ndtr(np.nan))
+        assert_same_bits(std_normal_fit().cdf(np.inf), 1.0)
 
 
 # --- moments -------------------------------------------------------------

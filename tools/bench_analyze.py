@@ -45,10 +45,17 @@ parts, each measured on both checkouts:
 - ``n1000``: ``collect_observable``, ``classify_sample`` and
   ``bootstrap_cloud`` on three cells of the campaign ensemble written at
   1,000 jobs, the median of ``REPEATS`` calls.
+- ``cold``: ``analyze`` on the campaign ensemble's ``COLD_CELL``, in an
+  interpreter of its own: its wall time from spawn to exit, its
+  ``ru_maxrss`` and whether it loaded ``scipy.special``.
 - ``cna``: ``cna_labels`` on one checkpoint record's CNA shell of each crystal
   of ``CNA_GEOMETRIES``, at each ``cna.CNA_BLOCK`` of ``CNA_BLOCKS``: the
   tracemalloc peak of one call and the median time of ``REPEATS`` untraced
   calls.
+
+``--probes`` names the parts to take (default: all), as a comma-separated
+list of ``outputs``, ``pairs``, the probes of ``ROUNDS``, ``block`` and
+``pair_block``.
 
 Each probe runs in a fresh process per side and round, sides alternating
 first, for ``ROUNDS[probe]`` rounds.  Whole processes of the same code
@@ -74,8 +81,9 @@ from pathlib import Path
 PAIRS = 10
 REPEATS = 5
 STEPS = 100
-ROUNDS = {"md": 8, "paper": 8, "n1000": 8, "cna": 8}
+ROUNDS = {"md": 8, "paper": 8, "n1000": 8, "cna": 8, "cold": 8}
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
+COLD_CELL = ("sigma_top", 0.15)  # fits and KS-tests both families
 CNA_GEOMETRIES = ((6, 8, 6), (10, 10, 10), (16, 16, 16))
 CNA_BLOCKS = (128, 512)
 PAPER_GEOMETRIES = ("10x10x10", "16x16x16")
@@ -123,6 +131,32 @@ def probe_n1000(root: Path, work: Path) -> dict:
             "bootstrap_cloud_ms": median_ms(lambda: stats.bootstrap_cloud(v, 1000)),
         }
     return out
+
+
+#: the CLI's analyze in a fresh interpreter, then its max RSS and whether it
+#: loaded scipy.special, as JSON
+COLD_ANALYZE = """
+import json, resource, sys
+from gridsweep.cli import main
+if main(sys.argv[1:]) != 0:
+    sys.exit("analyze failed")
+rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+print(json.dumps({"max_rss_mb": rss_mb, "scipy_special": "scipy.special" in sys.modules}))
+"""
+
+
+def probe_cold(root: Path, work: Path) -> dict:
+    import time
+
+    ensemble = _campaign(root, work, 100).ensemble
+    obs, strain = COLD_CELL
+    argv = ["analyze", "--input-dir", str(ensemble), "--strain", str(strain),
+            "--observable", obs, "--out-dir", str(work / "cold")]
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", COLD_ANALYZE, *argv],
+                         check=True, capture_output=True, text=True).stdout
+    wall = time.perf_counter() - t0
+    return {f"{obs}@{strain}": {"wall_s": round(wall, 3), **json.loads(out.splitlines()[-1])}}
 
 
 def probe_cna(root: Path, work: Path) -> dict:
@@ -313,8 +347,10 @@ def probe_outputs(root: Path, work: Path) -> dict:
     return {"sha256": files, "clouds": clouds}
 
 
-PROBES = {"block": probe_block, "cna": probe_cna, "md": probe_md, "n1000": probe_n1000,
-          "outputs": probe_outputs, "paper": probe_paper}
+PROBES = {"block": probe_block, "cna": probe_cna, "cold": probe_cold, "md": probe_md,
+          "n1000": probe_n1000, "outputs": probe_outputs, "paper": probe_paper}
+#: the parts of the record --probes can name
+PARTS = ("outputs", "pairs", *ROUNDS, "block", "pair_block")
 #: the probes that run one fresh process per argument, and their arguments
 PROBE_ARGS = {"paper": PAPER_GEOMETRIES}
 
@@ -398,7 +434,7 @@ def _spread(rounds: dict) -> dict:
     for cell, numbers in rounds["parent"][0].items():
         out[cell] = {}
         for key, value in numbers.items():
-            if not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             row = {}
             for s in ("parent", "change"):
@@ -429,6 +465,8 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path)
     p.add_argument("--out", type=Path, help="BENCH_<label>.json")
     p.add_argument("--first-seed", type=int, help="first of the pairs' seeds, unused before")
+    p.add_argument("--probes", default=",".join(PARTS),
+                   help="comma-separated parts to take (default: all of %(default)s)")
     p.add_argument("--probe", choices=sorted(PROBES), help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--work", type=Path, help=argparse.SUPPRESS)
@@ -441,6 +479,9 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change and args.out and args.first_seed is not None):
         p.error("--parent, --change, --out and --first-seed are required")
+    parts = args.probes.split(",")
+    if set(parts) - set(PARTS):
+        p.error(f"--probes takes parts of {','.join(PARTS)}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
 
@@ -458,26 +499,36 @@ def main(argv=None) -> int:
         "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
                      "scipy": scipy.__version__},
     }
+    record["probes"] = parts
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        outputs = {s: _probe(root, "outputs", work / s / "outputs") for s, root in sides.items()}
-        record["outputs"] = _compare_outputs(outputs["parent"], outputs["change"])
+        if "outputs" in parts:
+            outputs = {s: _probe(root, "outputs", work / s / "outputs")
+                       for s, root in sides.items()}
+            record["outputs"] = _compare_outputs(outputs["parent"], outputs["change"])
         for name, rounds in ROUNDS.items():
+            if name not in parts:
+                continue
             record[name] = {"rounds": rounds, "parent": [], "change": []}
             for r in range(rounds):
                 for s in (("parent", "change"), ("change", "parent"))[r % 2]:
                     record[name][s].append(_round(sides[s], name, work / s))
-        record["block"] = {s: {block: _probe(root, "block", work / s, "--arg", str(block))
-                               for block in BLOCKS} for s, root in sides.items()}
-        record["pair_block"] = {block: _probe(sides["change"], "paper", work / "change", "--arg",
-                                              f"16x16x16@{block}")["16x16x16@" + str(block)]
-                                for block in PAIR_BLOCKS}
-        record["md_summary"] = _compare_md(record["md"])
-        for name in ("paper", "n1000", "cna"):
-            record[f"{name}_summary"] = _spread(record[name])
+            if name == "md":
+                record["md_summary"] = _compare_md(record["md"])
+            else:
+                record[f"{name}_summary"] = _spread(record[name])
+        if "block" in parts:
+            record["block"] = {s: {block: _probe(root, "block", work / s, "--arg", str(block))
+                                   for block in BLOCKS} for s, root in sides.items()}
+        if "pair_block" in parts:
+            record["pair_block"] = {
+                block: _probe(sides["change"], "paper", work / "change", "--arg",
+                              f"16x16x16@{block}")["16x16x16@" + str(block)]
+                for block in PAIR_BLOCKS}
 
     record["pairs"], record["summary"] = [], {}
-    for workload in (w["name"] for w in bench["workloads"]):
+    workloads = [w["name"] for w in bench["workloads"]] if "pairs" in parts else []
+    for workload in workloads:
         pairs = []
         for seed in range(args.first_seed, args.first_seed + PAIRS):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
