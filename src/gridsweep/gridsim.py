@@ -102,6 +102,65 @@ def _scaled_runtime(task: TaskSpec, host: HostSpec) -> float:
     return task.t_job_ref_s * REF_GFLOPS / host.gflops
 
 
+def _host_seed_words(seed: int, n: int) -> np.ndarray:
+    """(n, 4) uint64: the words ``PCG64`` seeds host i's stream from, the same
+    as ``np.random.default_rng([seed & (2**63 - 1), 1, i])`` derives them.
+
+    numpy's SeedSequence (``mix_entropy`` and ``generate_state`` of
+    ``bit_generator.pyx``, whose output numpy's stream policy fixes), run as
+    uint32 array arithmetic over every host index at once.  The entropy is
+    the masked seed as one or two little-endian words, then 1, then i; a pool
+    word past the entropy hashes 0.
+    """
+    seed &= 0x7FFFFFFFFFFFFFFF
+    words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else []) + [1]
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[:len(words)] = np.asarray(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = np.arange(n, dtype=np.uint32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & 0xFFFFFFFF
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    for dst in range(4):
+        pool[dst] = hashmix(pool[dst])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = np.empty((n, 8), dtype=np.uint32)
+    hash_const = 0x8B51F9DD
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
+        value *= hash_const
+        state[:, k] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _host_rngs(seed: int, n: int) -> list[np.random.Generator]:
+    """Host i's churn stream for i < n: ``PCG64`` seeded with row i of
+    :func:`_host_seed_words`, the stream ``default_rng([seed & (2**63 - 1), 1, i])``
+    gives."""
+
+    # defined per call, so that importing gridsim does not load numpy.random
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for four uint64 words
+
+    return [np.random.Generator(np.random.PCG64(SeedWords(words)))
+            for words in _host_seed_words(seed, n)]
+
+
 class _HostState:
     __slots__ = ("spec", "up", "running", "rng")
 
@@ -136,10 +195,7 @@ class _Sim:
         # completion opens the dedicated tasks
         self.jobs_left = len(self.job_task)
         self.shared_left = sum(self.tasks[ti].n_jobs for ti in self.shared_idx)
-        self.hosts = [
-            _HostState(h, np.random.default_rng([seed & 0x7FFFFFFFFFFFFFFF, 1, i]))
-            for i, h in enumerate(hosts)
-        ]
+        self.hosts = [_HostState(h, rng) for h, rng in zip(hosts, _host_rngs(seed, len(hosts)))]
         self.heap: list = []
         self.seq = 0
         self.events: list[TraceEvent] = []

@@ -154,18 +154,11 @@ def sample_hosts(params: PopulationParams) -> list[HostSpec]:
             raise ParameterError(f"{name}_logmu and {name}_logsigma draw sizes that are "
                                  "not finite and > 0")
 
-    return [
-        HostSpec(
-            id=i,
-            gflops=float(gflops[i]),
-            n_cpus=int(cpus[i]),
-            ram_gb=float(ram[i]),
-            hdd_gb=float(hdd[i]),
-            on_rate=params.on_rate,
-            off_rate=params.off_rate,
-        )
-        for i in range(n)
-    ]
+    # .tolist() columns give Python floats and ints without a numpy scalar per host
+    return [HostSpec(id=i, gflops=g, n_cpus=c, ram_gb=r, hdd_gb=h,
+                     on_rate=params.on_rate, off_rate=params.off_rate)
+            for i, (g, c, r, h) in enumerate(zip(gflops.tolist(), cpus.tolist(),
+                                                 ram.tolist(), hdd.tolist()))]
 
 
 def population_summary(hosts: list[HostSpec]) -> PopulationSummary:

@@ -374,11 +374,11 @@ def _ndtr(a) -> np.ndarray:
         sq = zt * zt
     live = np.flatnonzero(~(sq > _MAXLOG))  # NaN stays live, to come out NaN
     zl = zt[live]
-    near = zl < 8.0
+    num, den = _horner(zl, _ERFC_P), _horner(zl, _ERFC_Q)
+    far = np.flatnonzero(~(zl < 8.0))  # R/S from 8 up; NaN comes out NaN either way
+    num[far], den[far] = _horner(zl[far], _ERFC_R), _horner(zl[far], _ERFC_S)
     erfc = np.zeros_like(zt)
-    erfc[live] = _libm(math.exp, -sq[live]) * np.where(
-        near, _horner(zl, _ERFC_P), _horner(zl, _ERFC_R)) / np.where(
-        near, _horner(zl, _ERFC_Q), _horner(zl, _ERFC_S))
+    erfc[live] = _libm(math.exp, -sq[live]) * num / den
     erfc *= 0.5
     x[mid] = erf
     x[tail] = np.where(x[tail] > 0, 1.0 - erfc, erfc)

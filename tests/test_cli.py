@@ -28,6 +28,14 @@ TABLE2 = Path(__file__).resolve().parents[1] / "scenarios" / "table2.scenario"
 DATA = Path(__file__).parent / "data"
 #: sha256 of trace.csv from `sim run --scenario scenarios/table2.scenario`
 TABLE2_TRACE_SHA256 = "f6009efc5f68e9cb10989334ec79d49cf2f511004caad9efdb3205deb9b13711"
+#: sha256 of each `sim run` output on table2's tasks and seeds with `[hosts]
+#: preset = registered`, recorded before the hosts' streams were seeded in one
+#: vectorized pass: it covers all 4,161 churn streams end to end
+REGISTERED_SIM_SHA256 = {
+    "regimes.csv": "445a92281aac065336e6b5e8cb238c84991e28f5deadf00c5ad5525a7b0cba87",
+    "speedup.csv": "ecea0490e686afe528638b9cdb7bcd91b207e21e98e68fbefe5da4d535be14b9",
+    "trace.csv": "6352ff132bb9d54dea5451a263908d0ea1c6fb57858bfc4f4998fdda259921b3",
+}
 #: sha256 of `hosts sample --preset NAME` at seed 0, recorded when each preset
 #: was built by its own function, so the hosts.PRESETS table cannot drift
 PRESET_POPULATION_SHA256 = {
@@ -229,6 +237,17 @@ def test_sim_run_table2_matches_golden_bytes(tmp_path):
     assert hashlib.sha256(trace).hexdigest() == TABLE2_TRACE_SHA256
     for name in ("speedup.csv", "regimes.csv"):
         assert (tmp_path / name).read_bytes() == (DATA / f"table2_{name}").read_bytes()
+
+
+def test_sim_run_registered_fleet_matches_golden_bytes(tmp_path):
+    scn = tmp_path / "registered.scenario"
+    text = TABLE2.read_text()
+    assert "preset = pool\n" in text
+    scn.write_text(text.replace("preset = pool\n", "preset = registered\n"))
+    out = tmp_path / "sim"
+    assert main(["sim", "run", "--scenario", str(scn), "--out-dir", str(out)]) == EXIT_OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == REGISTERED_SIM_SHA256
 
 
 def test_sim_failing_writer_leaves_no_files(tmp_path, monkeypatch):

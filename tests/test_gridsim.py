@@ -2,6 +2,7 @@
 
 import heapq
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
@@ -26,6 +27,7 @@ from gridsweep.gridsim import (
     SimTrace,
     TaskSpec,
     TraceEvent,
+    _host_rngs,
     _scaled_runtime,
     run_scenario,
     speedup_table,
@@ -261,6 +263,19 @@ def test_determinism_and_seed_sensitivity():
     t3 = run_scenario(tasks, pop, seed=4)
     assert t1.events == t2.events
     assert t1.events != t3.events
+
+
+@pytest.mark.parametrize("seed", [0, 233, 2**32 - 1, 2**32 + 5, 2**63 - 1, 2**64 + 3])
+def test_host_streams_equal_numpy_seedsequence_streams(seed):
+    # the seed is one entropy word below 2^32, two above, and 2^64 + 3 is
+    # folded to 3 by the mask; numpy's own SeedSequence is the reference
+    for n in (0, 1, 4161):
+        rngs = _host_rngs(seed, n)
+        assert len(rngs) == n
+        for i, ours in enumerate(rngs):
+            ref = np.random.default_rng([seed & (2**63 - 1), 1, i])
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert (ours.random(), ours.exponential()) == (ref.random(), ref.exponential())
 
 
 def test_hosts_keep_their_ids_and_must_not_share_one():

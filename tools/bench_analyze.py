@@ -48,6 +48,9 @@ parts, each measured on both checkouts:
 - ``cold``: ``analyze`` on the campaign ensemble's ``COLD_CELL``, in an
   interpreter of its own: its wall time from spawn to exit, its
   ``ru_maxrss`` and whether it loaded ``scipy.special``.
+- ``sim``: ``sim run`` on each scenario of the campaign workload (seed 0),
+  in process, and ``gridsim._Sim`` built on the ``registered`` scenario's
+  fleet: the median time of ``REPEATS`` calls each.
 - ``cna``: ``cna_labels`` on one checkpoint record's CNA shell of each crystal
   of ``CNA_GEOMETRIES``, at each ``cna.CNA_BLOCK`` of ``CNA_BLOCKS``: the
   tracemalloc peak of one call and the median time of ``REPEATS`` untraced
@@ -81,7 +84,7 @@ from pathlib import Path
 PAIRS = 10
 REPEATS = 5
 STEPS = 100
-ROUNDS = {"md": 8, "paper": 8, "n1000": 8, "cna": 8, "cold": 8}
+ROUNDS = {"md": 8, "paper": 8, "n1000": 8, "cna": 8, "cold": 8, "sim": 8}
 CELLS_N1000 = (("c_unk", 0.10), ("c_hcp", 0.20), ("sigma_top", 0.15))
 COLD_CELL = ("sigma_top", 0.15)  # fits and KS-tests both families
 CNA_GEOMETRIES = ((6, 8, 6), (10, 10, 10), (16, 16, 16))
@@ -106,29 +109,31 @@ def _campaign(root: Path, work: Path, n_jobs: int):
 # --- probes: run in a fresh process with one checkout's src/ on the path ----
 
 
-def probe_n1000(root: Path, work: Path) -> dict:
+def _median_ms(fn) -> float:
+    """The median time of ``REPEATS`` calls of ``fn``, in milliseconds."""
     import time
 
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return round(1e3 * statistics.median(times), 2)
+
+
+def probe_n1000(root: Path, work: Path) -> dict:
     from gridsweep import stats, sweep
 
     ensemble = _campaign(root, work, 1000).ensemble
-
-    def median_ms(fn):
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return round(1e3 * statistics.median(times), 2)
 
     out = {}
     for obs, strain in CELLS_N1000:
         v = sweep.collect_observable(ensemble, strain, obs)
         out[f"{obs}@{strain}"] = {
-            "collect_observable_ms": median_ms(
+            "collect_observable_ms": _median_ms(
                 lambda: sweep.collect_observable(ensemble, strain, obs)),
-            "classify_sample_ms": median_ms(lambda: sweep.classify_sample(v)),
-            "bootstrap_cloud_ms": median_ms(lambda: stats.bootstrap_cloud(v, 1000)),
+            "classify_sample_ms": _median_ms(lambda: sweep.classify_sample(v)),
+            "bootstrap_cloud_ms": _median_ms(lambda: stats.bootstrap_cloud(v, 1000)),
         }
     return out
 
@@ -157,6 +162,22 @@ def probe_cold(root: Path, work: Path) -> dict:
                          check=True, capture_output=True, text=True).stdout
     wall = time.perf_counter() - t0
     return {f"{obs}@{strain}": {"wall_s": round(wall, 3), **json.loads(out.splitlines()[-1])}}
+
+
+def probe_sim(root: Path, work: Path) -> dict:
+    from gridsweep import gridsim
+    from gridsweep.cli import main
+    from gridsweep.scenario import parse_scenario
+
+    out = {}
+    for name, path, *_ in _campaign(root, work, 1).scenarios:
+        argv = ["sim", "run", "--scenario", str(path), "--out-dir", str(work / f"sim_{name}")]
+        out[name] = {"sim_run_ms": _median_ms(lambda: main(argv))}
+        if name == "registered":
+            scn = parse_scenario(path)
+            out[name]["sim_setup_ms"] = _median_ms(
+                lambda: gridsim._Sim(scn.tasks, scn.population, scn.seed))
+    return out
 
 
 def probe_cna(root: Path, work: Path) -> dict:
@@ -348,7 +369,8 @@ def probe_outputs(root: Path, work: Path) -> dict:
 
 
 PROBES = {"block": probe_block, "cna": probe_cna, "cold": probe_cold, "md": probe_md,
-          "n1000": probe_n1000, "outputs": probe_outputs, "paper": probe_paper}
+          "n1000": probe_n1000, "outputs": probe_outputs, "paper": probe_paper,
+          "sim": probe_sim}
 #: the parts of the record --probes can name
 PARTS = ("outputs", "pairs", *ROUNDS, "block", "pair_block")
 #: the probes that run one fresh process per argument, and their arguments
